@@ -39,11 +39,9 @@ from .ldp import (
     ConvergenceReport,
     DomainError,
     RateFunction,
-    ScgfCurve,
     convergence_report,
     empirical_exponent,
     gamma,
-    legendre_numeric,
     rate_function,
     scgf_derivative,
     scgf_limit,
@@ -123,13 +121,11 @@ __all__ = [
     "scgf_empirical",
     "plateau_window",
     "DomainError",
-    "ScgfCurve",
     "RateFunction",
     "scgf_limit",
     "scgf_derivative",
     "gamma",
     "rate_function",
-    "legendre_numeric",
     "empirical_exponent",
     "ConvergenceReport",
     "convergence_report",

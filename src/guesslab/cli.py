@@ -29,6 +29,7 @@ from .guesswork import (
     BudgetExceededError,
     GuessworkError,
     SequenceError,
+    exp_or_inf,
     guesswork_distribution,
     moment_bounds,
 )
@@ -193,7 +194,8 @@ def _cmd_moments(args) -> int:
         lower = upper = None
         if -1.0 < alpha < 0.0:
             lower, upper = moment_bounds(source, args.n, alpha)
-        rows.append([args.n, alpha, dist.moment(alpha), lower, upper, dist.scgf_empirical(alpha)])
+        log_m = dist.log_moment(alpha)
+        rows.append([args.n, alpha, exp_or_inf(log_m), lower, upper, log_m / dist.n])
     header = ["n", "alpha", "exact", "lower", "upper", "scgf_empirical"]
     _emit_csv(args, header, rows, _manifest(args, "moments", [args.source]))
     return 0
@@ -235,8 +237,8 @@ def _cmd_scgf(args) -> int:
 
 def _cmd_rate(args) -> int:
     source = load_source_file(args.source)
-    rate = RateFunction.from_source(source)
-    rows = [[x, _scaled(rate(x), args.bits)] for x in args.xgrid]
+    values = RateFunction.from_source(source)(args.xgrid).tolist()
+    rows = [[x, _scaled(value, args.bits)] for x, value in zip(args.xgrid, values)]
     _emit_csv(args, ["x", "rate"], rows, _manifest(args, "rate", [args.source]))
     return 0
 
@@ -287,10 +289,9 @@ def _cmd_parallel(args) -> int:
     if args.alphas and args.n is not None:
         dist = kmin_distribution(ensemble, args.n, args.max_type_tuples, args.max_ranks)
         for alpha in args.alphas:
-            rows.append(["kmin_moment", args.n, alpha, None, dist.moment(alpha)])
-            rows.append(
-                ["kmin_scgf_empirical", args.n, alpha, None, _scaled(dist.scgf_empirical(alpha), args.bits)]
-            )
+            log_m = dist.log_moment(alpha)
+            rows.append(["kmin_moment", args.n, alpha, None, exp_or_inf(log_m)])
+            rows.append(["kmin_scgf_empirical", args.n, alpha, None, _scaled(log_m / dist.n, args.bits)])
     if args.alphas:
         for alpha in args.alphas:
             if args.iid:
@@ -299,11 +300,11 @@ def _cmd_parallel(args) -> int:
                 value = scgf_parallel(ensemble, alpha, mode)
             rows.append(["scgf_parallel", None, alpha, None, _scaled(value, args.bits)])
     if args.xgrid:
-        for x in args.xgrid:
-            if args.iid:
-                value = rate_parallel_iid(users[0], k, m, x)
-            else:
-                value = rate_parallel(ensemble, x, mode)
+        if args.iid:
+            values = rate_parallel_iid(users[0], k, m, args.xgrid)
+        else:
+            values = rate_parallel(ensemble, args.xgrid, mode)
+        for x, value in zip(args.xgrid, values.tolist()):
             rows.append(["rate_parallel", None, None, x, _scaled(value, args.bits)])
     header = ["quantity", "n", "alpha", "x", "value"]
     _emit_csv(args, header, rows, _manifest(args, "parallel", paths))
@@ -402,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--alphas", type=_csv_floats)
     p.add_argument("--xgrid", type=_grid)
-    p.add_argument("--tuples", action="store_true", help="max over unconstrained index tuples")
+    p.add_argument("--tuples", action="store_true", help="min over unconstrained index tuples: a lower bound")
     p.add_argument("--max-type-tuples", type=int, default=DEFAULT_MAX_TYPE_TUPLES)
     p.add_argument("--max-ranks", type=int, default=DEFAULT_MAX_RANKS)
     p.set_defaults(handler=_cmd_parallel)

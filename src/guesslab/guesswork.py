@@ -225,11 +225,7 @@ class GuessworkDistribution:
         return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
     def moment(self, alpha: float) -> float:
-        log_m = self.log_moment(alpha)
-        try:
-            return math.exp(log_m)
-        except OverflowError:
-            return math.inf
+        return exp_or_inf(self.log_moment(alpha))
 
     def scgf_empirical(self, alpha: float) -> float:
         return self.log_moment(alpha) / self.n
@@ -260,6 +256,14 @@ class GuessworkDistribution:
     def prob_log_window(self, lo: float, hi: float) -> float:
         log_p = self.log_prob_log_window(lo, hi)
         return 0.0 if log_p == -math.inf else math.exp(log_p)
+
+
+def exp_or_inf(log_value: float) -> float:
+    """exp(log_value), +inf past the float range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def block_scale(level: Dyadic, count: int) -> Dyadic:

@@ -1,40 +1,41 @@
 """Asymptotics of the guess rank: SCGF, rate function, finite-n exponents.
 
-For memoryless pair sources the scaled cumulant generating function has
-the closed form Lambda(alpha) = alpha * H_{1/(1+alpha)}(X|Y) for
-alpha > -1 and plateaus at -H_inf(X|Y) for alpha <= -1.  Its Legendre
-transform Lambda*(x) is linear (h_inf - x) on [0, gamma], where gamma
-is the right-derivative limit at -1, and is computed by golden-section
-maximization of the concave map alpha -> x*alpha - Lambda(alpha) on the
-rest of [0, log|X|].  gamma is positive only when some y-column has
-tied maximizers; it is estimated by extrapolated one-sided derivatives
-rather than by differentiating the closed form symbolically.
+For memoryless pair sources the scaled cumulant generating function is
+Lambda(alpha) = alpha * H_{1/(1+alpha)}(X|Y) = log sum_y s_y^(1+alpha), with
+s_y = sum_x p(x,y)^beta and beta = 1/(1+alpha), for alpha > -1; it plateaus
+at -H_inf(X|Y) for alpha <= -1.  Its slope is closed-form: with the tilted
+columns q_y = p(., y)^beta / s_y and weights w_y proportional to
+s_y^(1+alpha), Lambda'(alpha) = sum_y w_y H(q_y).  At the plateau edge it
+tends to gamma = sum_y m_y log t_y / sum_y m_y, m_y the column maximum and
+t_y the number of entries tied at it.
 
-ScgfCurve accepts a user-supplied evaluation callable, so the conjugation
-machinery also serves plug-in SCGFs; their validity is the caller's burden.
+The rate function Lambda*(x) is linear (h_inf - x) on [0, gamma], +inf
+above log max_y |support(y)|, and alpha*x - Lambda(alpha) in between, at
+the order solving Lambda'(alpha) = x.  That order comes from a safeguarded
+Newton iteration in t = log(1 + alpha), run over a whole array of x at
+once, with the order bracketed in (-1, ALPHA_BRACKET].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .entropy import conditional_min_entropy, conditional_renyi_arimoto, conditional_shannon
+import numpy as np
+
+from .entropy import conditional_min_entropy, conditional_renyi_arimoto
 from .guesswork import DEFAULT_MAX_TYPE_TUPLES, GuessworkDistribution, guesswork_distribution
 from .model import PairSource
 
 __all__ = [
     "ALPHA_BRACKET",
-    "GOLDEN_TOL",
     "DomainError",
-    "ScgfCurve",
     "RateFunction",
     "scgf_limit",
     "scgf_derivative",
     "gamma",
     "rate_function",
-    "legendre_numeric",
     "empirical_exponent",
     "ScgfRow",
     "ExponentRow",
@@ -43,8 +44,12 @@ __all__ = [
 ]
 
 ALPHA_BRACKET = 64.0
-GOLDEN_TOL = 1e-9
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_T_LO = -36.0  # t = log(1 + alpha) below double precision's resolution of alpha near -1
+_T_HI = math.log1p(ALPHA_BRACKET)
+# Newton stops on the residual |Lambda' - x|: a step-size test lets points
+# cycle near the root for the whole iteration budget.
+_RESIDUAL_TOL = 1e-14
+_MAX_STEPS = 100
 
 
 class DomainError(ValueError):
@@ -61,106 +66,119 @@ def scgf_limit(source: PairSource, alpha: float) -> float:
     return alpha * conditional_renyi_arimoto(source, 1.0 / (1.0 + alpha))
 
 
-@dataclass(frozen=True)
-class ScgfCurve:
-    """Lambda as an evaluation callable plus derivative queries."""
-
-    evaluation: Callable[[float], float]
-    log_x_size: float
-    source: PairSource | None = None
-
-    @classmethod
-    def from_source(cls, source: PairSource) -> "ScgfCurve":
-        return cls(
-            evaluation=lambda a: scgf_limit(source, a),
-            log_x_size=source.log_x_size,
-            source=source,
-        )
-
-    def __call__(self, alpha: float) -> float:
-        return self.evaluation(alpha)
-
-    def derivative(self, alpha: float) -> float:
-        alpha = float(alpha)
-        if alpha <= -1.0:
-            raise DomainError(f"derivative undefined at alpha <= -1, got {alpha}")
-        return _central_derivative(self.evaluation, alpha)
+Columns = tuple[tuple[float, np.ndarray], ...]
 
 
-def _central_derivative(fn: Callable[[float], float], alpha: float, h: float = 1e-6) -> float:
-    # keep both evaluation points right of the alpha = -1 plateau edge
-    h = min(h, (alpha + 1.0) / 4.0)
-    d1 = (fn(alpha + h) - fn(alpha - h)) / (2.0 * h)
-    d2 = (fn(alpha + h / 2.0) - fn(alpha - h / 2.0)) / h
-    return (4.0 * d2 - d1) / 3.0
+def _columns(source: PairSource) -> Columns:
+    """Per y-column: log max_x p(x,y), and log p(x,y) minus it on the support."""
+    logs = [np.log(col[col > 0.0]) for col in source.joint.T]
+    return tuple((float(v.max()), v - v.max()) for v in logs)
+
+
+def _tilt(columns: Columns, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Lambda, Lambda', dLambda'/dt) at alpha = e^t - 1, for a 1-D array t.
+
+    dLambda'/dt = sum_y w_y Var_{q_y}(log q_y) + (1+alpha) Var_w(H(q_y)).
+    H(q_y) = -sum q log q takes log q from the shifted logs, as the equal
+    log s_y - beta E_q[log p] cancels catastrophically near alpha = -1.
+    Reductions run along one point's row: points do not affect each other.
+    """
+    s = np.exp(t)
+    beta = np.exp(-t)
+    f, ent, var = [], [], []
+    for top, gaps in columns:
+        log_q = np.multiply.outer(beta, gaps)
+        lse = np.log(np.exp(log_q).sum(axis=1))
+        log_q -= lse[:, np.newaxis]
+        q = np.exp(log_q)
+        h = -(q * log_q).sum(axis=1)
+        f.append(top + s * lse)  # (1 + alpha) log s_y
+        ent.append(h)
+        var.append((q * (log_q + h[:, np.newaxis]) ** 2).sum(axis=1))
+    f, ent, var = (np.stack(rows, axis=1) for rows in (f, ent, var))
+    f_top = f.max(axis=1)
+    w = np.exp(f - f_top[:, np.newaxis])
+    total = w.sum(axis=1)
+    w /= total[:, np.newaxis]
+    slope = (w * ent).sum(axis=1)
+    spread = (w * (ent - slope[:, np.newaxis]) ** 2).sum(axis=1)
+    return f_top + np.log(total), slope, (w * var).sum(axis=1) + s * spread
+
+
+def _conjugate(columns: Columns, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha*x - Lambda(alpha), alpha) with Lambda'(alpha) = x, for x > gamma.
+
+    Where no bracketed order reaches the slope x, alpha = ALPHA_BRACKET.
+    """
+    capped = x >= _tilt(columns, np.array([_T_HI]))[1][0]
+    t = np.where(capped, _T_HI, 0.0)
+    lo = np.full_like(x, _T_LO)
+    hi = np.full_like(x, _T_HI)
+    todo = np.flatnonzero(~capped)
+    for _ in range(_MAX_STEPS):
+        if todo.size == 0:
+            break
+        _, slope, curvature = _tilt(columns, t[todo])
+        resid = slope - x[todo]
+        done = np.abs(resid) <= _RESIDUAL_TOL
+        todo, resid, curvature = todo[~done], resid[~done], curvature[~done]
+        t_now = t[todo]
+        hi[todo] = np.where(resid > 0.0, t_now, hi[todo])
+        lo[todo] = np.where(resid > 0.0, lo[todo], t_now)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            step = t_now - resid / curvature
+        inside = (step > lo[todo]) & (step < hi[todo])
+        t[todo] = np.where(inside, step, 0.5 * (lo[todo] + hi[todo]))
+    alpha = np.where(capped, ALPHA_BRACKET, np.expm1(t))
+    return alpha * x - _tilt(columns, t)[0], alpha
 
 
 def scgf_derivative(source: PairSource, alpha: float) -> float:
     """Lambda'(alpha) for alpha > -1; Lambda'(0) = H(X|Y)."""
-    return ScgfCurve.from_source(source).derivative(alpha)
+    alpha = float(alpha)
+    if alpha <= -1.0:
+        raise DomainError(f"derivative undefined at alpha <= -1, got {alpha}")
+    _, slope, _ = _tilt(_columns(source), np.array([math.log1p(alpha)]))
+    return float(slope[0])
 
 
-def _neville_at_zero(xs: Sequence[float], ys: Sequence[float]) -> float:
-    ps = list(ys)
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - level):
-            ps[i] = (xs[i + level] * ps[i] - xs[i] * ps[i + 1]) / (xs[i + level] - xs[i])
-    return ps[0]
+def gamma(source: PairSource) -> float:
+    """gamma = lim_{alpha down to -1} Lambda'(alpha) = sum_y m_y log t_y / sum_y m_y."""
+    top = source.joint.max(axis=0)
+    ties = (source.joint == top).sum(axis=0)
+    return math.fsum((top * np.log(ties)).tolist()) / math.fsum(top.tolist())
 
 
-def gamma(source: PairSource, epsilons: Sequence[float] = (1e-2, 1e-3, 1e-4)) -> float:
-    """gamma = lim_{alpha down to -1} Lambda'(alpha), extrapolated to eps = 0."""
-    curve = ScgfCurve.from_source(source)
-    slopes = [_central_derivative(curve.evaluation, -1.0 + e, h=e / 8.0) for e in epsilons]
-    value = _neville_at_zero(list(epsilons), slopes)
-    return min(max(value, 0.0), source.log_x_size)
+def _domain(x) -> np.ndarray:
+    """x as a float array, checked against the rate-function domain x >= 0."""
+    xs = np.asarray(x, dtype=np.float64)
+    if np.any(xs < 0.0):
+        raise DomainError(f"rate function domain is x >= 0, got {float(xs.min())}")
+    return xs
 
 
-def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float = GOLDEN_TOL) -> tuple[float, float]:
-    """Maximize a concave fn on [lo, hi]; returns (argmax, max)."""
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1 = fn(x1)
-    f2 = fn(x2)
-    while hi - lo > tol:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = fn(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = fn(x2)
-    arg = 0.5 * (lo + hi)
-    return arg, fn(arg)
-
-
-def legendre_numeric(curve: ScgfCurve, x: float) -> tuple[float, float]:
-    """sup over alpha in [-1, ALPHA_BRACKET] of x*alpha - Lambda(alpha).
-
-    Returns (value, argmax).  An argmax pinned at the right bracket end
-    means x sits between the bracketed slope and the attainable slope
-    limit; the value is then a slight underestimate of the conjugate.
-    """
-    arg, value = _golden_max(lambda a: x * a - curve(a), -1.0, ALPHA_BRACKET)
-    return value, arg
+def _shaped(xs: np.ndarray, values: np.ndarray):
+    """values in the shape of xs: a float for a scalar x."""
+    values = np.reshape(values, xs.shape)
+    return float(values) if xs.ndim == 0 else values
 
 
 @dataclass(frozen=True)
 class RateFunction:
-    """Lambda*(x) on [0, log|X|]: linear on [0, gamma], conjugated beyond.
+    """Lambda*(x) on [0, log|X|] for a scalar or an array of x.
 
     Guess ranks never exceed the product of the per-letter column support
     sizes, so growth rates above x_sup = log(max_y |support(y)|) have zero
-    probability at every n and the rate is +inf there.  Below x_sup the
-    bracketed conjugate is finite.
+    probability at every n and the rate is +inf there.  Where the order
+    solving Lambda'(alpha) = x exceeds ALPHA_BRACKET, the order is held at
+    the bracket and the value is a slight underestimate.
     """
 
     gamma: float
     h_inf: float
     log_x_size: float
     x_sup: float
-    curve: ScgfCurve
+    columns: Columns
 
     @classmethod
     def from_source(cls, source: PairSource) -> "RateFunction":
@@ -170,22 +188,21 @@ class RateFunction:
             h_inf=conditional_min_entropy(source),
             log_x_size=source.log_x_size,
             x_sup=math.log(max_support),
-            curve=ScgfCurve.from_source(source),
+            columns=_columns(source),
         )
 
-    def __call__(self, x: float) -> float:
-        x = float(x)
-        if x < 0.0:
-            raise DomainError(f"rate function domain is x >= 0, got {x}")
-        if x > self.log_x_size or x > self.x_sup + 1e-12:
-            return math.inf
-        if x <= self.gamma:
-            return self.h_inf - x
-        value, _ = legendre_numeric(self.curve, x)
-        return value
+    def __call__(self, x):
+        xs = _domain(x)
+        value = np.full(xs.shape, math.inf)
+        finite = (xs <= self.log_x_size) & (xs <= self.x_sup + 1e-12)
+        linear = finite & (xs <= self.gamma)
+        value[linear] = self.h_inf - xs[linear]
+        strict = finite & ~linear
+        value[strict] = _conjugate(self.columns, xs[strict])[0]
+        return _shaped(xs, value)
 
 
-def rate_function(source: PairSource, x: float) -> float:
+def rate_function(source: PairSource, x):
     """Lambda*(x); +inf sentinel beyond log|X| or the attainable slope range."""
     return RateFunction.from_source(source)(x)
 
@@ -247,7 +264,7 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Finite-n quantities next to their limits, with the provable
     gap envelope -alpha*log(1 + n log|X|)/n for alpha in (-1, 0)."""
-    rate = RateFunction.from_source(source)
+    limits = RateFunction.from_source(source)(np.asarray(x_grid, dtype=np.float64)).tolist()
     log_x = source.log_x_size
     scgf_rows = []
     exponent_rows = []
@@ -260,9 +277,8 @@ def convergence_report(
             if -1.0 < alpha < 0.0:
                 envelope = -alpha * math.log1p(n * log_x) / n
             scgf_rows.append(ScgfRow(n, alpha, empirical, limit, empirical - limit, envelope))
-        for x in x_grid:
+        for x, limit in zip(x_grid, limits):
             empirical = empirical_exponent(source, x, eps, n, dist=dist)
-            limit = rate(x)
             gap = empirical - limit if math.isfinite(empirical) and math.isfinite(limit) else math.nan
             exponent_rows.append(ExponentRow(n, x, eps, empirical, limit, gap))
     return ConvergenceReport(tuple(scgf_rows), tuple(exponent_rows))

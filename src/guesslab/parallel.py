@@ -8,14 +8,19 @@ rank by rank with a Poisson-binomial recursion over users, entirely in
 exact dyadic arithmetic.  The survival differences telescope, so the
 resulting pmf is exactly nonnegative.
 
-The asymptotic layer evaluates the rate function
-I_{k,m}(x) = max over index assignments of
-Lambda*_{i1}(x) + sum_{l<=k} delta_{i_l}(x) + sum_{l>k} gamma_{i_l}(x),
-with delta/gamma the below/above-Shannon clamps of each user's rate
-function, and conjugates it numerically for the parallel SCGF.  The max
-ranges over permutations of the users by default; an unconstrained
-tuple mode is provided for comparison because the constraint is a
-modeling choice.
+The asymptotic layer evaluates the rate function of G_{k,m} ~ e^(nx):
+one user i lands at e^(nx) at cost Lambda*_i(x), k-1 others finish
+below at cost delta_j(x) and the rest above at cost gam_j(x), with
+delta/gam the below/above-Shannon clamps of each user's rate function.
+The likeliest assignment of these roles sets the rate, so
+
+    I_{k,m}(x) = min_i [Lambda*_i(x) + sum_{j != i} gam_j(x)
+                        + (sum of the k-1 smallest delta_j(x) - gam_j(x), j != i)],
+
+the minimum over all permutations of the users, found by selection.  An
+unconstrained tuple mode, where one user may fill several roles, gives
+the lower bound min Lambda* + (k-1) min delta + (m-k) min gam.  The
+parallel SCGF is the Legendre transform of I on a dense grid of x.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 
 import numpy as np
 
@@ -36,13 +40,12 @@ from .guesswork import (
     YTypeLaw,
     guesswork_distribution,
 )
-from .ldp import DomainError, RateFunction, _golden_max, scgf_limit
+from .ldp import RateFunction, _domain, _shaped, scgf_limit
 from .model import PairSource
 
 __all__ = [
     "DEFAULT_MAX_RANKS",
     "MAX_KMIN_USERS",
-    "MAX_PERM_USERS",
     "SCGF_GRID_STEP",
     "EnsembleError",
     "UserEnsemble",
@@ -56,8 +59,9 @@ __all__ = [
 
 DEFAULT_MAX_RANKS = 1 << 20
 MAX_KMIN_USERS = 12
-MAX_PERM_USERS = 8
 SCGF_GRID_STEP = 1e-4
+_MODES = ("permutations", "tuples")
+_REFINE_POINTS = 2001
 
 
 class EnsembleError(ValueError):
@@ -108,10 +112,7 @@ class UserEnsemble:
 
     @cached_property
     def _user_rate_grid(self) -> np.ndarray:
-        grid = np.empty((self.m, self._xgrid.size))
-        for i, rf in enumerate(self.rate_functions):
-            grid[i] = [rf(x) for x in self._xgrid]
-        return grid
+        return np.stack([rf(self._xgrid) for rf in self.rate_functions])
 
 
 def _flat_segments(dist: GuessworkDistribution) -> list[tuple[int, int, Dyadic]]:
@@ -243,87 +244,69 @@ def kmin_moment_exact(
     return dist.moment(alpha)
 
 
-def _clamped_terms(ensemble: UserEnsemble, x: float) -> tuple[list[float], list[float], list[float]]:
-    rates = [rf(x) for rf in ensemble.rate_functions]
-    shannon = ensemble.shannon_values
-    delta = [r if x <= h else 0.0 for r, h in zip(rates, shannon)]
-    gam = [r if x >= h else 0.0 for r, h in zip(rates, shannon)]
-    return rates, delta, gam
-
-
-def rate_parallel(ensemble: UserEnsemble, x: float, mode: str = "permutations") -> float:
-    """I_{k,m}(x): worst index assignment of leader plus clamped followers."""
-    if x < 0.0:
-        raise DomainError(f"rate function domain is x >= 0, got {x}")
-    if mode not in ("permutations", "tuples"):
-        raise EnsembleError(f"unknown assignment mode {mode!r}")
-    rates, delta, gam = _clamped_terms(ensemble, x)
+def _cheapest_assignment(ensemble: UserEnsemble, xs: np.ndarray, rates: np.ndarray, mode: str) -> np.ndarray:
+    """I_{k,m} on a 1-D x array from the users' rate rows, rates[i] = Lambda*_i(xs)."""
+    shannon = np.array(ensemble.shannon_values)[:, np.newaxis]
+    delta = np.where(xs <= shannon, rates, 0.0)
+    gam = np.where(xs >= shannon, rates, 0.0)
     m, k = ensemble.m, ensemble.k
     if mode == "tuples":
-        return max(rates) + (k - 1) * max(delta, default=0.0) + (m - k) * max(gam, default=0.0)
-    if m > MAX_PERM_USERS:
-        raise EnsembleError(f"permutation mode supports m <= {MAX_PERM_USERS}, got {m}")
-    best = -math.inf
-    for perm in permutations(range(m)):
-        value = rates[perm[0]]
-        for l in range(1, k):
-            value += delta[perm[l]]
-        for l in range(k, m):
-            value += gam[perm[l]]
-        best = max(best, value)
+        # a zero coefficient must not meet an infinite clamp
+        value = rates.min(axis=0)
+        if k > 1:
+            value = value + (k - 1) * delta.min(axis=0)
+        if m > k:
+            value = value + (m - k) * gam.min(axis=0)
+        return value
+    best = np.full(xs.shape, math.inf)
+    for i in range(m):
+        others = np.arange(m) != i
+        below_d, above_g = delta[others], gam[others]
+        # below the leader go the k-1 users whose finishing below costs least
+        # relative to finishing above
+        order = np.argsort(below_d - above_g, axis=0, kind="stable")
+        below = np.take_along_axis(below_d, order[: k - 1], axis=0).sum(axis=0)
+        above = np.take_along_axis(above_g, order[k - 1 :], axis=0).sum(axis=0)
+        np.minimum(best, rates[i] + below + above, out=best)
     return best
 
 
-def rate_parallel_iid(source: PairSource, k: int, m: int, x: float) -> float:
+def _check_mode(mode: str) -> None:
+    if mode not in _MODES:
+        raise EnsembleError(f"unknown assignment mode {mode!r}")
+
+
+def rate_parallel(ensemble: UserEnsemble, x, mode: str = "permutations"):
+    """I_{k,m}(x) for a scalar or an array of x: the likeliest assignment of roles."""
+    xs = _domain(x)
+    _check_mode(mode)
+    flat = xs.ravel()
+    rates = np.stack([rf(flat) for rf in ensemble.rate_functions])
+    return _shaped(xs, _cheapest_assignment(ensemble, flat, rates, mode))
+
+
+def rate_parallel_iid(source: PairSource, k: int, m: int, x):
     """I(k,m,x) = k Lambda*(x) below H(X|Y), (m-k+1) Lambda*(x) above."""
     if not 1 <= k <= m:
         raise EnsembleError(f"k must satisfy 1 <= k <= {m}, got {k}")
-    if x < 0.0:
-        raise DomainError(f"rate function domain is x >= 0, got {x}")
-    rate = RateFunction.from_source(source)(x)
-    if x <= conditional_shannon(source):
-        return k * rate
-    return (m - k + 1) * rate
-
-
-def _i_grid(ensemble: UserEnsemble, mode: str) -> np.ndarray:
-    xs = ensemble._xgrid
-    rates = ensemble._user_rate_grid
-    shannon = np.array(ensemble.shannon_values)
-    m, k = ensemble.m, ensemble.k
-    delta = np.where(xs[np.newaxis, :] <= shannon[:, np.newaxis], rates, 0.0)
-    gam = np.where(xs[np.newaxis, :] >= shannon[:, np.newaxis], rates, 0.0)
-    if mode == "tuples":
-        return rates.max(axis=0) + (k - 1) * delta.max(axis=0) + (m - k) * gam.max(axis=0)
-    best = np.full(xs.size, -np.inf)
-    for perm in permutations(range(m)):
-        value = rates[perm[0]].copy()
-        for l in range(1, k):
-            value = value + delta[perm[l]]
-        for l in range(k, m):
-            value = value + gam[perm[l]]
-        np.maximum(best, value, out=best)
-    return best
+    xs = _domain(x)
+    rate = RateFunction.from_source(source)(xs)
+    return _shaped(xs, np.where(xs <= conditional_shannon(source), k * rate, (m - k + 1) * rate))
 
 
 def scgf_parallel(ensemble: UserEnsemble, alpha: float, mode: str = "permutations") -> float:
     """Lambda_{k,m}(alpha) = sup over x in [0, log|X|] of alpha*x - I_{k,m}(x).
 
-    Dense-grid sup refined by golden-section inside the winning cell;
-    +inf values of I are excluded by the arithmetic itself.
+    Dense-grid sup, refined on a finer grid across the two cells around
+    the winning point; +inf values of I are excluded by the arithmetic itself.
     """
-    if mode not in ("permutations", "tuples"):
-        raise EnsembleError(f"unknown assignment mode {mode!r}")
-    if mode == "permutations" and ensemble.m > MAX_PERM_USERS:
-        raise EnsembleError(f"permutation mode supports m <= {MAX_PERM_USERS}, got {ensemble.m}")
+    _check_mode(mode)
     xs = ensemble._xgrid
-    grid = alpha * xs - _i_grid(ensemble, mode)
+    grid = alpha * xs - _cheapest_assignment(ensemble, xs, ensemble._user_rate_grid, mode)
     best_idx = int(np.argmax(grid))
-    best = float(grid[best_idx])
-    lo = xs[max(0, best_idx - 1)]
-    hi = xs[min(xs.size - 1, best_idx + 1)]
-    _, refined = _golden_max(lambda x: alpha * x - rate_parallel(ensemble, x, mode), lo, hi)
-    return max(best, refined)
+    fine = np.linspace(xs[max(0, best_idx - 1)], xs[min(xs.size - 1, best_idx + 1)], _REFINE_POINTS)
+    refined = np.max(alpha * fine - rate_parallel(ensemble, fine, mode))
+    return max(float(grid[best_idx]), float(refined))
 
 
 def scgf_parallel_iid(source: PairSource, k: int, m: int, alpha: float) -> float:

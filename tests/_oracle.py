@@ -5,16 +5,23 @@ sequence probabilities: the numerator of a length-n sequence is a
 product of cell numerators below 2^63 for n <= 6, so ranks and block
 structure can be cross-checked against the library with no floating
 point at all.
+
+The rate-function reference conjugates the SCGF numerically, by
+golden-section search over its values alone, so it shares no slope or
+root-finding code with the library.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import product as iter_product
 from math import factorial
 
 import numpy as np
 
 from guesslab.dyadic import DYADIC_ZERO, Dyadic
+from guesslab.entropy import conditional_min_entropy
+from guesslab.ldp import ALPHA_BRACKET, scgf_limit
 from guesslab.model import PairSource, make_source
 
 DENOM_BITS = 10
@@ -136,3 +143,53 @@ def fraction_rank(source: PairSource, x_seq: list[int], y_seq: list[int]) -> int
         scored.append((p, seq))
     scored.sort(key=lambda item: (-item[0], item[1]))
     return [seq for _, seq in scored].index(tuple(x_seq)) + 1
+
+
+def gamma_closed_form(source: PairSource) -> float:
+    """(sum_y max_y * ln mult_y) / (sum_y max_y): the exact slope limit.
+
+    As the order drops to the plateau edge, each y-column contributes
+    its maximum level with weight log of the maximum's multiplicity.
+    Maxima and ties are found on the exact dyadic view.
+    """
+    num = den = 0.0
+    for j in range(source.y_alphabet.size):
+        col = [source.joint_dyadic[i][j] for i in range(source.x_alphabet.size)]
+        top = max(col)
+        mult = sum(1 for v in col if v == top)
+        num += top.to_float() * math.log(mult)
+        den += top.to_float()
+    return num / den
+
+
+GOLDEN_TOL = 1e-9
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(fn, lo: float, hi: float, tol: float = GOLDEN_TOL) -> float:
+    """Maximum of a concave fn on [lo, hi] by golden-section search."""
+    x1 = hi - _INV_PHI * (hi - lo)
+    x2 = lo + _INV_PHI * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    while hi - lo > tol:
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_PHI * (hi - lo)
+            f1 = fn(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_PHI * (hi - lo)
+            f2 = fn(x2)
+    return fn(0.5 * (lo + hi))
+
+
+def rate_golden(source: PairSource, x: float) -> float:
+    """Lambda*(x): h_inf - x up to gamma, +inf past the attainable slopes,
+    and sup over alpha in [-1, ALPHA_BRACKET] of x*alpha - Lambda(alpha)
+    in between, maximised by golden section on ``scgf_limit``."""
+    max_support = int((source.joint > 0.0).sum(axis=0).max())
+    if x > source.log_x_size or x > math.log(max_support) + 1e-12:
+        return math.inf
+    if x <= gamma_closed_form(source):
+        return conditional_min_entropy(source) - x
+    return golden_max(lambda a: x * a - scgf_limit(source, a), -1.0, ALPHA_BRACKET)

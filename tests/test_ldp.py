@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guesslab.entropy import (
     conditional_min_entropy,
@@ -12,34 +14,20 @@ from guesslab.entropy import (
 )
 from guesslab.guesswork import guesswork_distribution
 from guesslab.ldp import (
+    ALPHA_BRACKET,
     DomainError,
     RateFunction,
-    ScgfCurve,
+    _conjugate,
     convergence_report,
     empirical_exponent,
     gamma,
-    legendre_numeric,
     rate_function,
     scgf_derivative,
     scgf_limit,
 )
 from guesslab.model import make_source
 
-
-def gamma_closed_form(source) -> float:
-    """(sum_y max_y * ln mult_y) / (sum_y max_y): the exact slope limit.
-
-    As the order drops to the plateau edge, each y-column contributes
-    its maximum level with weight log of the maximum's multiplicity.
-    """
-    num = den = 0.0
-    for j in range(source.y_alphabet.size):
-        col = [source.joint_dyadic[i][j] for i in range(source.x_alphabet.size)]
-        top = max(col)
-        mult = sum(1 for v in col if v == top)
-        num += top.to_float() * math.log(mult)
-        den += top.to_float()
-    return num / den
+from _oracle import DENOM, gamma_closed_form, rate_golden
 
 
 def test_scgf_plateau_and_values(bsc01, uniform_binary):
@@ -105,10 +93,8 @@ def test_gamma_fixture_values(uniform_binary, noiseless, bsc01, skew22):
 
 
 def test_gamma_matches_closed_form_on_corpus(corpus):
-    # near-tied column maxima leave e^(-c/eps) residue in the slope
-    # extrapolation, so random lattice sources get a looser tolerance
-    for src in corpus[:8]:
-        assert gamma(src) == pytest.approx(gamma_closed_form(src), abs=2e-3)
+    for src in corpus:
+        assert gamma(src) == pytest.approx(gamma_closed_form(src), abs=1e-12)
         assert 0.0 <= gamma(src) <= src.log_x_size + 1e-12
 
 
@@ -150,13 +136,69 @@ def test_rate_function_domain_and_sentinel(bsc01):
 
 def test_first_order_condition_inside_strict_branch(bsc01, skew22):
     for src in (bsc01, skew22):
-        curve = ScgfCurve.from_source(src)
-        g = gamma(src)
-        for x in np.linspace(g + 0.05, 0.6, 8):
-            value, arg = legendre_numeric(curve, float(x))
-            assert arg < 64.0 - 1e-6
-            assert scgf_derivative(src, arg) == pytest.approx(float(x), abs=1e-5)
+        rf = RateFunction.from_source(src)
+        xs = np.linspace(rf.gamma + 0.05, 0.6, 8)
+        values, args = _conjugate(rf.columns, xs)
+        assert values.tolist() == rf(xs).tolist()
+        for x, value, arg in zip(xs, values, args):
+            assert -1.0 < arg < ALPHA_BRACKET - 1e-6
+            assert scgf_derivative(src, arg) == pytest.approx(float(x), abs=1e-12)
+            assert value == pytest.approx(arg * x - scgf_limit(src, arg), abs=1e-12)
             assert value >= -1e-12
+
+
+def test_rate_function_matches_golden_section_reference(
+    bsc01, skew22, noiseless, independent, uniform_binary, corpus
+):
+    fixtures = [bsc01, skew22, noiseless, independent, uniform_binary]
+    for i, src in enumerate(fixtures + corpus):
+        rf = RateFunction.from_source(src)
+        grid = np.linspace(0.0, src.log_x_size, 300)
+        got = rf(grid)
+        want = np.array([rate_golden(src, float(x)) for x in grid])
+        assert np.array_equal(np.isinf(got), np.isinf(want)), f"source {i}"
+        finite = np.isfinite(want)
+        assert np.max(np.abs(got[finite] - want[finite])) <= 1e-12, f"source {i}"
+        if i < len(fixtures):
+            # a point's value does not depend on the rest of the array
+            assert [rf(float(x)) for x in grid] == got.tolist()
+
+
+@st.composite
+def lattice_sources(draw):
+    """Joint pmfs on the 1/1024 lattice, |X| <= 4 and |Y| <= 3, no zero column."""
+    x_size = draw(st.integers(2, 4))
+    y_size = draw(st.integers(1, 3))
+    cuts = sorted(draw(st.lists(st.integers(0, DENOM), min_size=x_size * y_size - 1,
+                                max_size=x_size * y_size - 1)))
+    counts = np.diff([0] + cuts + [DENOM]).reshape(x_size, y_size)
+    if np.any(counts.sum(axis=0) == 0):
+        counts = counts + 1
+        counts[np.unravel_index(int(counts.argmax()), counts.shape)] -= counts.sum() - DENOM
+    xs = [f"x{i}" for i in range(x_size)]
+    ys = [f"y{j}" for j in range(y_size)]
+    return make_source(xs, ys, (counts / DENOM).tolist())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    lattice_sources(),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    st.lists(st.floats(-1.0, ALPHA_BRACKET), min_size=1, max_size=8),
+)
+def test_rate_function_is_a_conjugate_bound(src, fractions, alphas):
+    # Lambda* is the sup over alpha of alpha x - Lambda(alpha), so every
+    # bracketed order bounds it from below, with equality at the slope
+    # x = Lambda'(alpha), and it vanishes at H(X|Y)
+    rf = RateFunction.from_source(src)
+    xs = np.array(fractions) * src.log_x_size
+    values = rf(xs)
+    for alpha in alphas:
+        assert np.all(values >= alpha * xs - scgf_limit(src, alpha) - 1e-12 * (1.0 + abs(alpha)))
+        slope = scgf_derivative(src, alpha) if alpha >= -0.9 else rf.gamma
+        if slope > rf.gamma:
+            assert rf(slope) == pytest.approx(alpha * slope - scgf_limit(src, alpha), abs=1e-10)
+    assert abs(rf(conditional_shannon(src))) <= 1e-12
 
 
 def test_rate_function_convex_on_grid(bsc01):

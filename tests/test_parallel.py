@@ -8,7 +8,7 @@ single-user laws in exact Fraction arithmetic.
 import math
 from collections import defaultdict
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import mpmath
 import numpy as np
@@ -300,10 +300,10 @@ def test_rate_parallel_two_distinct_users_brute_force(uniform_binary, bsc01):
         x = float(x)
         rates = [rf(x) for rf in rfs]
         gams = [r if x >= h else 0.0 for r, h in zip(rates, shannons)]
-        want = max(rates[0] + gams[1], rates[1] + gams[0])
+        want = min(rates[0] + gams[1], rates[1] + gams[0])
         got = rate_parallel(ens, x)
         assert got == pytest.approx(want, abs=1e-15)
-        assert got >= max(rates) - 1e-12
+        assert got >= min(rates) - 1e-12
 
 
 def test_rate_parallel_iid_piecewise(bsc01, uniform_binary):
@@ -340,26 +340,54 @@ def test_rate_parallel_domain_and_mode_errors(bsc01):
         rate_parallel_iid(bsc01, 3, 2, 0.1)
 
 
-def test_rate_parallel_permutation_cap(uniform_binary):
-    ens = UserEnsemble(users=(uniform_binary,) * 9, k=1)
-    with pytest.raises(EnsembleError):
-        rate_parallel(ens, 0.2)
-    # tuples mode has no factorial blow-up and stays available
-    assert math.isfinite(rate_parallel(ens, 0.2, mode="tuples"))
+def _min_over_permutations(users, k: int, x: float) -> float:
+    """I_{k,m}(x) as the cheapest of all m! assignments of users to roles."""
+    rates = [RateFunction.from_source(u)(x) for u in users]
+    shannons = [conditional_shannon(u) for u in users]
+    delta = [r if x <= h else 0.0 for r, h in zip(rates, shannons)]
+    gam = [r if x >= h else 0.0 for r, h in zip(rates, shannons)]
+    best = math.inf
+    for perm in permutations(range(len(users))):
+        value = rates[perm[0]]
+        value += sum(delta[i] for i in perm[1:k]) + sum(gam[i] for i in perm[k:])
+        best = min(best, value)
+    return best
 
 
-def test_tuples_mode_upper_bounds_permutations(uniform_binary, skew22):
+def test_rate_parallel_selection_matches_permutation_brute_force(
+    bsc01, skew22, uniform_binary, noiseless, independent, corpus
+):
+    binary = [bsc01, skew22, uniform_binary, noiseless, independent]
+    binary += [src for src in corpus if src.x_alphabet.size == 2]
+    xs = np.linspace(0.0, math.log(2.0), 12)
+    for m in range(2, 8):
+        users = tuple(binary[:m])
+        for k in sorted({1, (m + 1) // 2, m}):
+            got = rate_parallel(UserEnsemble(users, k), xs)
+            want = [_min_over_permutations(users, k, float(x)) for x in xs]
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    # twelve users: 12! assignments are out of reach, the selection is not.
+    # (The noiseless user is left out: it pins every k-min rank at 1.)
+    users = tuple(([u for u in binary if u is not noiseless] * 2)[:12])
+    for k in (1, 6, 12):
+        ens = UserEnsemble(users, k)
+        perms = rate_parallel(ens, xs[:-1])
+        assert np.all(np.isfinite(perms))
+        assert np.all(rate_parallel(ens, xs[:-1], mode="tuples") <= perms + 1e-12)
+
+
+def test_tuples_mode_lower_bounds_permutations(uniform_binary, skew22):
     ens = UserEnsemble(users=(uniform_binary, skew22), k=2)
     saw_strict = False
     for x in np.linspace(0.0, math.log(2.0), 30):
         x = float(x)
         perms = rate_parallel(ens, x, mode="permutations")
         tups = rate_parallel(ens, x, mode="tuples")
-        assert tups >= perms - 1e-12
-        if tups > perms + 1e-9:
+        assert tups <= perms + 1e-12
+        if tups < perms - 1e-9:
             saw_strict = True
-    # reusing the strongest user for both slots must beat the permutation
-    # constraint somewhere for this heterogeneous pair
+    # reusing the likeliest user for both roles must undercut the
+    # permutation constraint somewhere for this heterogeneous pair
     assert saw_strict
 
 
@@ -369,8 +397,13 @@ def test_heterogeneous_rate_finite_and_dominates_components(uniform_binary, skew
     xs = np.linspace(0.0, math.log(2.0) - 1e-9, 40)
     values = [rate_parallel(ens, float(x)) for x in xs]
     assert all(math.isfinite(v) for v in values)
+    h_min = min(conditional_shannon(u) for u in ens.users)
     for x, v in zip(xs, values):
-        assert v >= max(rf(float(x)) for rf in rfs) - 1e-12
+        rates = [rf(float(x)) for rf in rfs]
+        assert min(rates) - 1e-12 <= v <= sum(rates) + 1e-12
+        if x < h_min:
+            # P(min_i G_i <= e^(nx)) >= max_i P(G_i <= e^(nx))
+            assert v == min(rates)
     # convexity probe: a violation would witness the non-convex regime, but
     # its absence on this particular pair is inconclusive, not a failure
     second_diffs = np.diff(values, 2)
@@ -391,7 +424,7 @@ def test_scgf_parallel_single_user_matches_scgf_limit(bsc01):
 
 
 def test_scgf_parallel_identical_users_matches_iid(bsc01):
-    for k, m in [(1, 2), (2, 2), (2, 3)]:
+    for k, m in [(1, 2), (2, 2), (2, 3), (1, 9)]:
         ens = UserEnsemble(users=(bsc01,) * m, k=k)
         for alpha in (-1.5, -0.5, 0.5, 1.0, 2.0):
             assert scgf_parallel(ens, alpha) == pytest.approx(
@@ -408,8 +441,6 @@ def test_scgf_parallel_mode_errors(bsc01):
     ens = UserEnsemble(users=(bsc01, bsc01), k=1)
     with pytest.raises(EnsembleError):
         scgf_parallel(ens, 1.0, mode="bogus")
-    with pytest.raises(EnsembleError):
-        scgf_parallel(UserEnsemble(users=(bsc01,) * 9, k=1), 1.0)
 
 
 def test_scgf_parallel_iid_closed_forms(bsc01, uniform_binary):
