@@ -5,26 +5,30 @@ the optimal query order for its y-sequence: nonincreasing conditional
 probability, ties broken lexicographically, zero-probability sequences
 last (also lexicographically).  Within a fixed y-sequence, comparing
 conditional probabilities is the same as comparing joint products, so
-every comparison, tie, and count below is carried out in exact dyadic
-arithmetic on the joint entries; nothing is ever ranked by float keys.
+every comparison, tie, and count below is exact on the joint entries;
+float logs order levels only where they cannot be wrong.
 
 The law of the rank is built by the method of types, never by |X|**n
 enumeration: positions are grouped by y-symbol, per-group x-type
 vectors carry exact multinomial counts, and the per-group level
-dictionaries are convolved, merging equal dyadic levels.  All sequence
-counts are arbitrary-precision integers because they reach |X|**n.
+dictionaries are convolved, merging equal levels.  Levels are keyed by
+the source's level code (``dyadic.LevelCode``): a product of joint
+entries is a packed exponent vector over a coprime basis of their odd
+mantissas, so merging adds and hashes small ints.  Each distinct level
+keeps one exact ``Dyadic``, made from the first pair that reaches it;
+levels are sorted by float log, with near ties ordered exactly.  All
+sequence counts are arbitrary-precision integers because they reach
+|X|**n.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
-from .dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic
-from .entropy import conditional_renyi_arimoto
+from .dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic, LevelPacking, descending
+from .entropy import _logsumexp, conditional_renyi_arimoto
 from .model import Alphabet, Distribution, PairSource
 from .powersum import power_sum_log
 
@@ -219,10 +223,7 @@ class GuessworkDistribution:
                     + block.joint_level.log()
                     + power_sum_log(block.start, block.start + block.count - 1, alpha)
                 )
-        top = max(terms)
-        if top == math.inf:
-            return math.inf
-        return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+        return _logsumexp(terms)
 
     def moment(self, alpha: float) -> float:
         return exp_or_inf(self.log_moment(alpha))
@@ -248,10 +249,7 @@ class GuessworkDistribution:
                 b = min(block.start + block.count - 1, r_hi)
                 if b >= a:
                     terms.append(base + math.log(b - a + 1) + block.joint_level.log())
-        if not terms:
-            return -math.inf
-        top = max(terms)
-        return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+        return _logsumexp(terms)
 
     def prob_log_window(self, lo: float, hi: float) -> float:
         log_p = self.log_prob_log_window(lo, hi)
@@ -329,47 +327,68 @@ def enumeration_budget(source: PairSource, n: int) -> int:
     return math.comb(n + cells - 1, cells - 1)
 
 
-def _group_levels(source: PairSource, y_index: int, size: int) -> dict[Dyadic, int]:
-    """Level -> count over x-assignments of the `size` positions observing y_index."""
-    x_size = source.x_alphabet.size
-    column = [source.joint_dyadic[x][y_index] for x in range(x_size)]
-    levels: dict[Dyadic, int] = {}
-    for x_counts in _compositions(size, x_size):
-        level = DYADIC_ONE
-        for x, k in enumerate(x_counts):
-            if k:
-                level = level * column[x] ** k
+def _group_levels(
+    source: PairSource, packing: LevelPacking, exact: dict[int, Dyadic], y_index: int, size: int
+) -> dict[int, int]:
+    """Positive level key -> count over x-assignments of the `size` positions observing y_index.
+
+    `exact` maps keys to their exact levels and is shared by the whole build.
+    """
+    column = (source.joint_dyadic[x][y_index] for x in range(source.x_alphabet.size))
+    cells = [(packing.key(d), d) for d in column if not d.is_zero()]
+    counts: dict[int, int] = {}
+    for x_counts in _compositions(size, len(cells)):
+        key = sum(k * cell_key for k, (cell_key, _) in zip(x_counts, cells))
         count = _multinomial(size, x_counts)
-        levels[level] = levels.get(level, 0) + count
-    return levels
+        if key in counts:
+            counts[key] += count
+            continue
+        counts[key] = count
+        if key not in exact:
+            level = DYADIC_ONE
+            for k, (cell_key, d) in zip(x_counts, cells):
+                if k:
+                    # d**k is the level of key k * cell_key: made once per build
+                    power = exact.get(k * cell_key)
+                    if power is None:
+                        power = exact[k * cell_key] = d**k
+                    level = level * power
+            exact[key] = level
+    return counts
 
 
-def _convolve(a: dict[Dyadic, int], b: dict[Dyadic, int]) -> dict[Dyadic, int]:
-    out: dict[Dyadic, int] = {}
-    for lv1, c1 in a.items():
-        for lv2, c2 in b.items():
-            key = lv1 * lv2
-            out[key] = out.get(key, 0) + c1 * c2
+def _convolve(a: dict[int, int], b: dict[int, int], exact: dict[int, Dyadic]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = k1 + k2
+            if key in out:
+                out[key] += c1 * c2
+                continue
+            out[key] = c1 * c2
+            if key not in exact:
+                exact[key] = exact[k1] * exact[k2]
     return out
 
 
-def _law_for_composition(source: PairSource, y_counts: tuple[int, ...]) -> YTypeLaw:
+def _law_for_composition(
+    source: PairSource, packing: LevelPacking, exact: dict[int, Dyadic], y_counts: tuple[int, ...]
+) -> YTypeLaw:
     n = sum(y_counts)
-    levels: dict[Dyadic, int] = {DYADIC_ONE: 1}
+    counts = None
     py_product = DYADIC_ONE
     for y_index, size in enumerate(y_counts):
         if size == 0:
             continue
-        levels = _convolve(levels, _group_levels(source, y_index, size))
+        group = _group_levels(source, packing, exact, y_index, size)
+        counts = group if counts is None else _convolve(counts, group, exact)
         py_product = py_product * source.py_dyadic[y_index] ** size
-    positive = sorted((lv for lv in levels if not lv.is_zero()), reverse=True)
     blocks = []
     start = 1
-    for lv in positive:
-        count = levels[lv]
-        blocks.append(TypeBlock(start, count, lv))
-        start += count
-    zero_count = levels.get(DYADIC_ZERO, 0)
+    for key in descending({key: exact[key] for key in counts}):
+        blocks.append(TypeBlock(start, counts[key], exact[key]))
+        start += counts[key]
+    zero_count = source.x_alphabet.size**n - (start - 1)
     if zero_count:
         blocks.append(TypeBlock(start, zero_count, DYADIC_ZERO))
     return YTypeLaw(
@@ -380,21 +399,10 @@ def _law_for_composition(source: PairSource, y_counts: tuple[int, ...]) -> YType
     )
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    raw = os.environ.get("GUESSLAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def guesswork_distribution(
     source: PairSource,
     n: int,
     max_type_tuples: int = DEFAULT_MAX_TYPE_TUPLES,
-    threads: int | None = None,
 ) -> GuessworkDistribution:
     """Exact rank law at length n via per-y-type enumeration."""
     if n < 1:
@@ -402,14 +410,12 @@ def guesswork_distribution(
     required = enumeration_budget(source, n)
     if required > max_type_tuples:
         raise BudgetExceededError(required, max_type_tuples)
-    compositions = list(_compositions(n, source.y_alphabet.size))
-    workers = _thread_count(threads)
-    if workers > 1:
-        # map preserves composition order, so the merge is schedule-independent
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            laws = tuple(pool.map(lambda c: _law_for_composition(source, c), compositions))
-    else:
-        laws = tuple(_law_for_composition(source, c) for c in compositions)
+    packing = source.level_code.packing(n)
+    exact: dict[int, Dyadic] = {}
+    laws = tuple(
+        _law_for_composition(source, packing, exact, c)
+        for c in _compositions(n, source.y_alphabet.size)
+    )
     return GuessworkDistribution(
         n=n,
         x_size=source.x_alphabet.size,
@@ -437,10 +443,12 @@ def guess_rank(source: PairSource, x_seq, y_seq) -> int:
     """Exact optimal-order rank of x_seq given y_seq (1-based, exact integer).
 
     Counts sequences beating the target by suffix-level dictionaries:
-    suffix[j] maps each exact joint product over positions j..n-1 to the
-    number of x-suffixes achieving it.  The count of strictly better
-    sequences reads off suffix[0]; lexicographic tie offsets query
-    suffix[j+1] for the exact level completing a tied prefix.
+    suffix[j] maps each positive joint product over positions j..n-1,
+    as a packed level-code key, to the number of x-suffixes achieving
+    it.  The count of strictly better sequences reads off suffix[0] by
+    float log, with exact ``Dyadic`` comparison on near ties;
+    lexicographic tie offsets query suffix[j+1] for the key completing a
+    tied prefix, which is the target's key minus the prefix's.
     """
     xs, ys = _sequence_indices(source, x_seq, y_seq)
     return guess_rank_indices(source, xs, ys)
@@ -449,38 +457,39 @@ def guess_rank(source: PairSource, x_seq, y_seq) -> int:
 def guess_rank_indices(source: PairSource, xs: list[int], ys: list[int]) -> int:
     """guess_rank on alphabet indices (the sampling hot path skips symbol lookup)."""
     n = len(xs)
-    jd = source.joint_dyadic
     x_size = source.x_alphabet.size
+    packing = source.level_code.packing(n)
+    cells = [[packing.key(d) for d in row] for row in source.joint_dyadic]
 
-    suffix: list[dict[Dyadic, int]] = [dict() for _ in range(n + 1)]
-    suffix[n] = {DYADIC_ONE: 1}
+    suffix: list[dict[int, int]] = [dict() for _ in range(n + 1)]
+    suffix[n] = {0: 1}
     for j in range(n - 1, -1, -1):
-        acc: dict[Dyadic, int] = {}
+        acc: dict[int, int] = {}
         for x in range(x_size):
-            w = jd[x][ys[j]]
+            w = cells[x][ys[j]]
+            if w is None:
+                continue
             for lv, c in suffix[j + 1].items():
-                key = w * lv
+                key = w + lv
                 acc[key] = acc.get(key, 0) + c
         suffix[j] = acc
-    positive_suffix = [sum(c for lv, c in d.items() if not lv.is_zero()) for d in suffix]
+    positive_suffix = [sum(d.values()) for d in suffix]
 
-    target = DYADIC_ONE
-    for j in range(n):
-        target = target * jd[xs[j]][ys[j]]
-
-    if not target.is_zero():
-        greater = sum(c for lv, c in suffix[0].items() if lv > target)
+    path = [cells[x][y] for x, y in zip(xs, ys)]
+    if None not in path:
+        target = sum(path)
+        greater = packing.count_above(suffix[0], target)
         ties_before = 0
-        prefix = DYADIC_ONE
+        prefix = 0
         for j in range(n):
             for x in range(xs[j]):
-                w = jd[x][ys[j]]
-                if w.is_zero():
+                w = cells[x][ys[j]]
+                if w is None:
                     continue
-                quotient = target.divide_exact(prefix * w)
+                quotient = packing.quotient(target, prefix + w)
                 if quotient is not None:
                     ties_before += suffix[j + 1].get(quotient, 0)
-            prefix = prefix * jd[xs[j]][ys[j]]
+            prefix += path[j]
         return 1 + greater + ties_before
 
     # zero-probability sequences rank after every positive one, lexicographically
@@ -489,11 +498,11 @@ def guess_rank_indices(source: PairSource, xs: list[int], ys: list[int]) -> int:
     for j in range(n):
         completions = x_size ** (n - j - 1)
         for x in range(xs[j]):
-            if prefix_zero or jd[x][ys[j]].is_zero():
+            if prefix_zero or cells[x][ys[j]] is None:
                 before += completions
             else:
                 before += completions - positive_suffix[j + 1]
-        if jd[xs[j]][ys[j]].is_zero():
+        if path[j] is None:
             prefix_zero = True
     return positive_suffix[0] + before + 1
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import Dyadic
+from .dyadic import Dyadic, LevelCode
 
 __all__ = [
     "MASS_TOL",
@@ -151,6 +151,11 @@ class PairSource:
         return tuple(
             tuple(Dyadic.from_float(float(v)) for v in row) for row in self.joint
         )
+
+    @cached_property
+    def level_code(self) -> LevelCode:
+        """Coprime-basis code of the nonzero joint entries, built on first use."""
+        return LevelCode(d for row in self.joint_dyadic for d in row)
 
     @cached_property
     def py_dyadic(self) -> tuple[Dyadic, ...]:

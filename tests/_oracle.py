@@ -9,6 +9,11 @@ point at all.
 The rate-function reference conjugates the SCGF numerically, by
 golden-section search over its values alone, so it shares no slope or
 root-finding code with the library.
+
+The Dyadic-keyed type-law build and rank below are the library's
+earlier implementations, kept as references past brute-force reach: they
+multiply, hash and compare exact ``Dyadic`` levels where the library
+adds packed level-code keys.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ from math import factorial
 
 import numpy as np
 
-from guesslab.dyadic import DYADIC_ZERO, Dyadic
+from guesslab.dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic
 from guesslab.entropy import conditional_min_entropy
+from guesslab.guesswork import TypeBlock, YTypeLaw, _compositions, _multinomial
 from guesslab.ldp import ALPHA_BRACKET, scgf_limit
 from guesslab.model import PairSource, make_source
 
@@ -193,3 +199,106 @@ def rate_golden(source: PairSource, x: float) -> float:
     if x <= gamma_closed_form(source):
         return conditional_min_entropy(source) - x
     return golden_max(lambda a: x * a - scgf_limit(source, a), -1.0, ALPHA_BRACKET)
+
+
+def dyadic_group_levels(source: PairSource, y_index: int, size: int) -> dict[Dyadic, int]:
+    """Level -> count over x-assignments of the `size` positions observing y_index."""
+    x_size = source.x_alphabet.size
+    column = [source.joint_dyadic[x][y_index] for x in range(x_size)]
+    levels: dict[Dyadic, int] = {}
+    for x_counts in _compositions(size, x_size):
+        level = DYADIC_ONE
+        for x, k in enumerate(x_counts):
+            if k:
+                level = level * column[x] ** k
+        count = _multinomial(size, x_counts)
+        levels[level] = levels.get(level, 0) + count
+    return levels
+
+
+def dyadic_convolve(a: dict[Dyadic, int], b: dict[Dyadic, int]) -> dict[Dyadic, int]:
+    out: dict[Dyadic, int] = {}
+    for lv1, c1 in a.items():
+        for lv2, c2 in b.items():
+            key = lv1 * lv2
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def dyadic_law(source: PairSource, y_counts: tuple[int, ...]) -> YTypeLaw:
+    """Rank law of one y-type, merged and sorted on exact Dyadic levels."""
+    n = sum(y_counts)
+    levels: dict[Dyadic, int] = {DYADIC_ONE: 1}
+    py_product = DYADIC_ONE
+    for y_index, size in enumerate(y_counts):
+        if size == 0:
+            continue
+        levels = dyadic_convolve(levels, dyadic_group_levels(source, y_index, size))
+        py_product = py_product * source.py_dyadic[y_index] ** size
+    positive = sorted((lv for lv in levels if not lv.is_zero()), reverse=True)
+    blocks = []
+    start = 1
+    for lv in positive:
+        count = levels[lv]
+        blocks.append(TypeBlock(start, count, lv))
+        start += count
+    zero_count = levels.get(DYADIC_ZERO, 0)
+    if zero_count:
+        blocks.append(TypeBlock(start, zero_count, DYADIC_ZERO))
+    return YTypeLaw(
+        y_counts=y_counts,
+        y_sequences=_multinomial(n, y_counts),
+        py_product=py_product,
+        blocks=tuple(blocks),
+    )
+
+
+def dyadic_rank(source: PairSource, xs: list[int], ys: list[int]) -> int:
+    """Optimal-order rank by Dyadic-keyed suffix tables and exact division."""
+    n = len(xs)
+    jd = source.joint_dyadic
+    x_size = source.x_alphabet.size
+
+    suffix: list[dict[Dyadic, int]] = [dict() for _ in range(n + 1)]
+    suffix[n] = {DYADIC_ONE: 1}
+    for j in range(n - 1, -1, -1):
+        acc: dict[Dyadic, int] = {}
+        for x in range(x_size):
+            w = jd[x][ys[j]]
+            for lv, c in suffix[j + 1].items():
+                key = w * lv
+                acc[key] = acc.get(key, 0) + c
+        suffix[j] = acc
+    positive_suffix = [sum(c for lv, c in d.items() if not lv.is_zero()) for d in suffix]
+
+    target = DYADIC_ONE
+    for j in range(n):
+        target = target * jd[xs[j]][ys[j]]
+
+    if not target.is_zero():
+        greater = sum(c for lv, c in suffix[0].items() if lv > target)
+        ties_before = 0
+        prefix = DYADIC_ONE
+        for j in range(n):
+            for x in range(xs[j]):
+                w = jd[x][ys[j]]
+                if w.is_zero():
+                    continue
+                quotient = target.divide_exact(prefix * w)
+                if quotient is not None:
+                    ties_before += suffix[j + 1].get(quotient, 0)
+            prefix = prefix * jd[xs[j]][ys[j]]
+        return 1 + greater + ties_before
+
+    before = 0
+    prefix_zero = False
+    for j in range(n):
+        completions = x_size ** (n - j - 1)
+        for x in range(xs[j]):
+            if prefix_zero or jd[x][ys[j]].is_zero():
+                before += completions
+            else:
+                before += completions - positive_suffix[j + 1]
+        if jd[xs[j]][ys[j]].is_zero():
+            prefix_zero = True
+    return positive_suffix[0] + before + 1

@@ -1,9 +1,6 @@
 """Exact guesswork laws, ranks, moments, and provable bounds."""
 
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -312,30 +309,3 @@ def test_prob_log_window_against_oracle():
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
     assert dist.prob_log_window(0.9, 0.2) == 0.0
     assert dist.log_prob_log_window(10.0, 11.0) == -math.inf
-
-
-def test_thread_schedule_is_bitwise_deterministic(bsc01):
-    base = guesswork_distribution(bsc01, 6, threads=1)
-    threaded = guesswork_distribution(bsc01, 6, threads=4)
-    assert len(base.laws) == len(threaded.laws)
-    for a, b in zip(base.laws, threaded.laws):
-        assert a.y_counts == b.y_counts
-        assert a.py_product == b.py_product
-        assert a.blocks == b.blocks
-    for alpha in (-0.5, 1.0):
-        assert base.log_moment(alpha) == threaded.log_moment(alpha)
-
-
-def test_env_thread_cap_is_respected(bsc01):
-    code = (
-        "from guesslab.guesswork import _thread_count\n"
-        "print(_thread_count(None))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "GUESSLAB_THREADS": "3"},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "3"
