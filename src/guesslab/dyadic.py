@@ -2,7 +2,7 @@
 
 Every finite IEEE-754 double is exactly m * 2**e with an odd integer
 mantissa m, so any product of float probabilities is a dyadic rational
-that can be multiplied, compared, and hashed exactly with big-int
+that can be multiplied, added, compared, and hashed exactly with big-int
 arithmetic.  Guess ranks depend on exact equality of such products:
 tie blocks must merge sequences whose probabilities coincide (e.g.
 0.4*0.1 == 0.2*0.2 exactly) while rounded float products would also
@@ -11,6 +11,9 @@ merge near misses such as 0.01*0.09 versus 0.03*0.03.
 Values are kept in canonical form: ``m`` odd and positive, or
 ``m == 0 and e == 0`` for the zero element.  Canonical form makes
 multiplication closed (odd * odd is odd) without any gcd reduction.
+``Dyadic`` does not subtract: where probabilities are differenced (the
+k-min law), they are integer numerators over one power-of-two
+denominator.
 
 Long products have mantissas of thousands of bits, so the hot loops do
 not multiply or hash ``Dyadic`` values.  A ``LevelCode`` factors the odd
@@ -96,19 +99,6 @@ class Dyadic:
             return self
         e = min(self.e, other.e)
         m = (self.m << (self.e - e)) + (other.m << (other.e - e))
-        shift = (m & -m).bit_length() - 1
-        return Dyadic(m >> shift, e + shift)
-
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        """Exact difference; the result must be nonnegative."""
-        if other.m == 0:
-            return self
-        if self.m == 0 or self._cmp(other) < 0:
-            raise ValueError("dyadic subtraction would go negative")
-        e = min(self.e, other.e)
-        m = (self.m << (self.e - e)) - (other.m << (other.e - e))
-        if m == 0:
-            return DYADIC_ZERO
         shift = (m & -m).bit_length() - 1
         return Dyadic(m >> shift, e + shift)
 

@@ -212,6 +212,8 @@ class GuessworkDistribution:
     def log_moment(self, alpha: float) -> float:
         """log E G^alpha; zero-probability ranks contribute nothing."""
         alpha = float(alpha)
+        if not math.isfinite(alpha):
+            raise GuessworkError(f"moment order must be finite, got {alpha}")
         terms = []
         for law in self.laws:
             base = math.log(law.y_sequences)
@@ -235,8 +237,8 @@ class GuessworkDistribution:
         """log P(log(G)/n in [lo, hi]); -inf when the event has zero mass."""
         if hi < lo:
             return -math.inf
-        r_lo = max(1, _int_exp_ceil(self.n * lo))
-        r_hi = min(self.total_sequences, _int_exp_floor(self.n * hi))
+        r_lo = max(1, _int_exp(self.n * lo, math.ceil))
+        r_hi = min(self.total_sequences, _int_exp(self.n * hi, math.floor))
         if r_hi < r_lo:
             return -math.inf
         terms = []
@@ -279,27 +281,18 @@ def _level_ratio(joint_level: Dyadic, py: float, log_py: float) -> float:
     return math.exp(joint_level.log() - log_py)
 
 
-def _int_exp_floor(t: float) -> int:
-    """floor(e^t) for t of any size (60-bit precision beyond float range)."""
+def _int_exp(t: float, rounding) -> int:
+    """rounding(e^t), rounding math.floor or math.ceil, for t of any size.
+
+    Beyond float range e^t keeps 60 bits of precision.
+    """
     if t < 0.0:
         return 0
     if t <= 700.0:
-        return math.floor(math.exp(t))
+        return rounding(math.exp(t))
     bits = t / _LN2
     whole = int(bits)
-    mantissa = math.floor(2.0 ** (bits - whole + 60.0))
-    return int(mantissa) << (whole - 60)
-
-
-def _int_exp_ceil(t: float) -> int:
-    if t < 0.0:
-        return 0
-    if t <= 700.0:
-        return math.ceil(math.exp(t))
-    bits = t / _LN2
-    whole = int(bits)
-    mantissa = math.ceil(2.0 ** (bits - whole + 60.0))
-    return int(mantissa) << (whole - 60)
+    return rounding(2.0 ** (bits - whole + 60.0)) << (whole - 60)
 
 
 def _multinomial(total: int, counts: tuple[int, ...]) -> int:

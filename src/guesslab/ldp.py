@@ -152,7 +152,7 @@ def gamma(source: PairSource) -> float:
 def _domain(x) -> np.ndarray:
     """x as a float array, checked against the rate-function domain x >= 0."""
     xs = np.asarray(x, dtype=np.float64)
-    if np.any(xs < 0.0):
+    if not np.all(xs >= 0.0):
         raise DomainError(f"rate function domain is x >= 0, got {float(xs.min())}")
     return xs
 
@@ -216,10 +216,10 @@ def empirical_exponent(
     dist: GuessworkDistribution | None = None,
 ) -> float:
     """-n^-1 log P(n^-1 log G in [x-eps, x+eps]); +inf for zero-mass events."""
-    if x < 0.0:
-        raise DomainError(f"x must be >= 0, got {x}")
-    if eps <= 0.0:
-        raise DomainError(f"eps must be > 0, got {eps}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"x must be finite and >= 0, got {x}")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"eps must be finite and > 0, got {eps}")
     if dist is None:
         dist = guesswork_distribution(source, n, max_type_tuples)
     log_p = dist.log_prob_log_window(x - eps, x + eps)

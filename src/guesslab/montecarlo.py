@@ -93,7 +93,7 @@ def _rank_power(rank: int, alpha: float) -> float:
 def estimate_moment(source: PairSource, n: int, alpha: float, samples: int, seed: int) -> SampleReport:
     """Sample mean of G^alpha with its standard error."""
     alpha = float(alpha)
-    if abs(alpha) > MAX_MOMENT_ORDER:
+    if not abs(alpha) <= MAX_MOMENT_ORDER:
         raise SampleError(f"moment sampling requires |alpha| <= {MAX_MOMENT_ORDER}, got {alpha}")
     ranks = _sample_ranks(source, n, samples, seed)
     values = np.array([_rank_power(r, alpha) for r in ranks])

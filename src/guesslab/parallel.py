@@ -1,12 +1,14 @@
 """Parallel k-of-m conditional guesswork: exact order statistics and asymptotics.
 
 G_{k,m} is the k-th smallest of m independent users' guess ranks.  Its
-exact finite-n law is built from the users' rank laws: each user's law
-flattens to per-rank probabilities (piecewise constant between the
-union of all users' block boundaries), and P(k-min > t) is evaluated
-rank by rank with a Poisson-binomial recursion over users, entirely in
-exact dyadic arithmetic.  The survival differences telescope, so the
-resulting pmf is exactly nonnegative.
+exact finite-n law is built from the users' rank laws.  Every
+probability is an integer numerator over one denominator 2**K, K the
+largest -e of the users' block levels m * 2**e.  Each user's per-rank
+probability is piecewise constant between the union of all users'
+block boundaries, and P(k-min > t) is evaluated rank by rank with a
+Poisson-binomial recursion over users on those integers.  The survival
+differences telescope, so the resulting pmf is exactly nonnegative;
+each run of equal pmf values becomes one block with an exact level.
 
 The asymptotic layer evaluates the rate function of G_{k,m} ~ e^(nx):
 one user i lands at e^(nx) at cost Lambda*_i(x), k-1 others finish
@@ -31,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic
+from .dyadic import DYADIC_ONE, Dyadic
 from .entropy import conditional_shannon
 from .guesswork import (
     DEFAULT_MAX_TYPE_TUPLES,
@@ -40,7 +42,7 @@ from .guesswork import (
     YTypeLaw,
     guesswork_distribution,
 )
-from .ldp import RateFunction, _domain, _shaped, scgf_limit
+from .ldp import DomainError, RateFunction, _domain, _shaped, scgf_limit
 from .model import PairSource
 
 __all__ = [
@@ -115,42 +117,6 @@ class UserEnsemble:
         return np.stack([rf(self._xgrid) for rf in self.rate_functions])
 
 
-def _flat_segments(dist: GuessworkDistribution) -> list[tuple[int, int, Dyadic]]:
-    """Per-rank pmf of an unconditional rank law as (start, end, prob) runs."""
-    intervals = []
-    for law in dist.laws:
-        weight = Dyadic.from_int(law.y_sequences)
-        for block in law.blocks:
-            if block.joint_level.is_zero():
-                continue
-            intervals.append(
-                (block.start, block.start + block.count - 1, weight * block.joint_level)
-            )
-    events: dict[int, list[Dyadic]] = {}
-    removals: dict[int, list[Dyadic]] = {}
-    for start, end, q in intervals:
-        events.setdefault(start, []).append(q)
-        removals.setdefault(end + 1, []).append(q)
-    boundaries = sorted(set(events) | set(removals) | {1, dist.total_sequences + 1})
-    segments = []
-    active = DYADIC_ZERO
-    for b, b_next in zip(boundaries, boundaries[1:]):
-        for q in events.get(b, ()):
-            active = active + q
-        for q in removals.get(b, ()):
-            active = active - q
-        segments.append((b, b_next - 1, active))
-    return segments
-
-
-def _per_rank_probs(segments: list[tuple[int, int, Dyadic]], total: int) -> list[Dyadic]:
-    probs = [DYADIC_ZERO] * total
-    for start, end, q in segments:
-        for r in range(start, end + 1):
-            probs[r - 1] = q
-    return probs
-
-
 def kmin_distribution(
     ensemble: UserEnsemble,
     n: int,
@@ -167,67 +133,57 @@ def kmin_distribution(
     if total > max_ranks:
         raise EnsembleError(f"rank span {total} exceeds max_ranks {max_ranks}")
 
-    user_segments = [
-        _flat_segments(guesswork_distribution(u, n, max_type_tuples))
-        for u in ensemble.users
-    ]
-    per_user = [_per_rank_probs(segs, total) for segs in user_segments]
-    totals = []
-    for segs in user_segments:
-        acc = DYADIC_ZERO
-        for start, end, q in segs:
-            acc = acc + Dyadic.from_int(end - start + 1) * q
-        totals.append(acc)
-
     m, k = ensemble.m, ensemble.k
-    done = [DYADIC_ZERO] * m      # F_i(t) = P(G_i <= t)
-    pending = list(totals)        # T_i(t) = P(G_i > t)
-    survival_prev = _poisson_binomial_below(done, pending, k)
-    pmf: list[Dyadic] = []
-    for t in range(1, total + 1):
-        for i in range(m):
-            p = per_user[i][t - 1]
-            if not p.is_zero():
-                done[i] = done[i] + p
-                pending[i] = pending[i] - p
-        survival = _poisson_binomial_below(done, pending, k)
-        pmf.append(survival_prev - survival)
-        survival_prev = survival
+    dists = [guesswork_distribution(u, n, max_type_tuples) for u in ensemble.users]
+    # every probability below is an integer numerator over 2**shift
+    shift = max(
+        -block.joint_level.e
+        for dist in dists
+        for law in dist.laws
+        for block in law.blocks
+        if block.joint_level
+    )
+    steps = {1: [0] * m, total + 1: [0] * m}  # per-user pmf changes, keyed by rank
+    pending = [0] * m                         # T_i(t) = P(G_i > t)
+    for i, dist in enumerate(dists):
+        for law in dist.laws:
+            for block in law.blocks:
+                level = block.joint_level
+                if level:
+                    q = (law.y_sequences * level.m) << (shift + level.e)
+                    steps.setdefault(block.start, [0] * m)[i] += q
+                    steps.setdefault(block.start + block.count, [0] * m)[i] -= q
+                    pending[i] += q * block.count
 
+    done = [0] * m                            # F_i(t) = P(G_i <= t)
+    probs = [0] * m                           # P(G_i = t)
+    survival_prev = math.prod(pending)        # P(k-min > 0), over 2**(shift * m)
+    scale = Dyadic(1, -shift * m)
     blocks = []
-    start = 1
-    run_level = pmf[0]
-    run_count = 1
-    for level in pmf[1:]:
-        if level == run_level:
-            run_count += 1
-        else:
-            blocks.append(TypeBlock(start, run_count, run_level))
-            start += run_count
-            run_level = level
-            run_count = 1
-    blocks.append(TypeBlock(start, run_count, run_level))
+    run_start, run_num = 1, None
+    boundaries = sorted(steps)
+    for b, b_next in zip(boundaries, boundaries[1:]):
+        probs = [p + d for p, d in zip(probs, steps[b])]
+        for t in range(b, b_next):
+            for i in range(m):
+                done[i] += probs[i]
+                pending[i] -= probs[i]
+            # P(fewer than k users have finished), a Poisson-binomial over users
+            coef = [1] + [0] * (k - 1)
+            for f, r in zip(done, pending):
+                coef = [coef[0] * r] + [coef[j] * r + coef[j - 1] * f for j in range(1, k)]
+            survival = sum(coef)
+            num = survival_prev - survival
+            survival_prev = survival
+            if num != run_num:
+                if run_num is not None:
+                    blocks.append(TypeBlock(run_start, t - run_start, Dyadic.from_int(run_num) * scale))
+                run_start, run_num = t, num
+    blocks.append(TypeBlock(run_start, total + 1 - run_start, Dyadic.from_int(run_num) * scale))
     law = YTypeLaw(y_counts=(), y_sequences=1, py_product=DYADIC_ONE, blocks=tuple(blocks))
     return GuessworkDistribution(
         n=n, x_size=ensemble.x_size, y_symbols=(), laws=(law,), monotone=False
     )
-
-
-def _poisson_binomial_below(done: list[Dyadic], pending: list[Dyadic], k: int) -> Dyadic:
-    """P(fewer than k users have finished), users independent."""
-    coef = [DYADIC_ONE] + [DYADIC_ZERO] * (k - 1)
-    for f, t in zip(done, pending):
-        nxt = [DYADIC_ZERO] * k
-        for j in range(k):
-            term = coef[j] * t
-            if j > 0:
-                term = term + coef[j - 1] * f
-            nxt[j] = term
-        coef = nxt
-    out = DYADIC_ZERO
-    for c in coef:
-        out = out + c
-    return out
 
 
 def kmin_moment_exact(
@@ -301,6 +257,8 @@ def scgf_parallel(ensemble: UserEnsemble, alpha: float, mode: str = "permutation
     the winning point; +inf values of I are excluded by the arithmetic itself.
     """
     _check_mode(mode)
+    if not math.isfinite(alpha):
+        raise DomainError(f"order must be finite, got {alpha}")
     xs = ensemble._xgrid
     grid = alpha * xs - _cheapest_assignment(ensemble, xs, ensemble._user_rate_grid, mode)
     best_idx = int(np.argmax(grid))

@@ -23,6 +23,7 @@ from itertools import product as iter_product
 from math import factorial
 
 import numpy as np
+from hypothesis import strategies as st
 
 from guesslab.dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic
 from guesslab.entropy import conditional_min_entropy
@@ -47,6 +48,23 @@ def lattice_source(rng: np.random.Generator, x_size: int, y_size: int) -> PairSo
     xs = [f"x{i}" for i in range(x_size)]
     ys = [f"y{j}" for j in range(y_size)]
     return make_source(xs, ys, joint.tolist())
+
+
+@st.composite
+def lattice_sources(draw, x_size: "int | None" = None):
+    """Joint pmfs on the 1/1024 lattice, |X| <= 4 (or x_size) and |Y| <= 3, no zero column."""
+    if x_size is None:
+        x_size = draw(st.integers(2, 4))
+    y_size = draw(st.integers(1, 3))
+    cuts = sorted(draw(st.lists(st.integers(0, DENOM), min_size=x_size * y_size - 1,
+                                max_size=x_size * y_size - 1)))
+    counts = np.diff([0] + cuts + [DENOM]).reshape(x_size, y_size)
+    if np.any(counts.sum(axis=0) == 0):
+        counts = counts + 1
+        counts[np.unravel_index(int(counts.argmax()), counts.shape)] -= counts.sum() - DENOM
+    xs = [f"x{i}" for i in range(x_size)]
+    ys = [f"y{j}" for j in range(y_size)]
+    return make_source(xs, ys, (counts / DENOM).tolist())
 
 
 def numerators(source: PairSource) -> np.ndarray:

@@ -531,6 +531,30 @@ def test_usage_errors_exit_2(capsys, bsc_path):
     )[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["moments", "--source", "{bsc}", "--n", "3", "--alphas", "nan"], "guesswork_error"),
+        (["moments", "--source", "{bsc}", "--n", "3", "--alphas", "inf"], "guesswork_error"),
+        (["moments", "--source", "{bsc}", "--n", "3", "--alphas=-inf"], "guesswork_error"),
+        (["parallel", "--sources", "{bsc},{uniform}", "--k", "1", "--n", "3", "--alphas", "nan"],
+         "guesswork_error"),
+        (["parallel", "--sources", "{bsc},{uniform}", "--k", "1", "--alphas", "nan"], "domain_error"),
+        (["ldp", "--source", "{bsc}", "--x", "nan", "--eps", "0.1", "--nmax", "2"], "domain_error"),
+        (["ldp", "--source", "{bsc}", "--x", "0.3", "--eps", "nan", "--nmax", "2"], "domain_error"),
+        (["sample", "--source", "{bsc}", "--n", "3", "--alpha", "nan", "--samples", "100",
+          "--seed", "1"], "sample_error"),
+    ],
+)
+def test_non_finite_inputs_are_json_errors(capsys, bsc_path, uniform_path, argv, error):
+    argv = [tok.format(bsc=bsc_path, uniform=uniform_path) for tok in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == error
+
+
 def test_console_script_entry_point(bsc_path):
     # without an installed console script, run the package as a module
     # from the directory the tests import it from

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -309,3 +310,21 @@ def test_prob_log_window_against_oracle():
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
     assert dist.prob_log_window(0.9, 0.2) == 0.0
     assert dist.log_prob_log_window(10.0, 11.0) == -math.inf
+
+
+def test_log_window_past_float_exp_range():
+    # uniform binary at n = 1200 spans ranks up to 2^1200 ~ e^832; windows with
+    # both ends beyond e^700 take the 60-bit ceil and floor of e^(n lo), e^(n hi)
+    n = 1200
+    dist = guesswork_distribution(make_source(["0", "1"], ["y"], [[0.5], [0.5]]), n)
+    for t_lo, t_hi in ((750.0, 800.0), (720.0, 780.0)):
+        lo, hi = t_lo / n, t_hi / n
+        with mpmath.workdps(60):
+            count = (
+                mpmath.floor(mpmath.exp(mpmath.mpf(n * hi)))
+                - mpmath.ceil(mpmath.exp(mpmath.mpf(n * lo)))
+                + 1
+            )
+            want = float(mpmath.log(count) - n * mpmath.log(2))
+        # n*hi / ln 2 ~ 1154 bits carries about 2.3e-13 of float rounding
+        assert dist.log_prob_log_window(lo, hi) == pytest.approx(want, abs=1e-12)

@@ -25,9 +25,8 @@ from guesslab.ldp import (
     scgf_derivative,
     scgf_limit,
 )
-from guesslab.model import make_source
 
-from _oracle import DENOM, gamma_closed_form, rate_golden
+from _oracle import gamma_closed_form, lattice_sources, rate_golden
 
 
 def test_scgf_plateau_and_values(bsc01, uniform_binary):
@@ -128,8 +127,9 @@ def test_rate_function_domain_and_sentinel(bsc01):
     rf = RateFunction.from_source(bsc01)
     assert rf(math.log(2.0) + 0.01) == math.inf
     assert rf(5.0) == math.inf
-    with pytest.raises(DomainError):
-        rf(-0.1)
+    for x in (-0.1, math.nan, [0.1, math.nan]):
+        with pytest.raises(DomainError):
+            rf(x)
     assert math.isfinite(rf(0.0))
     assert rf(0.0) == pytest.approx(conditional_min_entropy(bsc01), abs=1e-9)
 
@@ -162,22 +162,6 @@ def test_rate_function_matches_golden_section_reference(
         if i < len(fixtures):
             # a point's value does not depend on the rest of the array
             assert [rf(float(x)) for x in grid] == got.tolist()
-
-
-@st.composite
-def lattice_sources(draw):
-    """Joint pmfs on the 1/1024 lattice, |X| <= 4 and |Y| <= 3, no zero column."""
-    x_size = draw(st.integers(2, 4))
-    y_size = draw(st.integers(1, 3))
-    cuts = sorted(draw(st.lists(st.integers(0, DENOM), min_size=x_size * y_size - 1,
-                                max_size=x_size * y_size - 1)))
-    counts = np.diff([0] + cuts + [DENOM]).reshape(x_size, y_size)
-    if np.any(counts.sum(axis=0) == 0):
-        counts = counts + 1
-        counts[np.unravel_index(int(counts.argmax()), counts.shape)] -= counts.sum() - DENOM
-    xs = [f"x{i}" for i in range(x_size)]
-    ys = [f"y{j}" for j in range(y_size)]
-    return make_source(xs, ys, (counts / DENOM).tolist())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -227,10 +211,10 @@ def test_empirical_exponent_impossible_event(bsc01):
 
 
 def test_empirical_exponent_domain(bsc01):
-    with pytest.raises(DomainError):
-        empirical_exponent(bsc01, -0.1, 0.05, 4)
-    with pytest.raises(DomainError):
-        empirical_exponent(bsc01, 0.3, 0.0, 4)
+    for x, eps in ((-0.1, 0.05), (0.3, 0.0), (math.nan, 0.05), (math.inf, 0.05),
+                   (0.3, math.nan), (0.3, math.inf)):
+        with pytest.raises(DomainError):
+            empirical_exponent(bsc01, x, eps, 4)
 
 
 def test_empirical_exponent_reuses_distribution(bsc01):

@@ -105,6 +105,8 @@ def test_sampling_domain_errors(bsc01):
         estimate_moment(bsc01, 4, 4.5, 500, seed=0)
     with pytest.raises(SampleError):
         estimate_moment(bsc01, 4, -4.5, 500, seed=0)
+    with pytest.raises(SampleError):
+        estimate_moment(bsc01, 4, math.nan, 500, seed=0)
     # the boundary order is allowed
     report = estimate_moment(bsc01, 4, 4.0, 500, seed=0)
     assert math.isfinite(report.estimate)

@@ -13,6 +13,8 @@ from itertools import permutations, product
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guesslab import (
     DomainError,
@@ -31,7 +33,8 @@ from guesslab import (
     scgf_parallel,
     scgf_parallel_iid,
 )
-from guesslab.dyadic import Dyadic
+
+from _oracle import lattice_sources
 
 # Arimoto order-2/3 value for the 0.1-flip binary symmetric channel,
 # frozen from the mpmath oracle below (the test re-derives it).
@@ -113,23 +116,44 @@ def test_single_user_delegates_bit_for_bit(bsc01):
         assert kmin_moment_exact(ens, 4, alpha) == moment_exact(bsc01, 4, alpha)
 
 
-def test_kmin_matches_brute_force_combination(bsc01, skew22, uniform_binary):
+def assert_kmin_matches_brute_force(users, n: int) -> None:
+    singles = [rank_pmf(guesswork_distribution(u, n)) for u in users]
+    for k in range(1, len(users) + 1):
+        ens = UserEnsemble(users=users, k=k)
+        got = rank_pmf(kmin_distribution(ens, n))
+        want = kmin_pmf_brute(singles, k)
+        ranks = set(got) | set(want)
+        for r in ranks:
+            assert got.get(r, Fraction(0)) == want.get(r, Fraction(0)), (
+                f"rank {r} mismatch for k={k}, n={n}, m={len(users)}"
+            )
+
+
+def test_kmin_matches_brute_force_combination(bsc01, skew22, uniform_binary, noiseless, corpus):
+    # noiseless has zero-probability ranks, so the k-min law has zero runs
+    wide = [src for src in corpus if src.y_alphabet.size == 3 and src.x_alphabet.size == 2]
     for users, n in [
         ((bsc01, skew22), 1),
         ((bsc01, skew22), 2),
         ((bsc01, skew22), 3),
+        ((bsc01, skew22), 5),
         ((bsc01, skew22, uniform_binary), 2),
+        ((bsc01, noiseless), 3),
+        ((noiseless, noiseless, skew22), 2),
+        ((wide[0], bsc01), 3),
+        ((bsc01, skew22, uniform_binary, noiseless), 2),
     ]:
-        singles = [rank_pmf(guesswork_distribution(u, n)) for u in users]
-        for k in range(1, len(users) + 1):
-            ens = UserEnsemble(users=users, k=k)
-            got = rank_pmf(kmin_distribution(ens, n))
-            want = kmin_pmf_brute(singles, k)
-            ranks = set(got) | set(want)
-            for r in ranks:
-                assert got.get(r, Fraction(0)) == want.get(r, Fraction(0)), (
-                    f"rank {r} mismatch for k={k}, n={n}, m={len(users)}"
-                )
+        assert_kmin_matches_brute_force(users, n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_kmin_matches_brute_force_on_random_lattice_users(data):
+    x_size = data.draw(st.integers(2, 3))
+    m = data.draw(st.integers(2, 3))
+    n = data.draw(st.integers(1, 3))
+    users = tuple(data.draw(lattice_sources(x_size)) for _ in range(m))
+    assert_kmin_matches_brute_force(users, n)
 
 
 def test_kmin_mass_conservation(bsc01, skew22, uniform_binary):
@@ -227,24 +251,32 @@ def _min_of_two_exponent(source, n: int) -> float:
 
     E min = sum_t P(G > t)^2 with P(G > t) piecewise linear in t, so each
     constant-pmf run contributes a closed-form quadratic sum.  Runs come
-    from the type-class law (correctness covered by the small-n brute
-    force above), so n far beyond the expandable rank range is reachable.
-    Per-rank probabilities span ~1e-80 here; they enter mpmath exactly
-    from their dyadic form because any float rounding of the running
-    survival leaves noise floors that the huge tail runs amplify.
+    from a difference array over the type-class law's blocks (correctness
+    covered by the small-n brute force above), so n far beyond the
+    expandable rank range is reachable.  Per-rank probabilities span
+    ~1e-80 here; they enter mpmath exactly from integer numerators over
+    2^shift because any float rounding of the running survival leaves
+    noise floors that the huge tail runs amplify.
     """
-    from guesslab.parallel import _flat_segments
-
-    segments = _flat_segments(guesswork_distribution(source, n))
+    dist = guesswork_distribution(source, n)
+    shift = max(-b.joint_level.e for law in dist.laws for b in law.blocks if b.joint_level)
+    steps = defaultdict(int, {1: 0, dist.total_sequences + 1: 0})
+    for law in dist.laws:
+        for block in law.blocks:
+            level = block.joint_level
+            if level:
+                q = (law.y_sequences * level.m) << (shift + level.e)
+                steps[block.start] += q
+                steps[block.start + block.count] -= q
+    bounds = sorted(steps)
     with mpmath.workdps(30):
         survival = mpmath.mpf(1)
         total = mpmath.mpf(1)  # the t=0 term
-        for start, end, level in segments:
-            length = mpmath.mpf(end - start + 1)
-            if level.is_zero():
-                q = mpmath.mpf(0)
-            else:
-                q = mpmath.mpf(level.m) * mpmath.power(2, level.e)
+        numerator = 0
+        for start, stop in zip(bounds, bounds[1:]):
+            numerator += steps[start]
+            length = mpmath.mpf(stop - start)
+            q = mpmath.ldexp(mpmath.mpf(numerator), -shift)
             total += (
                 length * survival**2
                 - q * survival * length * (length + 1)
@@ -441,6 +473,9 @@ def test_scgf_parallel_mode_errors(bsc01):
     ens = UserEnsemble(users=(bsc01, bsc01), k=1)
     with pytest.raises(EnsembleError):
         scgf_parallel(ens, 1.0, mode="bogus")
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            scgf_parallel(ens, alpha)
 
 
 def test_scgf_parallel_iid_closed_forms(bsc01, uniform_binary):
