@@ -109,8 +109,8 @@ def _grid(text: str) -> list[float]:
         lo, hi, step = (float(tok) for tok in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"grid must be lo:hi:step, got {text!r}")
-    if step <= 0.0 or hi < lo:
-        raise argparse.ArgumentTypeError(f"grid must have step > 0 and hi >= lo: {text!r}")
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0.0 or hi < lo:
+        raise argparse.ArgumentTypeError(f"grid must be finite with step > 0 and hi >= lo: {text!r}")
     count = int(round((hi - lo) / step)) + 1
     return [lo + i * step for i in range(count)]
 
@@ -284,7 +284,6 @@ def _cmd_parallel(args) -> int:
         users = tuple(sources)
         k, m = args.k, len(sources)
     ensemble = UserEnsemble(users, k)
-    mode = "tuples" if args.tuples else "permutations"
     rows = []
     if args.alphas and args.n is not None:
         dist = kmin_distribution(ensemble, args.n, args.max_type_tuples, args.max_ranks)
@@ -297,13 +296,13 @@ def _cmd_parallel(args) -> int:
             if args.iid:
                 value = scgf_parallel_iid(users[0], k, m, alpha)
             else:
-                value = scgf_parallel(ensemble, alpha, mode)
+                value = scgf_parallel(ensemble, alpha)
             rows.append(["scgf_parallel", None, alpha, None, _scaled(value, args.bits)])
     if args.xgrid:
         if args.iid:
             values = rate_parallel_iid(users[0], k, m, args.xgrid)
         else:
-            values = rate_parallel(ensemble, args.xgrid, mode)
+            values = rate_parallel(ensemble, args.xgrid)
         for x, value in zip(args.xgrid, values.tolist()):
             rows.append(["rate_parallel", None, None, x, _scaled(value, args.bits)])
     header = ["quantity", "n", "alpha", "x", "value"]
@@ -403,7 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--alphas", type=_csv_floats)
     p.add_argument("--xgrid", type=_grid)
-    p.add_argument("--tuples", action="store_true", help="min over unconstrained index tuples: a lower bound")
     p.add_argument("--max-type-tuples", type=int, default=DEFAULT_MAX_TYPE_TUPLES)
     p.add_argument("--max-ranks", type=int, default=DEFAULT_MAX_RANKS)
     p.set_defaults(handler=_cmd_parallel)

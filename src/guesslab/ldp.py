@@ -56,9 +56,16 @@ class DomainError(ValueError):
     """Argument outside the operation's domain."""
 
 
+def _finite_order(alpha) -> float:
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise DomainError(f"order must be finite, got {alpha}")
+    return alpha
+
+
 def scgf_limit(source: PairSource, alpha: float) -> float:
     """Lambda(alpha) = lim n^-1 log E G^alpha in nats."""
-    alpha = float(alpha)
+    alpha = _finite_order(alpha)
     if alpha <= -1.0:
         return -conditional_min_entropy(source)
     if alpha == 0.0:
@@ -135,7 +142,7 @@ def _conjugate(columns: Columns, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def scgf_derivative(source: PairSource, alpha: float) -> float:
     """Lambda'(alpha) for alpha > -1; Lambda'(0) = H(X|Y)."""
-    alpha = float(alpha)
+    alpha = _finite_order(alpha)
     if alpha <= -1.0:
         raise DomainError(f"derivative undefined at alpha <= -1, got {alpha}")
     _, slope, _ = _tilt(_columns(source), np.array([math.log1p(alpha)]))

@@ -19,9 +19,7 @@ The likeliest assignment of these roles sets the rate, so
     I_{k,m}(x) = min_i [Lambda*_i(x) + sum_{j != i} gam_j(x)
                         + (sum of the k-1 smallest delta_j(x) - gam_j(x), j != i)],
 
-the minimum over all permutations of the users, found by selection.  An
-unconstrained tuple mode, where one user may fill several roles, gives
-the lower bound min Lambda* + (k-1) min delta + (m-k) min gam.  The
+the minimum over all permutations of the users, found by selection.  The
 parallel SCGF is the Legendre transform of I on a dense grid of x.
 """
 
@@ -42,7 +40,7 @@ from .guesswork import (
     YTypeLaw,
     guesswork_distribution,
 )
-from .ldp import DomainError, RateFunction, _domain, _shaped, scgf_limit
+from .ldp import RateFunction, _domain, _finite_order, _shaped, scgf_limit
 from .model import PairSource
 
 __all__ = [
@@ -62,7 +60,6 @@ __all__ = [
 DEFAULT_MAX_RANKS = 1 << 20
 MAX_KMIN_USERS = 12
 SCGF_GRID_STEP = 1e-4
-_MODES = ("permutations", "tuples")
 _REFINE_POINTS = 2001
 
 
@@ -200,20 +197,12 @@ def kmin_moment_exact(
     return dist.moment(alpha)
 
 
-def _cheapest_assignment(ensemble: UserEnsemble, xs: np.ndarray, rates: np.ndarray, mode: str) -> np.ndarray:
+def _cheapest_assignment(ensemble: UserEnsemble, xs: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """I_{k,m} on a 1-D x array from the users' rate rows, rates[i] = Lambda*_i(xs)."""
     shannon = np.array(ensemble.shannon_values)[:, np.newaxis]
     delta = np.where(xs <= shannon, rates, 0.0)
     gam = np.where(xs >= shannon, rates, 0.0)
     m, k = ensemble.m, ensemble.k
-    if mode == "tuples":
-        # a zero coefficient must not meet an infinite clamp
-        value = rates.min(axis=0)
-        if k > 1:
-            value = value + (k - 1) * delta.min(axis=0)
-        if m > k:
-            value = value + (m - k) * gam.min(axis=0)
-        return value
     best = np.full(xs.shape, math.inf)
     for i in range(m):
         others = np.arange(m) != i
@@ -227,18 +216,12 @@ def _cheapest_assignment(ensemble: UserEnsemble, xs: np.ndarray, rates: np.ndarr
     return best
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise EnsembleError(f"unknown assignment mode {mode!r}")
-
-
-def rate_parallel(ensemble: UserEnsemble, x, mode: str = "permutations"):
+def rate_parallel(ensemble: UserEnsemble, x):
     """I_{k,m}(x) for a scalar or an array of x: the likeliest assignment of roles."""
     xs = _domain(x)
-    _check_mode(mode)
     flat = xs.ravel()
     rates = np.stack([rf(flat) for rf in ensemble.rate_functions])
-    return _shaped(xs, _cheapest_assignment(ensemble, flat, rates, mode))
+    return _shaped(xs, _cheapest_assignment(ensemble, flat, rates))
 
 
 def rate_parallel_iid(source: PairSource, k: int, m: int, x):
@@ -250,20 +233,18 @@ def rate_parallel_iid(source: PairSource, k: int, m: int, x):
     return _shaped(xs, np.where(xs <= conditional_shannon(source), k * rate, (m - k + 1) * rate))
 
 
-def scgf_parallel(ensemble: UserEnsemble, alpha: float, mode: str = "permutations") -> float:
+def scgf_parallel(ensemble: UserEnsemble, alpha: float) -> float:
     """Lambda_{k,m}(alpha) = sup over x in [0, log|X|] of alpha*x - I_{k,m}(x).
 
     Dense-grid sup, refined on a finer grid across the two cells around
     the winning point; +inf values of I are excluded by the arithmetic itself.
     """
-    _check_mode(mode)
-    if not math.isfinite(alpha):
-        raise DomainError(f"order must be finite, got {alpha}")
+    alpha = _finite_order(alpha)
     xs = ensemble._xgrid
-    grid = alpha * xs - _cheapest_assignment(ensemble, xs, ensemble._user_rate_grid, mode)
+    grid = alpha * xs - _cheapest_assignment(ensemble, xs, ensemble._user_rate_grid)
     best_idx = int(np.argmax(grid))
     fine = np.linspace(xs[max(0, best_idx - 1)], xs[min(xs.size - 1, best_idx + 1)], _REFINE_POINTS)
-    refined = np.max(alpha * fine - rate_parallel(ensemble, fine, mode))
+    refined = np.max(alpha * fine - rate_parallel(ensemble, fine))
     return max(float(grid[best_idx]), float(refined))
 
 

@@ -348,12 +348,12 @@ def test_parallel_long_format_table(capsys, bsc_path):
     assert float(rows[1][4]) == dist.scgf_empirical(1.0)
 
     assert rows[2][1] == ""
-    assert float(rows[2][4]) == scgf_parallel(ensemble, 1.0, "permutations")
+    assert float(rows[2][4]) == scgf_parallel(ensemble, 1.0)
 
     for row, x in zip(rows[3:], (0.0, 0.3, 0.6)):
         assert row[1] == "" and row[2] == ""
         assert float(row[3]) == x
-        assert float(row[4]) == rate_parallel(ensemble, x, "permutations")
+        assert float(row[4]) == rate_parallel(ensemble, x)
 
 
 def test_parallel_iid_uses_closed_form(capsys, bsc_path):
@@ -529,6 +529,15 @@ def test_usage_errors_exit_2(capsys, bsc_path):
     assert run_cli(
         capsys, ["rate", "--source", bsc_path, "--xgrid", "1:0:-1"]
     )[0] == 2
+    assert run_cli(
+        capsys, ["rate", "--source", bsc_path, "--xgrid", "0:inf:0.1"]
+    )[0] == 2
+    assert run_cli(
+        capsys, ["rate", "--source", bsc_path, "--xgrid", "0:1:inf"]
+    )[0] == 2
+    assert run_cli(
+        capsys, ["parallel", "--sources", f"{bsc_path},{bsc_path}", "--k", "1", "--alphas", "1", "--tuples"]
+    )[0] == 2
 
 
 @pytest.mark.parametrize(
@@ -544,6 +553,13 @@ def test_usage_errors_exit_2(capsys, bsc_path):
         (["ldp", "--source", "{bsc}", "--x", "0.3", "--eps", "nan", "--nmax", "2"], "domain_error"),
         (["sample", "--source", "{bsc}", "--n", "3", "--alpha", "nan", "--samples", "100",
           "--seed", "1"], "sample_error"),
+        (["parallel", "--sources", "{bsc}", "--iid", "--m", "2", "--k", "1", "--alphas", "nan"],
+         "domain_error"),
+        (["parallel", "--sources", "{bsc}", "--iid", "--m", "2", "--k", "1", "--alphas", "inf"],
+         "domain_error"),
+        (["scgf", "--source", "{bsc}", "--alphas", "nan"], "domain_error"),
+        (["scgf", "--source", "{bsc}", "--alphas", "inf"], "domain_error"),
+        (["scgf", "--source", "{bsc}", "--alphas=-inf"], "domain_error"),
     ],
 )
 def test_non_finite_inputs_are_json_errors(capsys, bsc_path, uniform_path, argv, error):

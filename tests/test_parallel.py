@@ -358,12 +358,10 @@ def test_rate_parallel_iid_piecewise(bsc01, uniform_binary):
         )
 
 
-def test_rate_parallel_domain_and_mode_errors(bsc01):
+def test_rate_parallel_domain_errors(bsc01):
     ens = UserEnsemble(users=(bsc01, bsc01), k=1)
     with pytest.raises(DomainError):
         rate_parallel(ens, -0.1)
-    with pytest.raises(EnsembleError):
-        rate_parallel(ens, 0.2, mode="bogus")
     with pytest.raises(DomainError):
         rate_parallel_iid(bsc01, 1, 2, -0.1)
     with pytest.raises(EnsembleError):
@@ -403,24 +401,7 @@ def test_rate_parallel_selection_matches_permutation_brute_force(
     users = tuple(([u for u in binary if u is not noiseless] * 2)[:12])
     for k in (1, 6, 12):
         ens = UserEnsemble(users, k)
-        perms = rate_parallel(ens, xs[:-1])
-        assert np.all(np.isfinite(perms))
-        assert np.all(rate_parallel(ens, xs[:-1], mode="tuples") <= perms + 1e-12)
-
-
-def test_tuples_mode_lower_bounds_permutations(uniform_binary, skew22):
-    ens = UserEnsemble(users=(uniform_binary, skew22), k=2)
-    saw_strict = False
-    for x in np.linspace(0.0, math.log(2.0), 30):
-        x = float(x)
-        perms = rate_parallel(ens, x, mode="permutations")
-        tups = rate_parallel(ens, x, mode="tuples")
-        assert tups <= perms + 1e-12
-        if tups < perms - 1e-9:
-            saw_strict = True
-    # reusing the likeliest user for both roles must undercut the
-    # permutation constraint somewhere for this heterogeneous pair
-    assert saw_strict
+        assert np.all(np.isfinite(rate_parallel(ens, xs[:-1])))
 
 
 def test_heterogeneous_rate_finite_and_dominates_components(uniform_binary, skew22):
@@ -469,10 +450,8 @@ def test_scgf_parallel_zero_alpha(bsc01):
     assert abs(scgf_parallel(ens, 0.0)) <= 1e-9
 
 
-def test_scgf_parallel_mode_errors(bsc01):
+def test_scgf_parallel_domain_errors(bsc01):
     ens = UserEnsemble(users=(bsc01, bsc01), k=1)
-    with pytest.raises(EnsembleError):
-        scgf_parallel(ens, 1.0, mode="bogus")
     for alpha in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             scgf_parallel(ens, alpha)

@@ -5,8 +5,10 @@ from math import fsum
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from guesslab.powersum import power_sum, power_sum_log
+from guesslab.powersum import _tail_log, power_sum, power_sum_log
 
 mpmath.mp.dps = 40
 
@@ -35,6 +37,30 @@ def test_small_ranges_match_direct_sums():
         for a, b in ((1, 1), (1, 7), (3, 50), (999, 1024)):
             direct = math.log(fsum(r**alpha for r in range(a, b + 1)))
             assert power_sum_log(a, b, alpha) == pytest.approx(direct, rel=1e-13)
+    # counts around the exact head, H = max(32, 4 * (floor|alpha| + 1)) terms,
+    # including orders whose head grows past 32
+    for alpha in (-12.5, -2.3, -1.0, 0.25, 4.1, 12.5, 40.5):
+        head = max(32, 4 * (int(abs(alpha)) + 1))
+        for a in (1, 999):
+            for count in (head - 1, head, head + 1, head + 2, 3 * head):
+                b = a + count - 1
+                direct = mpmath.log(mpmath.fsum(mpmath.mpf(r) ** alpha for r in range(a, b + 1)))
+                assert power_sum_log(a, b, alpha) == pytest.approx(float(direct), rel=1e-13)
+
+
+def test_tail_is_returned_only_within_its_certificate():
+    # short heads on purpose: there the B_10 bound binds, and is refused or met
+    given = refused = 0
+    for alpha in (-8.5, -3.2, -1.0, -0.5, 0.7, 2.5, 6.3, 10.5, 14.5):
+        for lo in (2, 4, 8, 16, 32, 64):
+            for hi in (lo + 40, 5000):
+                got = _tail_log(lo, hi, alpha)
+                if got is None:
+                    refused += 1
+                    continue
+                given += 1
+                assert abs(math.expm1(got - zeta_log_sum(lo, hi, alpha))) <= 1e-12
+    assert given and refused
 
 
 def test_faulhaber_orders_are_exact():
@@ -97,3 +123,14 @@ def test_monotone_in_upper_limit():
         cur = power_sum_log(1, b, -0.5)
         assert cur > prev
         prev = cur
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.integers(1, 10**15),
+    count=st.one_of(st.integers(1, 300), st.integers(1, 10**12)),
+    alpha=st.floats(-8.0, 8.0).filter(lambda v: v != round(v)),
+)
+def test_power_sum_log_matches_zeta_oracle(a, count, alpha):
+    b = a + count - 1
+    assert power_sum_log(a, b, alpha) == pytest.approx(zeta_log_sum(a, b, alpha), rel=1e-12)
