@@ -21,9 +21,9 @@ mantissas of a fixed set of levels into a pairwise-coprime basis, which
 makes every product of those levels a short exponent vector, and a
 ``LevelPacking`` packs the vectors of up to n factors into one small int:
 the product of levels is the sum of their keys, and equal keys are equal
-levels.  Packed levels are ordered by float logs, and ``Dyadic`` remains
-the exact arithmetic for sums and for ordering the near ties that the
-float logs cannot separate.
+levels.  Packed levels are ordered by float logs taken from their
+vectors, and a level becomes a ``Dyadic`` only where exactness is read:
+sums, and the near ties that the float logs cannot separate.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Hashable, Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -205,23 +205,31 @@ def coprime_basis(values: Iterable[int]) -> tuple[int, ...]:
             return tuple(sorted(basis))
 
 
-def descending(levels: "dict[Hashable, Dyadic]") -> list:
-    """Keys of distinct positive levels, largest level first.
+def descending(
+    logs: np.ndarray, scales: np.ndarray, groups: np.ndarray, exact: "Callable[[int], Dyadic]"
+) -> np.ndarray:
+    """Positions of distinct positive levels, group by group, largest level first.
 
-    Sorted by float log.  A log is rounded from parts as large as
-    (m.bit_length() + |e|) * ln 2, its scale, so runs of neighbours whose
-    logs lie within NEAR_TIE * (1 + the largest scale) of each other are
-    re-sorted by exact comparison.
+    ``logs`` and ``scales`` are the levels' float logs and scales as
+    ``LevelPacking.log_scales`` gives them, ``groups`` their nondecreasing
+    group numbers, and ``exact(i)`` the exact level at position i.  A log
+    is rounded from parts as large as its scale, so runs of neighbours
+    whose logs lie within NEAR_TIE * (1 + the group's largest scale) of
+    each other are re-sorted by exact comparison; no other level is made
+    exact.
     """
-    logs = {key: level.log() for key, level in levels.items()}
-    ranked = sorted(logs, key=logs.__getitem__, reverse=True)
-    gaps = [logs[a] - logs[b] for a, b in zip(ranked, ranked[1:])]
-    scale = max(d.m.bit_length() + abs(d.e) for d in levels.values()) * _LN2
-    tolerance = NEAR_TIE * (1.0 + scale)
-    if gaps and min(gaps) <= tolerance:
-        for start, stop in _runs([gap <= tolerance for gap in gaps]):
-            ranked[start:stop] = sorted(ranked[start:stop], key=levels.__getitem__, reverse=True)
-    return ranked
+    order = np.lexsort((-logs, groups))
+    if order.size < 2:
+        return order
+    largest = np.zeros(int(groups[-1]) + 1)
+    np.maximum.at(largest, groups, scales)
+    ranked = logs[order]
+    gaps = ranked[:-1] - ranked[1:]
+    near = (gaps <= NEAR_TIE * (1.0 + largest[groups[:-1]])) & (groups[:-1] == groups[1:])
+    if near.any():
+        for start, stop in _runs(near.tolist()):
+            order[start:stop] = sorted(order[start:stop].tolist(), key=exact, reverse=True)
+    return order
 
 
 def _runs(near: list[bool]) -> list[tuple[int, int]]:
@@ -251,6 +259,9 @@ class LevelCode:
             raise ValueError("a level code needs levels m * 2**e with e <= 0")
         self.basis = coprime_basis(d.m for d in levels)
         self.field_logs = np.array([math.log(b) for b in self.basis] + [-_LN2])
+        # log b = bits * ln 2 + rest, rest in (-ln 2, 0], exact below as b < 2**53
+        self.field_bits = np.array([b.bit_length() for b in self.basis] + [-1], dtype=np.float64)
+        self.field_rests = np.array([math.log(b / 2 ** b.bit_length()) for b in self.basis] + [0.0])
         self.vectors = {d: self._vector(d) for d in levels}
         self._packings: dict[int, LevelPacking] = {}
 
@@ -298,6 +309,7 @@ class LevelPacking:
             d: sum(c << offset for c, (offset, _) in zip(v, self.fields))
             for d, v in code.vectors.items()
         }
+        self._powers: dict[tuple[int, int], int] = {}
 
     def key(self, level: Dyadic) -> "int | None":
         """Key of one of the code's levels; None for zero."""
@@ -309,22 +321,29 @@ class LevelPacking:
     def log_scales(self, keys: "list[int]") -> "tuple[np.ndarray, np.ndarray]":
         """(log level, scale) arrays from the vectors, as ``descending`` uses them.
 
-        Each log sums k + 1 rounded products, so it is off by at most about
-        (k + 3) ulps of its scale: far inside NEAR_TIE for any basis below
-        a thousand elements.
+        The scale is the sum of the absolute parts, about log m + |e| ln 2.
+        A log is its exact count of bits times ln 2, rounded once, plus the
+        rests of its basis elements, so it is off by a few ulps of
+        |log level| + sum |k rest|: far inside NEAR_TIE * (1 + scale).
         """
         fields = np.array(
             [[(key >> offset) & mask for key in keys] for offset, mask in self.fields],
             dtype=np.float64,
         ).reshape(len(self.fields), len(keys))
-        return self.code.field_logs @ fields, np.abs(self.code.field_logs) @ fields
+        code = self.code
+        logs = (code.field_bits @ fields) * _LN2 + code.field_rests @ fields
+        return logs, np.abs(code.field_logs) @ fields
 
     def dyadic(self, key: int) -> Dyadic:
+        """The exact level of a key; basis powers are cached, as levels share them."""
         *exponents, minus_e = self.unpack(key)
         m = 1
-        for b, k in zip(self.code.basis, exponents):
+        for i, k in enumerate(exponents):
             if k:
-                m *= b**k
+                power = self._powers.get((i, k))
+                if power is None:
+                    power = self._powers[i, k] = self.code.basis[i] ** k
+                m *= power
         return Dyadic(m, -minus_e)
 
     def quotient(self, key: int, divisor: int) -> "int | None":

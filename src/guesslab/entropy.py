@@ -15,7 +15,7 @@ noiseless channel (one positive x per y) correctly gets 0.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -47,14 +47,15 @@ def _check_order(order: float) -> float:
     return alpha
 
 
-def _logsumexp(values: Iterable[float]) -> float:
-    vals = [v for v in values if v != -math.inf]
-    if not vals:
+def _logsumexp(values: "Sequence[float] | np.ndarray") -> float:
+    vals = np.asarray(values, dtype=np.float64)
+    vals = vals[vals != -math.inf]
+    if not vals.size:
         return -math.inf
-    top = max(vals)
+    top = float(vals.max())
     if top == math.inf:
         return math.inf
-    return top + math.log(math.fsum(math.exp(v - top) for v in vals))
+    return top + math.log(math.fsum(np.exp(vals - top).tolist()))
 
 
 def shannon_entropy(dist: Distribution) -> float:

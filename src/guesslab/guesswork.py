@@ -14,23 +14,31 @@ vectors carry exact multinomial counts, and the per-group level
 dictionaries are convolved, merging equal levels.  Levels are keyed by
 the source's level code (``dyadic.LevelCode``): a product of joint
 entries is a packed exponent vector over a coprime basis of their odd
-mantissas, so merging adds and hashes small ints.  Each distinct level
-keeps one exact ``Dyadic``, made from the first pair that reaches it;
-levels are sorted by float log, with near ties ordered exactly.  All
-sequence counts are arbitrary-precision integers because they reach
-|X|**n.
+mantissas, so merging adds and hashes small ints.  The build makes no
+level exact: the keys of every y-type are sorted by the float logs of
+their vectors, and only near ties are ordered by exact ``Dyadic``
+comparison.  A law keeps its counts and keys and rebuilds exact levels on
+demand (``YTypeLaw.blocks``); mass, moments and windows are read from one
+float view of all its positive blocks, with power sums from the certified
+array kernel ``power_sums_log``.  All sequence counts are
+arbitrary-precision integers because they reach |X|**n.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
+from operator import mul
 
-from .dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic, LevelPacking, descending
+import numpy as np
+
+from .dyadic import DYADIC_ONE, DYADIC_ZERO, NEAR_TIE, Dyadic, LevelPacking, descending
 from .entropy import _logsumexp, conditional_renyi_arimoto
 from .model import Alphabet, Distribution, PairSource
-from .powersum import power_sum_log
+from .powersum import power_sum_log, power_sums_log
 
 __all__ = [
     "DEFAULT_MAX_TYPE_TUPLES",
@@ -56,6 +64,9 @@ __all__ = [
 DEFAULT_MAX_TYPE_TUPLES = 10**8
 
 _LN2 = math.log(2.0)
+# float64 ranks stop here: a block whose last rank reaches it is summed by
+# power_sum_log on its exact integer ends
+_WIDE_RANK = 1 << 1000
 
 
 class GuessworkError(ValueError):
@@ -111,14 +122,103 @@ class TypeBlock:
     joint_level: Dyadic
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class YTypeLaw:
-    """Rank law conditional on the y-sequence type (shared by all its y-sequences)."""
+    """Rank law conditional on the y-sequence type (shared by all its y-sequences).
+
+    Columnar: ``counts`` are the block sizes in rank order, by descending
+    level with any zero-level block last, so block starts are their running
+    sums.  A type law names the levels of its positive blocks by the packed
+    level-code ``keys`` of ``packing``, with their float ``logs`` and
+    ``scales`` as ``LevelPacking.log_scales`` gives them.  A law built from
+    explicit ``levels``, one per block, has no keys: the k-min law.
+    ``blocks`` rebuilds the exact blocks on demand, and two laws are equal
+    when their y-types and exact blocks are.
+    """
 
     y_counts: tuple[int, ...]
     y_sequences: int
     py_product: Dyadic
-    blocks: tuple[TypeBlock, ...]
+    counts: tuple[int, ...]
+    levels: tuple[Dyadic, ...] = ()
+    keys: tuple[int, ...] = ()
+    packing: LevelPacking | None = field(default=None, repr=False)
+    logs: np.ndarray | None = field(default=None, repr=False)
+    scales: np.ndarray | None = field(default=None, repr=False)
+
+    def level(self, i: int) -> Dyadic:
+        """Exact level of block i."""
+        if self.packing is None:
+            return self.levels[i]
+        return self.packing.dyadic(self.keys[i]) if i < len(self.keys) else DYADIC_ZERO
+
+    @cached_property
+    def blocks(self) -> tuple[TypeBlock, ...]:
+        starts = accumulate(self.counts, initial=1)
+        return tuple(TypeBlock(s, c, self.level(i)) for i, (s, c) in enumerate(zip(starts, self.counts)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, YTypeLaw):
+            return NotImplemented
+        return (self.y_counts, self.y_sequences, self.py_product, self.blocks) == (
+            other.y_counts, other.y_sequences, other.py_product, other.blocks
+        )
+
+
+@dataclass(frozen=True)
+class _FloatView:
+    """Float64 columns over the positive blocks of every law of a distribution.
+
+    Law j's blocks are at offsets[j]:offsets[j + 1], in rank order.  Ranks
+    are exact in ``exact_starts`` and ``exact_counts``; ``starts`` and
+    ``counts`` are their floats, which the kernel takes for every block in
+    ``fit``, and ``wide`` lists the blocks whose last rank reaches 2**1000.
+    """
+
+    log_weights: np.ndarray  # log(y_sequences * level)
+    starts: np.ndarray
+    counts: np.ndarray
+    log_counts: np.ndarray
+    exact_starts: list[int]
+    exact_counts: list[int]
+    offsets: list[int]
+    fit: "slice | np.ndarray"
+    wide: list[int]
+
+
+def _float_view(laws: tuple[YTypeLaw, ...], total: int) -> _FloatView:
+    logs, log_ys, exact_starts, exact_counts, offsets = [], [], [], [], [0]
+    for law in laws:
+        starts = list(accumulate(law.counts, initial=1))
+        if law.packing is None:
+            positive = [i for i, level in enumerate(law.levels) if level]
+            logs.append(np.array([law.levels[i].log() for i in positive]))
+            exact_starts += [starts[i] for i in positive]
+            exact_counts += [law.counts[i] for i in positive]
+        else:
+            logs.append(law.logs)
+            exact_starts += starts[: len(law.keys)]
+            exact_counts += law.counts[: len(law.keys)]
+        offsets.append(len(exact_starts))
+        log_ys.append(math.log(law.y_sequences))
+    log_weights = np.repeat(log_ys, np.diff(offsets)) + np.concatenate(logs)
+    if total < _WIDE_RANK:
+        starts = np.array(exact_starts, dtype=np.float64)
+        counts = np.array(exact_counts, dtype=np.float64)
+        return _FloatView(log_weights, starts, counts, np.log(counts), exact_starts, exact_counts,
+                          offsets, slice(None), [])
+    wide = [i for i, (s, c) in enumerate(zip(exact_starts, exact_counts)) if s + c > _WIDE_RANK]
+    return _FloatView(
+        log_weights,
+        np.array([min(s, _WIDE_RANK) for s in exact_starts], dtype=np.float64),
+        np.array([min(c, _WIDE_RANK) for c in exact_counts], dtype=np.float64),
+        np.array([math.log(c) for c in exact_counts]),
+        exact_starts,
+        exact_counts,
+        offsets,
+        np.setdiff1d(np.arange(len(exact_starts)), wide),
+        wide,
+    )
 
 
 class GuessworkDistribution:
@@ -126,7 +226,9 @@ class GuessworkDistribution:
 
     For single-user optimal guessing (monotone=True) block levels are
     strictly decreasing within each y-type; order-statistic laws built
-    by the parallel module are not monotone and skip that check.
+    by the parallel module are not monotone and skip that check.  Mass,
+    moments and windows are read from one cached float view of all the
+    laws' positive blocks.
     """
 
     def __init__(
@@ -145,41 +247,54 @@ class GuessworkDistribution:
         self._validate()
 
     def _validate(self) -> None:
-        total = self.x_size**self.n
+        total = self.total_sequences
         for law in self.laws:
-            expected_start = 1
-            previous = None
-            for block in law.blocks:
-                if block.start != expected_start or block.count < 1:
-                    raise GuessworkError("rank blocks must be contiguous from 1")
-                expected_start += block.count
-                if self.monotone and previous is not None and not (block.joint_level < previous):
-                    raise GuessworkError("block levels must strictly decrease")
-                previous = block.joint_level
-            if expected_start != total + 1:
+            if min(law.counts) < 1:
+                raise GuessworkError("rank blocks must be contiguous from 1")
+            if sum(law.counts) != total:
                 raise GuessworkError(f"blocks must cover ranks 1..{total}")
+        if self.monotone:
+            self._check_decreasing()
         mass = self.total_mass
         if abs(mass - 1.0) > 1e-10:
             raise GuessworkError(f"total mass {mass!r} deviates from 1")
+
+    def _check_decreasing(self) -> None:
+        """Levels strictly decrease in every law: by float log gaps, exactly on near ties."""
+        keyed = [law for law in self.laws if law.packing is not None]
+        for law in self.laws:
+            if law.packing is None and not all(b < a for a, b in zip(law.levels, law.levels[1:])):
+                raise GuessworkError("block levels must strictly decrease")
+        if not keyed:
+            return
+        logs = np.concatenate([law.logs for law in keyed])
+        scales = np.concatenate([law.scales for law in keyed])
+        ends = np.cumsum([len(law.keys) for law in keyed])
+        gaps = logs[:-1] - logs[1:]
+        tolerance = NEAR_TIE * (1.0 + np.maximum(scales[:-1], scales[1:]))
+        inner = np.ones(gaps.size, dtype=bool)
+        inner[ends[:-1] - 1] = False
+        if np.any(inner & (gaps < -tolerance)):
+            raise GuessworkError("block levels must strictly decrease")
+        for i in np.flatnonzero(inner & (np.abs(gaps) <= tolerance)).tolist():
+            j = int(np.searchsorted(ends, i, side="right"))
+            law = keyed[j]
+            local = i - int(ends[j]) + len(law.keys)
+            if not law.level(local + 1) < law.level(local):
+                raise GuessworkError("block levels must strictly decrease")
+
+    @cached_property
+    def _view(self) -> _FloatView:
+        return _float_view(self.laws, self.total_sequences)
 
     @cached_property
     def total_sequences(self) -> int:
         return self.x_size**self.n
 
-    def _block_log_mass(self, law: YTypeLaw, block: TypeBlock) -> float:
-        if block.joint_level.is_zero():
-            return -math.inf
-        return math.log(law.y_sequences) + math.log(block.count) + block.joint_level.log()
-
     @cached_property
     def total_mass(self) -> float:
-        terms = []
-        for law in self.laws:
-            for block in law.blocks:
-                lm = self._block_log_mass(law, block)
-                if lm != -math.inf:
-                    terms.append(math.exp(lm) if lm > -745.0 else 0.0)
-        return math.fsum(terms)
+        view = self._view
+        return math.fsum(np.exp(view.log_weights + view.log_counts).tolist())
 
     @property
     def blocks(self) -> list[tuple[int, int, float, float]]:
@@ -200,7 +315,7 @@ class GuessworkDistribution:
     def prob_eq_one_dyadic(self) -> Dyadic:
         total = DYADIC_ZERO
         for law in self.laws:
-            total = total + block_scale(law.blocks[0].joint_level, law.y_sequences)
+            total = total + block_scale(law.level(0), law.y_sequences)
         return total
 
     def prob_eq_one(self) -> float:
@@ -214,18 +329,13 @@ class GuessworkDistribution:
         alpha = float(alpha)
         if not math.isfinite(alpha):
             raise GuessworkError(f"moment order must be finite, got {alpha}")
-        terms = []
-        for law in self.laws:
-            base = math.log(law.y_sequences)
-            for block in law.blocks:
-                if block.joint_level.is_zero():
-                    continue
-                terms.append(
-                    base
-                    + block.joint_level.log()
-                    + power_sum_log(block.start, block.start + block.count - 1, alpha)
-                )
-        return _logsumexp(terms)
+        view = self._view
+        sums = np.empty(view.starts.size)
+        sums[view.fit] = power_sums_log(view.starts[view.fit], view.counts[view.fit], alpha)
+        for i in view.wide:
+            start = view.exact_starts[i]
+            sums[i] = power_sum_log(start, start + view.exact_counts[i] - 1, alpha)
+        return _logsumexp(view.log_weights + sums)
 
     def moment(self, alpha: float) -> float:
         return exp_or_inf(self.log_moment(alpha))
@@ -234,24 +344,33 @@ class GuessworkDistribution:
         return self.log_moment(alpha) / self.n
 
     def log_prob_log_window(self, lo: float, hi: float) -> float:
-        """log P(log(G)/n in [lo, hi]); -inf when the event has zero mass."""
+        """log P(log(G)/n in [lo, hi]); -inf when the event has zero mass.
+
+        Blocks inside the window add their whole count; only the blocks
+        holding its end ranks are clipped, in exact integers.
+        """
         if hi < lo:
             return -math.inf
         r_lo = max(1, _int_exp(self.n * lo, math.ceil))
         r_hi = min(self.total_sequences, _int_exp(self.n * hi, math.floor))
         if r_hi < r_lo:
             return -math.inf
-        terms = []
-        for law in self.laws:
-            base = math.log(law.y_sequences)
-            for block in law.blocks:
-                if block.joint_level.is_zero():
-                    continue
-                a = max(block.start, r_lo)
-                b = min(block.start + block.count - 1, r_hi)
+        view = self._view
+        starts, counts = view.exact_starts, view.exact_counts
+        inside = np.zeros(view.starts.size, dtype=bool)
+        edges = []
+        for p, q in zip(view.offsets, view.offsets[1:]):
+            last = bisect_right(starts, r_hi, p, q) - 1
+            if last < p:
+                continue
+            first = max(bisect_right(starts, r_lo, p, q) - 1, p)
+            inside[first + 1 : last] = True
+            for i in {first, last}:
+                a = max(starts[i], r_lo)
+                b = min(starts[i] + counts[i] - 1, r_hi)
                 if b >= a:
-                    terms.append(base + math.log(b - a + 1) + block.joint_level.log())
-        return _logsumexp(terms)
+                    edges.append(view.log_weights[i] + math.log(b - a + 1))
+        return _logsumexp(np.concatenate([view.log_weights[inside] + view.log_counts[inside], edges]))
 
     def prob_log_window(self, lo: float, hi: float) -> float:
         log_p = self.log_prob_log_window(lo, hi)
@@ -295,23 +414,28 @@ def _int_exp(t: float, rounding) -> int:
     return rounding(2.0 ** (bits - whole + 60.0)) << (whole - 60)
 
 
-def _multinomial(total: int, counts: tuple[int, ...]) -> int:
-    value = 1
-    remaining = total
-    for c in counts:
-        value *= math.comb(remaining, c)
-        remaining -= c
-    return value
+def _counted_compositions(total: int, parts: int):
+    """(composition, multinomial coefficient) for every composition, in lexicographic order.
 
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    Each coefficient steps from its predecessor's by one exact multiply and
+    divide: the successor moves one unit of the last nonzero part j to part
+    j - 1 and the rest of part j to the last part, which multiplies the
+    coefficient by x_j / (x_{j-1} + 1).
+    """
+    x = [0] * (parts - 1) + [total]
+    count = 1
+    while True:
+        yield tuple(x), count
+        j = parts - 1
+        while j > 0 and x[j] == 0:
+            j -= 1
+        if j == 0:
+            return
+        moved = x[j]
+        count = count * moved // (x[j - 1] + 1)
+        x[j] = 0
+        x[j - 1] += 1
+        x[-1] = moved - 1
 
 
 def enumeration_budget(source: PairSource, n: int) -> int:
@@ -320,76 +444,34 @@ def enumeration_budget(source: PairSource, n: int) -> int:
     return math.comb(n + cells - 1, cells - 1)
 
 
-def _group_levels(
-    source: PairSource, packing: LevelPacking, exact: dict[int, Dyadic], y_index: int, size: int
-) -> dict[int, int]:
-    """Positive level key -> count over x-assignments of the `size` positions observing y_index.
-
-    `exact` maps keys to their exact levels and is shared by the whole build.
-    """
-    column = (source.joint_dyadic[x][y_index] for x in range(source.x_alphabet.size))
-    cells = [(packing.key(d), d) for d in column if not d.is_zero()]
+def _group_levels(source: PairSource, packing: LevelPacking, y_index: int, size: int) -> dict[int, int]:
+    """Positive level key -> count over x-assignments of the `size` positions observing y_index."""
+    column = (packing.key(source.joint_dyadic[x][y_index]) for x in range(source.x_alphabet.size))
+    cells = [key for key in column if key is not None]
     counts: dict[int, int] = {}
-    for x_counts in _compositions(size, len(cells)):
-        key = sum(k * cell_key for k, (cell_key, _) in zip(x_counts, cells))
-        count = _multinomial(size, x_counts)
-        if key in counts:
-            counts[key] += count
-            continue
-        counts[key] = count
-        if key not in exact:
-            level = DYADIC_ONE
-            for k, (cell_key, d) in zip(x_counts, cells):
-                if k:
-                    # d**k is the level of key k * cell_key: made once per build
-                    power = exact.get(k * cell_key)
-                    if power is None:
-                        power = exact[k * cell_key] = d**k
-                    level = level * power
-            exact[key] = level
+    for x_counts, count in _counted_compositions(size, len(cells)):
+        key = sum(map(mul, x_counts, cells))
+        counts[key] = counts.get(key, 0) + count
     return counts
 
 
-def _convolve(a: dict[int, int], b: dict[int, int], exact: dict[int, Dyadic]) -> dict[int, int]:
+def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     out: dict[int, int] = {}
     for k1, c1 in a.items():
         for k2, c2 in b.items():
             key = k1 + k2
-            if key in out:
-                out[key] += c1 * c2
-                continue
-            out[key] = c1 * c2
-            if key not in exact:
-                exact[key] = exact[k1] * exact[k2]
+            out[key] = out.get(key, 0) + c1 * c2
     return out
 
 
-def _law_for_composition(
-    source: PairSource, packing: LevelPacking, exact: dict[int, Dyadic], y_counts: tuple[int, ...]
-) -> YTypeLaw:
-    n = sum(y_counts)
+def _law_counts(columns, y_counts: tuple[int, ...]) -> dict[int, int]:
+    """Positive level key -> x-sequence count for one y-type; columns(y_index, size) gives each group's."""
     counts = None
-    py_product = DYADIC_ONE
     for y_index, size in enumerate(y_counts):
-        if size == 0:
-            continue
-        group = _group_levels(source, packing, exact, y_index, size)
-        counts = group if counts is None else _convolve(counts, group, exact)
-        py_product = py_product * source.py_dyadic[y_index] ** size
-    blocks = []
-    start = 1
-    for key in descending({key: exact[key] for key in counts}):
-        blocks.append(TypeBlock(start, counts[key], exact[key]))
-        start += counts[key]
-    zero_count = source.x_alphabet.size**n - (start - 1)
-    if zero_count:
-        blocks.append(TypeBlock(start, zero_count, DYADIC_ZERO))
-    return YTypeLaw(
-        y_counts=y_counts,
-        y_sequences=_multinomial(n, y_counts),
-        py_product=py_product,
-        blocks=tuple(blocks),
-    )
+        if size:
+            group = columns(y_index, size)
+            counts = group if counts is None else _convolve(counts, group)
+    return counts
 
 
 def guesswork_distribution(
@@ -397,23 +479,65 @@ def guesswork_distribution(
     n: int,
     max_type_tuples: int = DEFAULT_MAX_TYPE_TUPLES,
 ) -> GuessworkDistribution:
-    """Exact rank law at length n via per-y-type enumeration."""
+    """Exact rank law at length n via per-y-type enumeration.
+
+    Every law's keys are ordered in one pass: one ``log_scales`` call for
+    the whole distribution, and exact levels only on near ties.
+    """
     if n < 1:
         raise SequenceError(f"sequence length must be >= 1, got {n}")
     required = enumeration_budget(source, n)
     if required > max_type_tuples:
         raise BudgetExceededError(required, max_type_tuples)
     packing = source.level_code.packing(n)
-    exact: dict[int, Dyadic] = {}
-    laws = tuple(
-        _law_for_composition(source, packing, exact, c)
-        for c in _compositions(n, source.y_alphabet.size)
-    )
+    y_size = source.y_alphabet.size
+    tables: dict[tuple[int, int], dict[int, int]] = {}
+
+    def columns(y_index: int, size: int) -> dict[int, int]:
+        # a column's table recurs across y-types only when |Y| >= 3
+        if y_size < 3:
+            return _group_levels(source, packing, y_index, size)
+        table = tables.get((y_index, size))
+        if table is None:
+            table = tables[y_index, size] = _group_levels(source, packing, y_index, size)
+        return table
+
+    y_types = list(_counted_compositions(n, y_size))
+    merged = [_law_counts(columns, y_counts) for y_counts, _ in y_types]
+    keys = [key for counts in merged for key in counts]
+    logs, scales = packing.log_scales(keys)
+    groups = np.repeat(np.arange(len(merged)), [len(counts) for counts in merged])
+    order = descending(logs, scales, groups, lambda i: packing.dyadic(keys[i]))
+    logs, scales = logs[order], scales[order]
+    ranked = [keys[i] for i in order.tolist()]
+    total = source.x_alphabet.size**n
+    laws = []
+    stop = 0
+    for (y_counts, y_sequences), counts in zip(y_types, merged):
+        start, stop = stop, stop + len(counts)
+        law_keys = tuple(ranked[start:stop])
+        law_counts = [counts[key] for key in law_keys]
+        zero_count = total - sum(law_counts)
+        if zero_count:
+            law_counts.append(zero_count)
+        py_product = DYADIC_ONE
+        for py, size in zip(source.py_dyadic, y_counts):
+            py_product = py_product * py**size
+        laws.append(YTypeLaw(
+            y_counts=y_counts,
+            y_sequences=y_sequences,
+            py_product=py_product,
+            counts=tuple(law_counts),
+            keys=law_keys,
+            packing=packing,
+            logs=logs[start:stop],
+            scales=scales[start:stop],
+        ))
     return GuessworkDistribution(
         n=n,
         x_size=source.x_alphabet.size,
         y_symbols=source.y_alphabet.symbols,
-        laws=laws,
+        laws=tuple(laws),
     )
 
 

@@ -36,7 +36,6 @@ from .entropy import conditional_shannon
 from .guesswork import (
     DEFAULT_MAX_TYPE_TUPLES,
     GuessworkDistribution,
-    TypeBlock,
     YTypeLaw,
     guesswork_distribution,
 )
@@ -156,7 +155,7 @@ def kmin_distribution(
     probs = [0] * m                           # P(G_i = t)
     survival_prev = math.prod(pending)        # P(k-min > 0), over 2**(shift * m)
     scale = Dyadic(1, -shift * m)
-    blocks = []
+    counts, levels = [], []
     run_start, run_num = 1, None
     boundaries = sorted(steps)
     for b, b_next in zip(boundaries, boundaries[1:]):
@@ -174,10 +173,12 @@ def kmin_distribution(
             survival_prev = survival
             if num != run_num:
                 if run_num is not None:
-                    blocks.append(TypeBlock(run_start, t - run_start, Dyadic.from_int(run_num) * scale))
+                    counts.append(t - run_start)
+                    levels.append(Dyadic.from_int(run_num) * scale)
                 run_start, run_num = t, num
-    blocks.append(TypeBlock(run_start, total + 1 - run_start, Dyadic.from_int(run_num) * scale))
-    law = YTypeLaw(y_counts=(), y_sequences=1, py_product=DYADIC_ONE, blocks=tuple(blocks))
+    counts.append(total + 1 - run_start)
+    levels.append(Dyadic.from_int(run_num) * scale)
+    law = YTypeLaw(y_counts=(), y_sequences=1, py_product=DYADIC_ONE, counts=tuple(counts), levels=tuple(levels))
     return GuessworkDistribution(
         n=n, x_size=ensemble.x_size, y_symbols=(), laws=(law,), monotone=False
     )

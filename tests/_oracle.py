@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from guesslab.dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic
 from guesslab.entropy import conditional_min_entropy
-from guesslab.guesswork import TypeBlock, YTypeLaw, _compositions, _multinomial
+from guesslab.guesswork import YTypeLaw
 from guesslab.ldp import ALPHA_BRACKET, scgf_limit
 from guesslab.model import PairSource, make_source
 
@@ -224,12 +224,12 @@ def dyadic_group_levels(source: PairSource, y_index: int, size: int) -> dict[Dya
     x_size = source.x_alphabet.size
     column = [source.joint_dyadic[x][y_index] for x in range(x_size)]
     levels: dict[Dyadic, int] = {}
-    for x_counts in _compositions(size, x_size):
+    for x_counts in y_types(size, x_size):
         level = DYADIC_ONE
         for x, k in enumerate(x_counts):
             if k:
                 level = level * column[x] ** k
-        count = _multinomial(size, x_counts)
+        count = multinomial(x_counts)
         levels[level] = levels.get(level, 0) + count
     return levels
 
@@ -245,7 +245,6 @@ def dyadic_convolve(a: dict[Dyadic, int], b: dict[Dyadic, int]) -> dict[Dyadic, 
 
 def dyadic_law(source: PairSource, y_counts: tuple[int, ...]) -> YTypeLaw:
     """Rank law of one y-type, merged and sorted on exact Dyadic levels."""
-    n = sum(y_counts)
     levels: dict[Dyadic, int] = {DYADIC_ONE: 1}
     py_product = DYADIC_ONE
     for y_index, size in enumerate(y_counts):
@@ -253,21 +252,15 @@ def dyadic_law(source: PairSource, y_counts: tuple[int, ...]) -> YTypeLaw:
             continue
         levels = dyadic_convolve(levels, dyadic_group_levels(source, y_index, size))
         py_product = py_product * source.py_dyadic[y_index] ** size
-    positive = sorted((lv for lv in levels if not lv.is_zero()), reverse=True)
-    blocks = []
-    start = 1
-    for lv in positive:
-        count = levels[lv]
-        blocks.append(TypeBlock(start, count, lv))
-        start += count
-    zero_count = levels.get(DYADIC_ZERO, 0)
-    if zero_count:
-        blocks.append(TypeBlock(start, zero_count, DYADIC_ZERO))
+    ranked = sorted((lv for lv in levels if not lv.is_zero()), reverse=True)
+    if DYADIC_ZERO in levels:
+        ranked.append(DYADIC_ZERO)
     return YTypeLaw(
         y_counts=y_counts,
-        y_sequences=_multinomial(n, y_counts),
+        y_sequences=multinomial(y_counts),
         py_product=py_product,
-        blocks=tuple(blocks),
+        counts=tuple(levels[lv] for lv in ranked),
+        levels=tuple(ranked),
     )
 
 

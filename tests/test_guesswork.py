@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from guesslab import guesswork as guesswork_module
 from guesslab.dyadic import DYADIC_ZERO, Dyadic
 from guesslab.guesswork import (
     BudgetExceededError,
@@ -21,6 +22,7 @@ from guesslab.guesswork import (
     optimal_order,
     plateau_window,
     scgf_empirical,
+    _counted_compositions,
 )
 from guesslab.entropy import conditional_min_entropy, conditional_renyi_arimoto
 from guesslab.model import Distribution, make_source
@@ -109,6 +111,31 @@ def test_uniform_n5_single_block(uniform_binary):
     assert (block.start, block.count) == (1, 32)
     assert block.joint_level == Dyadic.from_float(0.5) ** 5
     assert dist.total_mass == pytest.approx(1.0, abs=1e-15)
+
+
+def test_counted_compositions_match_reference():
+    for total, parts in ((0, 1), (5, 1), (0, 3), (7, 2), (6, 3), (5, 4)):
+        got = list(_counted_compositions(total, parts))
+        assert [x for x, _ in got] == list(_oracle.y_types(total, parts))
+        assert [count for _, count in got] == [_oracle.multinomial(x) for x, _ in got]
+
+
+def test_moments_sum_by_scalar_only_past_float_ranks(monkeypatch, bsc01, uniform_binary):
+    calls = []
+    scalar = guesswork_module.power_sum_log
+    monkeypatch.setattr(
+        guesswork_module, "power_sum_log", lambda a, b, alpha: calls.append((a, b)) or scalar(a, b, alpha)
+    )
+    dist = guesswork_distribution(bsc01, 240)
+    for alpha in (-3.5, 1.5, 12.5):
+        dist.log_moment(alpha)
+    assert calls == []
+    # one block of 2**1200 ranks at level 2**-1200, its last rank past float range
+    wide = guesswork_distribution(uniform_binary, 1200)
+    for alpha in (-3.5, 1.5):
+        want = scalar(1, 2**1200, alpha) - 1200 * math.log(2.0)
+        assert wide.log_moment(alpha) == pytest.approx(want, rel=1e-14)
+    assert calls == [(1, 2**1200)] * 2
 
 
 def test_bsc_n2_block_structure(bsc01):

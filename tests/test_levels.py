@@ -16,8 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guesslab import dyadic as dyadic_module
-from guesslab.dyadic import DYADIC_ONE, Dyadic, LevelCode, LevelPacking, coprime_basis, descending
-from guesslab.guesswork import _compositions, guess_rank_indices, guesswork_distribution
+from guesslab.dyadic import (
+    DYADIC_ONE,
+    NEAR_TIE,
+    Dyadic,
+    LevelCode,
+    LevelPacking,
+    coprime_basis,
+    descending,
+)
+from guesslab.guesswork import GuessworkDistribution, guess_rank_indices, guesswork_distribution
 from guesslab.model import make_source
 
 import _oracle
@@ -36,7 +44,7 @@ def float_source(seed: int, x_size: int, y_size: int):
 
 def assert_matches_reference(source, n: int) -> None:
     dist = guesswork_distribution(source, n)
-    compositions = list(_compositions(n, source.y_alphabet.size))
+    compositions = list(_oracle.y_types(n, source.y_alphabet.size))
     assert len(dist.laws) == len(compositions)
     for law, y_counts in zip(dist.laws, compositions):
         ref = _oracle.dyadic_law(source, y_counts)
@@ -92,19 +100,32 @@ def near_tie_source():
     return make_source(["a", "b", "c", "d"], ["y"], [[p] for p in NEAR_TIE_ENTRIES])
 
 
+def descending_names(levels: dict, groups: list[int]) -> list:
+    """``descending`` over named Dyadic levels, with their own logs and scales."""
+    names = list(levels)
+    logs = np.array([levels[k].log() for k in names])
+    scales = np.array([(levels[k].m.bit_length() + abs(levels[k].e)) * math.log(2) for k in names])
+    order = descending(logs, scales, np.array(groups), lambda i: levels[names[i]])
+    return [names[i] for i in order.tolist()]
+
+
 def test_near_tie_pair_is_distinct_with_equal_logs():
     d = [Dyadic.from_float(p) for p in NEAR_TIE_ENTRIES]
     high, low = d[0] * d[1], d[2] * d[2]
     assert high != low and high > low
     assert high.log() == low.log()
-    assert descending({"low": low, "high": high}) == ["high", "low"]
-    assert descending({"high": high, "low": low}) == ["high", "low"]
+    assert descending_names({"low": low, "high": high}, [0, 0]) == ["high", "low"]
+    assert descending_names({"high": high, "low": low}, [0, 0]) == ["high", "low"]
+    # groups are sorted apart: no run crosses from one group into the next
+    two_groups = {"low0": low, "high0": high, "low1": low, "high1": high}
+    assert descending_names(two_groups, [0, 0, 1, 1]) == ["high0", "low0", "high1", "low1"]
 
 
 def test_near_tie_law_and_ranks_match_fraction_brute_force(monkeypatch):
     src = near_tie_source()
     runs_taken = []
     exact_ranks = []
+    rank_exact = 0
     runs = dyadic_module._runs
     packed_dyadic = LevelPacking.dyadic
     monkeypatch.setattr(dyadic_module, "_runs", lambda near: runs_taken.extend(runs(near)) or runs(near))
@@ -126,11 +147,56 @@ def test_near_tie_law_and_ranks_match_fraction_brute_force(monkeypatch):
             want.append((start, count, level))
             start += count
         assert [(b.start, b.count, b.joint_level.as_fraction()) for b in law.blocks] == want
+        exact_ranks.clear()  # the build and its blocks read exact levels too
         for xs in itertools.product(range(4), repeat=n):
             ys = [0] * n
             assert guess_rank_indices(src, list(xs), ys) == _oracle.fraction_rank(src, list(xs), ys)
+        rank_exact += len(exact_ranks)
     assert runs_taken, "the exact tie-break of the law build was never taken"
-    assert exact_ranks, "the exact tie-break of the rank was never taken"
+    assert rank_exact, "the exact tie-break of the rank was never taken"
+
+
+def test_view_logs_are_within_near_tie_of_exact_logs(bsc01, corpus):
+    sources = [(bsc01, 64), (float_source(31, 3, 2), 18), (float_source(32, 3, 1), 100)]
+    sources += [(src, 8) for src in corpus]
+    for src, n in sources:
+        for law in guesswork_distribution(src, n).laws:
+            for i, (log, scale) in enumerate(zip(law.logs.tolist(), law.scales.tolist())):
+                assert abs(log - law.level(i).log()) <= NEAR_TIE * (1.0 + scale)
+
+
+def test_explicit_level_laws_read_like_keyed_laws(bsc01, corpus):
+    """The Dyadic-keyed reference laws, as a distribution, equal the packed-key build."""
+    for src, n in ((bsc01, 12), (corpus[5], 5), (near_tie_source(), 4)):
+        keyed = guesswork_distribution(src, n)
+        y_types = _oracle.y_types(n, src.y_alphabet.size)
+        laws = tuple(_oracle.dyadic_law(src, y_counts) for y_counts in y_types)
+        explicit = GuessworkDistribution(n, src.x_alphabet.size, src.y_alphabet.symbols, laws)
+        assert explicit.laws == keyed.laws
+        assert explicit.prob_eq_one_dyadic() == keyed.prob_eq_one_dyadic()
+        for alpha in (-1.5, 0.5, 2.0):
+            assert explicit.log_moment(alpha) == pytest.approx(keyed.log_moment(alpha), rel=1e-13)
+        lo, hi = 0.2 * src.log_x_size, 0.7 * src.log_x_size
+        assert explicit.log_prob_log_window(lo, hi) == pytest.approx(keyed.log_prob_log_window(lo, hi), rel=1e-13)
+
+
+def test_build_makes_exact_levels_only_on_near_ties(monkeypatch, bsc01):
+    asked = []
+    packed_dyadic = LevelPacking.dyadic
+    monkeypatch.setattr(LevelPacking, "dyadic", lambda self, key: asked.append(key) or packed_dyadic(self, key))
+    for src, n, ties in ((bsc01, 64, False), (float_source(31, 3, 2), 18, False), (near_tie_source(), 4, True)):
+        asked.clear()
+        dist = guesswork_distribution(src, n)
+        assert bool(asked) == ties
+        # members of near-tie runs: neighbours in float order within the law's tolerance
+        members = set()
+        for law in dist.laws:
+            order = np.argsort(-law.logs, kind="stable")
+            ranked = law.logs[order]
+            tolerance = NEAR_TIE * (1.0 + law.scales.max())
+            for i in np.flatnonzero(ranked[:-1] - ranked[1:] <= tolerance).tolist():
+                members |= {law.keys[order[i]], law.keys[order[i + 1]]}
+        assert set(asked) <= members
 
 
 MANTISSA_3_33 = 3**33  # the largest power of 3 below 2**53: the widest exponent field
@@ -190,8 +256,11 @@ def test_level_code_is_exact_on_shared_factors(levels, n, data):
     exact_levels = {}
     for key, (_, level) in zip(keys, products):
         exact_levels[key] = level
-    order = descending(exact_levels)
-    assert [exact_levels[k] for k in order] == sorted(exact_levels.values(), reverse=True)
+    distinct = list(exact_levels)
+    logs, scales = packing.log_scales(distinct)
+    groups = np.zeros(len(distinct), dtype=int)
+    order = descending(logs, scales, groups, lambda i: exact_levels[distinct[i]]).tolist()
+    assert [exact_levels[distinct[i]] for i in order] == sorted(exact_levels.values(), reverse=True)
 
 
 def test_coprime_basis_refines_shared_factors():

@@ -4,11 +4,12 @@ import math
 from math import fsum
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guesslab.powersum import _tail_log, power_sum, power_sum_log
+from guesslab.powersum import _tail_log, power_sum, power_sum_log, power_sums_log
 
 mpmath.mp.dps = 40
 
@@ -97,6 +98,14 @@ def test_narrow_blocks_at_huge_rank():
             assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_non_finite_order_is_refused(alpha):
+    with pytest.raises(ValueError, match="order"):
+        power_sum_log(1, 10, alpha)
+    with pytest.raises(ValueError, match="order"):
+        power_sums_log(np.array([1.0]), np.array([10.0]), alpha)
+
+
 def test_empty_range_and_domain():
     assert power_sum_log(5, 4, 1.3) == -math.inf
     assert power_sum(5, 4, 1.3) == 0.0
@@ -134,3 +143,35 @@ def test_monotone_in_upper_limit():
 def test_power_sum_log_matches_zeta_oracle(a, count, alpha):
     b = a + count - 1
     assert power_sum_log(a, b, alpha) == pytest.approx(zeta_log_sum(a, b, alpha), rel=1e-12)
+
+
+@st.composite
+def block_arrays(draw):
+    """An order and blocks (start, count) that take every path of power_sum_log.
+
+    Counts straddle the head length H, so some blocks are summed by the head
+    alone and some add a tail; starts past 2**53 are not exact as floats.
+    """
+    alpha = draw(st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.floats(-14.0, 14.0)))
+    head = max(32, 4 * (int(abs(alpha)) + 1))
+    starts = st.one_of(st.integers(1, 100), st.integers(1, 10**15), st.integers(2**53, 2**60))
+    counts = st.one_of(
+        st.just(1),
+        st.integers(2, 5),
+        st.sampled_from([head - 1, head, head + 1, head + 2]),
+        st.integers(1, 10**4),
+        st.integers(1, 10**12),
+    )
+    return alpha, draw(st.lists(st.tuples(starts, counts), min_size=1, max_size=40))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=block_arrays())
+def test_power_sums_log_matches_scalar_per_block(case):
+    """Each block's sum within 1e-13 relative of power_sum_log's, |exp(got - want) - 1|."""
+    alpha, blocks = case
+    starts = np.array([a for a, _ in blocks], dtype=np.float64)
+    counts = np.array([c for _, c in blocks], dtype=np.float64)
+    got = power_sums_log(starts, counts, alpha).tolist()
+    for (a, c), value in zip(blocks, got):
+        assert abs(math.expm1(value - power_sum_log(a, a + c - 1, alpha))) <= 1e-13
