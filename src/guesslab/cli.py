@@ -322,7 +322,7 @@ def _cmd_sample(args) -> int:
     payload = dict(asdict(report), statistic=statistic, manifest=asdict(manifest))
     if args.alpha is not None:
         payload["alpha"] = args.alpha
-    text = json.dumps(payload, sort_keys=True) + "\n"
+    text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

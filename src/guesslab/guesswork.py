@@ -42,6 +42,7 @@ from .powersum import power_sum_log, power_sums_log
 
 __all__ = [
     "DEFAULT_MAX_TYPE_TUPLES",
+    "MAX_RANK_TABLE_ENTRIES",
     "GuessworkError",
     "SequenceError",
     "BudgetExceededError",
@@ -49,6 +50,7 @@ __all__ = [
     "TypeBlock",
     "YTypeLaw",
     "GuessworkDistribution",
+    "RankTables",
     "optimal_order",
     "guess_rank",
     "guess_rank_indices",
@@ -62,6 +64,11 @@ __all__ = [
 ]
 
 DEFAULT_MAX_TYPE_TUPLES = 10**8
+# Bound on the cached entries of a RankTables: level keys of its suffix
+# tables plus memoised better-counts.  An entry took about 126 bytes (bsc
+# at n = 400, where keys and counts run to hundreds of bits), so the bound
+# is about 32 MiB.
+MAX_RANK_TABLE_ENTRIES = 1 << 18
 
 _LN2 = math.log(2.0)
 # float64 ranks stop here: a block whose last rank reaches it is summed by
@@ -464,6 +471,16 @@ def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
+def _extend(table: dict[int, int], column: list[int]) -> dict[int, int]:
+    """The table one position longer: every key of the column added to every key of the table."""
+    out: dict[int, int] = {}
+    for w in column:
+        for key, count in table.items():
+            key += w
+            out[key] = out.get(key, 0) + count
+    return out
+
+
 def _law_counts(columns, y_counts: tuple[int, ...]) -> dict[int, int]:
     """Positive level key -> x-sequence count for one y-type; columns(y_index, size) gives each group's."""
     counts = None
@@ -559,69 +576,139 @@ def _sequence_indices(source: PairSource, x_seq, y_seq) -> tuple[list[int], list
 def guess_rank(source: PairSource, x_seq, y_seq) -> int:
     """Exact optimal-order rank of x_seq given y_seq (1-based, exact integer).
 
-    Counts sequences beating the target by suffix-level dictionaries:
-    suffix[j] maps each positive joint product over positions j..n-1,
-    as a packed level-code key, to the number of x-suffixes achieving
-    it.  The count of strictly better sequences reads off suffix[0] by
+    Counts sequences beating the target by the suffix-level tables of a
+    ``RankTables``: the table of positions j..n-1 maps each positive joint
+    product over them, as a packed level-code key, to the number of
+    x-suffixes achieving it, and depends only on the type of y_j..y_{n-1},
+    so it is keyed by that type and shared by every rank at the same n.
+    The count of strictly better sequences reads off the full table by
     float log, with exact ``Dyadic`` comparison on near ties;
-    lexicographic tie offsets query suffix[j+1] for the key completing a
-    tied prefix, which is the target's key minus the prefix's.
+    lexicographic tie offsets query the table of positions j+1..n-1 for
+    the key completing a tied prefix, which is the target's key minus the
+    prefix's.  A one-off rank builds one fresh object; the sampler keeps
+    one for a whole run, with at most ``MAX_RANK_TABLE_ENTRIES`` entries.
     """
     xs, ys = _sequence_indices(source, x_seq, y_seq)
     return guess_rank_indices(source, xs, ys)
 
 
-def guess_rank_indices(source: PairSource, xs: list[int], ys: list[int]) -> int:
-    """guess_rank on alphabet indices (the sampling hot path skips symbol lookup)."""
-    n = len(xs)
-    x_size = source.x_alphabet.size
-    packing = source.level_code.packing(n)
-    cells = [[packing.key(d) for d in row] for row in source.joint_dyadic]
+def guess_rank_indices(
+    source: PairSource, xs: list[int], ys: list[int], tables: "RankTables | None" = None
+) -> int:
+    """guess_rank on alphabet indices (the sampling hot path skips symbol lookup).
 
-    suffix: list[dict[int, int]] = [dict() for _ in range(n + 1)]
-    suffix[n] = {0: 1}
-    for j in range(n - 1, -1, -1):
-        acc: dict[int, int] = {}
-        for x in range(x_size):
-            w = cells[x][ys[j]]
-            if w is None:
-                continue
-            for lv, c in suffix[j + 1].items():
-                key = w + lv
-                acc[key] = acc.get(key, 0) + c
-        suffix[j] = acc
-    positive_suffix = [sum(d.values()) for d in suffix]
+    ``tables``, of the same source and length, is shared across calls;
+    by default the rank builds its own.
+    """
+    if tables is None:
+        tables = RankTables(source, len(xs))
+    elif tables.source is not source:
+        raise GuessworkError("rank tables belong to another source")
+    return tables.rank(xs, ys)
 
-    path = [cells[x][y] for x, y in zip(xs, ys)]
-    if None not in path:
+
+class RankTables:
+    """Suffix-level tables of one (source, n), shared by every rank at length n.
+
+    The x-suffixes over positions j..n-1 at each level key depend only on
+    the type of y_j..y_{n-1}, packed into one int code, not on its order.
+    A table is cached under its suffix length and type code, and built
+    along the ranked sequence's own y's: the column of y_j convolved with
+    the table of positions j+1..n-1.  The count of strictly better
+    sequences depends only on the full y-type and the target key, and is
+    memoised under both.  After a rank, the memo and then the longest
+    suffix tables are dropped until at most ``MAX_RANK_TABLE_ENTRIES``
+    entries remain; short suffixes are the ones shared most.
+    """
+
+    def __init__(self, source: PairSource, n: int):
+        self.source = source
+        self.n = n
+        self.packing = packing = source.level_code.packing(n)
+        self.cells = [[packing.key(d) for d in row] for row in source.joint_dyadic]
+        self.columns = [[key for key in column if key is not None] for column in zip(*self.cells)]
+        width = n.bit_length()
+        self.steps = [1 << (y * width) for y in range(len(self.columns))]
+        self.tables: list[dict[int, dict[int, int]]] = [{} for _ in range(n + 1)]
+        self.above: dict[tuple[int, int], int] = {}
+        self.entries = 0
+
+    def rank(self, xs: list[int], ys: list[int]) -> int:
+        n = self.n
+        if not len(xs) == len(ys) == n:
+            raise SequenceError(f"rank tables are for length {n}, got {len(xs)} and {len(ys)}")
+        cells = self.cells
+        path = [cells[x][y] for x, y in zip(xs, ys)]
+        if None in path:
+            return self._zero_rank(xs, ys, path)
+        suffix, code = self._suffix(ys)
         target = sum(path)
-        greater = packing.count_above(suffix[0], target)
+        greater = self.above.get((code, target))
+        if greater is None:
+            greater = self.above[code, target] = self.packing.count_above(suffix[0], target)
+            self.entries += 1
         ties_before = 0
         prefix = 0
+        quotient = self.packing.quotient
         for j in range(n):
             for x in range(xs[j]):
                 w = cells[x][ys[j]]
                 if w is None:
                     continue
-                quotient = packing.quotient(target, prefix + w)
-                if quotient is not None:
-                    ties_before += suffix[j + 1].get(quotient, 0)
+                q = quotient(target, prefix + w)
+                if q is not None:
+                    ties_before += suffix[j + 1].get(q, 0)
             prefix += path[j]
+        if self.entries > MAX_RANK_TABLE_ENTRIES:
+            self._evict()
         return 1 + greater + ties_before
 
-    # zero-probability sequences rank after every positive one, lexicographically
-    before = 0
-    prefix_zero = False
-    for j in range(n):
-        completions = x_size ** (n - j - 1)
-        for x in range(xs[j]):
-            if prefix_zero or cells[x][ys[j]] is None:
-                before += completions
-            else:
-                before += completions - positive_suffix[j + 1]
-        if path[j] is None:
-            prefix_zero = True
-    return positive_suffix[0] + before + 1
+    def _suffix(self, ys: list[int]) -> tuple[list[dict[int, int]], int]:
+        """The tables of positions j..n-1 for every j, and the code of the full y-type."""
+        n = self.n
+        suffix = [{0: 1}] * (n + 1)  # the empty suffix's table; entries below n are replaced
+        code = 0
+        for j in range(n - 1, -1, -1):
+            y = ys[j]
+            code += self.steps[y]
+            cached = self.tables[n - j]
+            table = cached.get(code)
+            if table is None:
+                table = cached[code] = _extend(suffix[j + 1], self.columns[y])
+                self.entries += len(table)
+            suffix[j] = table
+        return suffix, code
+
+    def _evict(self) -> None:
+        self.entries -= len(self.above)
+        self.above.clear()
+        for cached in reversed(self.tables):
+            while cached and self.entries > MAX_RANK_TABLE_ENTRIES:
+                self.entries -= len(cached.popitem()[1])
+
+    def _zero_rank(self, xs: list[int], ys: list[int], path: list) -> int:
+        """Zero-probability sequences rank after every positive one, lexicographically.
+
+        The positive x-suffixes over positions j..n-1 number the product of
+        the column supports of their y's.
+        """
+        n = self.n
+        positive = [1] * (n + 1)
+        for j in range(n - 1, -1, -1):
+            positive[j] = positive[j + 1] * len(self.columns[ys[j]])
+        x_size = len(self.cells)
+        before = 0
+        prefix_zero = False
+        for j in range(n):
+            completions = x_size ** (n - j - 1)
+            for x in range(xs[j]):
+                if prefix_zero or self.cells[x][ys[j]] is None:
+                    before += completions
+                else:
+                    before += completions - positive[j + 1]
+            if path[j] is None:
+                prefix_zero = True
+        return positive[0] + before + 1
 
 
 def log_moment_exact(

@@ -3,9 +3,11 @@
 Pair sequences are drawn from the memoryless law with a counter-based
 Philox generator keyed by the seed; sample i consumes row i of a fixed
 uniform matrix, so reports are bit-reproducible and independent of any
-evaluation schedule.  Every sampled sequence gets its rank from the
-exact rank oracle; only the aggregation is statistical, and it uses
-numpy's deterministic pairwise summation.
+evaluation schedule.  Every distinct sampled pair gets its rank from the
+exact rank oracle once, with suffix tables shared across the run; only
+the aggregation is statistical, and it uses numpy's deterministic
+pairwise summation.  A mean or standard error past the float range is
+an error, never an inf or NaN in a report.
 
 Moment estimation is capped at |alpha| <= MAX_MOMENT_ORDER: guesswork
 moments are heavy-tailed and naive Monte Carlo loses all reliability
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .guesswork import guess_rank_indices
+from .guesswork import RankTables, guess_rank_indices
 from .model import PairSource
 
 __all__ = [
@@ -48,11 +50,18 @@ class SampleReport:
     seed: int
 
 
-def _sample_ranks(source: PairSource, n: int, samples: int, seed: int) -> list[int]:
+def _sample_ranks(source: PairSource, n: int, samples: int, seed: int) -> tuple[list[int], np.ndarray]:
+    """Exact ranks of the distinct sampled pairs, and each sample's index into them.
+
+    One ``RankTables`` serves the whole run, so y-suffix types that recur
+    across samples are tabulated once.
+    """
     if n < 1:
         raise SampleError(f"sequence length must be >= 1, got {n}")
     if samples < MIN_SAMPLES:
         raise SampleError(f"need at least {MIN_SAMPLES} samples, got {samples}")
+    if not 0 <= seed < 1 << 128:
+        raise SampleError(f"seed must be in [0, 2**128), got {seed}")
     atoms = source.joint.ravel()
     cumulative = np.cumsum(atoms)
     cumulative[-1] = 1.0
@@ -60,27 +69,36 @@ def _sample_ranks(source: PairSource, n: int, samples: int, seed: int) -> list[i
     rng = np.random.Generator(np.random.Philox(key=seed))
     uniforms = rng.random((samples, n))
     cells = np.searchsorted(cumulative, uniforms, side="right")
-    xs_all = cells // y_size
-    ys_all = cells % y_size
-    ranks = []
-    cache: dict[tuple, int] = {}
-    for i in range(samples):
-        key = (xs_all[i].tobytes(), ys_all[i].tobytes())
-        rank = cache.get(key)
-        if rank is None:
-            rank = guess_rank_indices(source, xs_all[i].tolist(), ys_all[i].tolist())
-            cache[key] = rank
-        ranks.append(rank)
-    return ranks
+    # distinct rows in order of first draw, keyed by their bytes
+    index: dict[bytes, int] = {}
+    inverse = np.array([index.setdefault(row.tobytes(), len(index)) for row in cells])
+    distinct = np.frombuffer(b"".join(index), dtype=cells.dtype).reshape(len(index), n)
+    tables = RankTables(source, n)
+    ranks = [
+        guess_rank_indices(source, xs, ys, tables)
+        for xs, ys in zip((distinct // y_size).tolist(), (distinct % y_size).tolist())
+    ]
+    return ranks, inverse
+
+
+def _report(values: np.ndarray, n: int, samples: int, seed: int) -> SampleReport:
+    """Mean and standard error of the per-sample values; overflow is an error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimate = float(np.mean(values))
+        std_error = float(np.std(values, ddof=1) / math.sqrt(samples))
+    if not (math.isfinite(estimate) and math.isfinite(std_error)):
+        raise SampleError(
+            f"estimate {estimate} with standard error {std_error} overflows float64; "
+            "lower the moment order or n"
+        )
+    return SampleReport(estimate, std_error, n, samples, seed)
 
 
 def estimate_log_guesswork_rate(source: PairSource, n: int, samples: int, seed: int) -> SampleReport:
     """Estimates n^-1 E log G(X1n|Y1n) from seeded i.i.d. samples."""
-    ranks = _sample_ranks(source, n, samples, seed)
-    values = np.array([math.log(r) / n for r in ranks])
-    estimate = float(np.mean(values))
-    std_error = float(np.std(values, ddof=1) / math.sqrt(samples))
-    return SampleReport(estimate, std_error, n, samples, seed)
+    ranks, inverse = _sample_ranks(source, n, samples, seed)
+    values = np.array([math.log(r) / n for r in ranks])[inverse]
+    return _report(values, n, samples, seed)
 
 
 def _rank_power(rank: int, alpha: float) -> float:
@@ -95,8 +113,6 @@ def estimate_moment(source: PairSource, n: int, alpha: float, samples: int, seed
     alpha = float(alpha)
     if not abs(alpha) <= MAX_MOMENT_ORDER:
         raise SampleError(f"moment sampling requires |alpha| <= {MAX_MOMENT_ORDER}, got {alpha}")
-    ranks = _sample_ranks(source, n, samples, seed)
-    values = np.array([_rank_power(r, alpha) for r in ranks])
-    estimate = float(np.mean(values))
-    std_error = float(np.std(values, ddof=1) / math.sqrt(samples))
-    return SampleReport(estimate, std_error, n, samples, seed)
+    ranks, inverse = _sample_ranks(source, n, samples, seed)
+    values = np.array([_rank_power(r, alpha) for r in ranks])[inverse]
+    return _report(values, n, samples, seed)

@@ -462,6 +462,23 @@ def test_sample_rejects_bad_parameters(capsys, uniform_path):
     assert json.loads(err)["error"] == "sample_error"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "4", "--samples", "100", "--seed", "-1"],
+        ["--n", "4", "--samples", "100", "--seed", str(2**128)],
+        # G^4 past the float range: no Infinity or NaN in the report
+        ["--n", "300", "--samples", "100", "--seed", "5", "--alpha", "4"],
+    ],
+)
+def test_sample_bad_seed_and_overflow_are_json_errors(capsys, uniform_path, argv):
+    code, out, err = run_cli(capsys, ["sample", "--source", uniform_path] + argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "sample_error"
+
+
 # ---------------------------------------------------------------------------
 # output files, errors, exit codes
 # ---------------------------------------------------------------------------

@@ -1,20 +1,26 @@
 """Exact guesswork laws, ranks, moments, and provable bounds."""
 
+import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guesslab import guesswork as guesswork_module
-from guesslab.dyadic import DYADIC_ZERO, Dyadic
+from guesslab.dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic
 from guesslab.guesswork import (
     BudgetExceededError,
     GuessworkError,
+    RankTables,
     SequenceError,
     enumeration_budget,
     guess_rank,
+    guess_rank_indices,
     guesswork_distribution,
     log_moment_exact,
     moment_bounds,
@@ -100,6 +106,59 @@ def test_guess_rank_input_errors(bsc01):
         guess_rank(bsc01, [], [])
     with pytest.raises(SequenceError):
         guess_rank(bsc01, ["z"], ["0"])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_oracle.lattice_sources(), st.integers(1, 6), st.data())
+def check_shared_tables_rank_like_naive(source, n, data):
+    x_size, y_size = source.x_alphabet.size, source.y_alphabet.size
+    sequence = st.lists(st.integers(0, x_size - 1), min_size=n, max_size=n)
+    y_sequence = st.lists(st.integers(0, y_size - 1), min_size=n, max_size=n)
+    draws = data.draw(st.lists(st.tuples(sequence, y_sequence), min_size=1, max_size=8))
+    tables = RankTables(source, n)
+    # the second pass meets tables cached, or evicted, by the first
+    for xs, ys in draws + draws[::-1]:
+        assert guess_rank_indices(source, xs, ys, tables) == _oracle.naive_rank(source, xs, ys)
+        cached = sum(len(table) for by_type in tables.tables for table in by_type.values())
+        assert tables.entries == cached + len(tables.above)
+        assert tables.entries <= guesswork_module.MAX_RANK_TABLE_ENTRIES
+
+
+def test_shared_rank_tables_match_naive_rank():
+    check_shared_tables_rank_like_naive()
+
+
+def test_shared_rank_tables_match_naive_rank_under_eviction(monkeypatch):
+    monkeypatch.setattr(guesswork_module, "MAX_RANK_TABLE_ENTRIES", 8)
+    check_shared_tables_rank_like_naive()
+
+
+def test_shared_rank_tables_agree_with_the_law(corpus):
+    # every y-sequence's x-sequences take ranks 1..|X|^n, each in the block of its level
+    zero_cells = make_source(["a", "b", "c"], ["u", "v"], [[0.3, 0.0], [0.2, 0.25], [0.0, 0.25]])
+    for src in (corpus[3], corpus[5], corpus[10], zero_cells):
+        x_size, y_size = src.x_alphabet.size, src.y_alphabet.size
+        for n in range(1, 6):
+            laws = {law.y_counts: law for law in guesswork_distribution(src, n).laws}
+            tables = RankTables(src, n)
+            for ys in itertools.product(range(y_size), repeat=n):
+                law = laws[tuple(ys.count(y) for y in range(y_size))]
+                starts = [block.start for block in law.blocks]
+                ranks = []
+                for xs in itertools.product(range(x_size), repeat=n):
+                    rank = guess_rank_indices(src, list(xs), list(ys), tables)
+                    level = math.prod((src.joint_dyadic[x][y] for x, y in zip(xs, ys)), start=DYADIC_ONE)
+                    assert law.blocks[bisect_right(starts, rank) - 1].joint_level == level
+                    ranks.append(rank)
+                assert sorted(ranks) == list(range(1, x_size**n + 1))
+
+
+def test_rank_tables_refuse_another_length_or_source(bsc01, skew22):
+    tables = RankTables(bsc01, 3)
+    with pytest.raises(SequenceError):
+        guess_rank_indices(bsc01, [0, 1], [0, 1], tables)
+    with pytest.raises(GuessworkError):
+        guess_rank_indices(skew22, [0, 1, 0], [0, 1, 1], tables)
 
 
 def test_uniform_n5_single_block(uniform_binary):

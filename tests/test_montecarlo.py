@@ -107,9 +107,22 @@ def test_sampling_domain_errors(bsc01):
         estimate_moment(bsc01, 4, -4.5, 500, seed=0)
     with pytest.raises(SampleError):
         estimate_moment(bsc01, 4, math.nan, 500, seed=0)
+    # Philox keys are 128-bit unsigned integers
+    with pytest.raises(SampleError):
+        estimate_log_guesswork_rate(bsc01, 4, 500, seed=-1)
+    with pytest.raises(SampleError):
+        estimate_moment(bsc01, 4, 1.0, 500, seed=2**128)
     # the boundary order is allowed
     report = estimate_moment(bsc01, 4, 4.0, 500, seed=0)
     assert math.isfinite(report.estimate)
+
+
+def test_non_finite_estimates_are_errors(uniform_binary, bsc01):
+    # G^4 reaches 2^1200 at n = 300 and e^1109 at n = 400: past the float range
+    with pytest.raises(SampleError, match="overflows"):
+        estimate_moment(uniform_binary, 300, 4.0, 100, seed=5)
+    with pytest.raises(SampleError, match="overflows"):
+        estimate_moment(bsc01, 400, 4.0, 100, seed=5)
 
 
 def test_two_sigma_calibration_coverage(uniform_binary):
