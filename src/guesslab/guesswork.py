@@ -598,7 +598,8 @@ def guess_rank_indices(
     """guess_rank on alphabet indices (the sampling hot path skips symbol lookup).
 
     ``tables``, of the same source and length, is shared across calls;
-    by default the rank builds its own.
+    by default the rank builds its own.  Unequal lengths, empty lists and
+    indices outside the alphabets raise ``SequenceError``.
     """
     if tables is None:
         tables = RankTables(source, len(xs))
@@ -622,6 +623,8 @@ class RankTables:
     """
 
     def __init__(self, source: PairSource, n: int):
+        if n < 1:
+            raise SequenceError(f"sequences must have length >= 1, got {n}")
         self.source = source
         self.n = n
         self.packing = packing = source.level_code.packing(n)
@@ -637,6 +640,10 @@ class RankTables:
         n = self.n
         if not len(xs) == len(ys) == n:
             raise SequenceError(f"rank tables are for length {n}, got {len(xs)} and {len(ys)}")
+        if min(xs) < 0 or max(xs) >= len(self.cells) or min(ys) < 0 or max(ys) >= len(self.columns):
+            raise SequenceError(
+                f"alphabet indices must lie in [0, {len(self.cells)}) for x and [0, {len(self.columns)}) for y"
+            )
         cells = self.cells
         path = [cells[x][y] for x, y in zip(xs, ys)]
         if None in path:

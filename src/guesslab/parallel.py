@@ -4,11 +4,15 @@ G_{k,m} is the k-th smallest of m independent users' guess ranks.  Its
 exact finite-n law is built from the users' rank laws.  Every
 probability is an integer numerator over one denominator 2**K, K the
 largest -e of the users' block levels m * 2**e.  Each user's per-rank
-probability is piecewise constant between the union of all users'
-block boundaries, and P(k-min > t) is evaluated rank by rank with a
-Poisson-binomial recursion over users on those integers.  The survival
-differences telescope, so the resulting pmf is exactly nonnegative;
-each run of equal pmf values becomes one block with an exact level.
+probability is constant on each segment between the union of all
+users' block boundaries, so there P(G_i > t) is linear in t and
+P(k-min > t), a Poisson-binomial over users, is a polynomial of degree
+<= m in t.  The first min(m, length) ranks of a segment take the
+Poisson-binomial recursion on those integers; the rest of the segment
+extends the pmf from its m - 1 backward differences by integer
+additions, exactly.  The survival differences telescope, so the pmf is
+exactly nonnegative; each run of equal pmf values becomes one block
+with an exact level.
 
 The asymptotic layer evaluates the rate function of G_{k,m} ~ e^(nx):
 one user i lands at e^(nx) at cost Lambda*_i(x), k-1 others finish
@@ -31,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dyadic import DYADIC_ONE, Dyadic
+from .dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic
 from .entropy import conditional_shannon
 from .guesswork import (
     DEFAULT_MAX_TYPE_TUPLES,
@@ -127,61 +131,113 @@ def kmin_distribution(
         raise EnsembleError(f"k-min enumeration supports m <= {MAX_KMIN_USERS}, got {ensemble.m}")
     total = ensemble.x_size**n
     if total > max_ranks:
-        raise EnsembleError(f"rank span {total} exceeds max_ranks {max_ranks}")
+        # |X|**n itself may be too long to print in decimal
+        raise EnsembleError(f"rank span {ensemble.x_size}**{n} exceeds max_ranks {max_ranks}")
 
-    m, k = ensemble.m, ensemble.k
+    m = ensemble.m
     dists = [guesswork_distribution(u, n, max_type_tuples) for u in ensemble.users]
+    user_levels = [_distinct_levels(dist) for dist in dists]
     # every probability below is an integer numerator over 2**shift
-    shift = max(
-        -block.joint_level.e
-        for dist in dists
-        for law in dist.laws
-        for block in law.blocks
-        if block.joint_level
-    )
+    shift = max(-level.e for levels in user_levels for level in levels.values())
     steps = {1: [0] * m, total + 1: [0] * m}  # per-user pmf changes, keyed by rank
     pending = [0] * m                         # T_i(t) = P(G_i > t)
-    for i, dist in enumerate(dists):
+    for i, (dist, exact) in enumerate(zip(dists, user_levels)):
         for law in dist.laws:
-            for block in law.blocks:
-                level = block.joint_level
-                if level:
-                    q = (law.y_sequences * level.m) << (shift + level.e)
-                    steps.setdefault(block.start, [0] * m)[i] += q
-                    steps.setdefault(block.start + block.count, [0] * m)[i] -= q
-                    pending[i] += q * block.count
+            start = 1
+            for key, count in zip(law.keys, law.counts):  # the zero block has no key
+                level = exact[key]
+                q = (law.y_sequences * level.m) << (shift + level.e)
+                steps.setdefault(start, [0] * m)[i] += q
+                start += count
+                steps.setdefault(start, [0] * m)[i] -= q
+                pending[i] += q * count
 
-    done = [0] * m                            # F_i(t) = P(G_i <= t)
-    probs = [0] * m                           # P(G_i = t)
-    survival_prev = math.prod(pending)        # P(k-min > 0), over 2**(shift * m)
-    scale = Dyadic(1, -shift * m)
     counts, levels = [], []
-    run_start, run_num = 1, None
-    boundaries = sorted(steps)
-    for b, b_next in zip(boundaries, boundaries[1:]):
-        probs = [p + d for p, d in zip(probs, steps[b])]
-        for t in range(b, b_next):
-            for i in range(m):
-                done[i] += probs[i]
-                pending[i] -= probs[i]
-            # P(fewer than k users have finished), a Poisson-binomial over users
-            coef = [1] + [0] * (k - 1)
-            for f, r in zip(done, pending):
-                coef = [coef[0] * r] + [coef[j] * r + coef[j - 1] * f for j in range(1, k)]
-            survival = sum(coef)
-            num = survival_prev - survival
-            survival_prev = survival
-            if num != run_num:
-                if run_num is not None:
-                    counts.append(t - run_start)
-                    levels.append(Dyadic.from_int(run_num) * scale)
-                run_start, run_num = t, num
-    counts.append(total + 1 - run_start)
-    levels.append(Dyadic.from_int(run_num) * scale)
+    run_num, run_count = None, 0
+    for num in _kmin_pmf(steps, pending, ensemble.k):
+        if num == run_num:
+            run_count += 1
+            continue
+        if run_num is not None:
+            counts.append(run_count)
+            levels.append(_level(run_num, shift * m))
+        run_num, run_count = num, 1
+    counts.append(run_count)
+    levels.append(_level(run_num, shift * m))
     law = YTypeLaw(y_counts=(), y_sequences=1, py_product=DYADIC_ONE, counts=tuple(counts), levels=tuple(levels))
     return GuessworkDistribution(
         n=n, x_size=ensemble.x_size, y_symbols=(), laws=(law,), monotone=False
     )
+
+
+def _distinct_levels(dist: GuessworkDistribution) -> dict[int, Dyadic]:
+    """The exact level of each distinct key of a single-user distribution."""
+    levels: dict[int, Dyadic] = {}
+    for law in dist.laws:
+        for key in law.keys:
+            if key not in levels:
+                levels[key] = law.packing.dyadic(key)
+    return levels
+
+
+def _level(num: int, bits: int) -> Dyadic:
+    """num / 2**bits in canonical form."""
+    if not num:
+        return DYADIC_ZERO
+    zeros = (num & -num).bit_length() - 1
+    return Dyadic(num >> zeros, zeros - bits)
+
+
+def _survival(done: list[int], pending: list[int], k: int) -> int:
+    """P(fewer than k users have finished), a Poisson-binomial over users."""
+    coef = [1] + [0] * (k - 1)
+    for f, r in zip(done, pending):
+        coef = [coef[0] * r] + [coef[j] * r + coef[j - 1] * f for j in range(1, k)]
+    return sum(coef)
+
+
+def _kmin_pmf(steps: dict[int, list[int]], pending: list[int], k: int):
+    """The numerator of P(k-min = t) for t = 1, 2, ..., segment by segment.
+
+    ``steps`` maps each user block boundary to the users' pmf changes there
+    and ``pending`` holds P(G_i > 0).  On a segment between boundaries every
+    user pmf p_i is constant, so P(G_i > t) is linear in t, the survival
+    P(k-min > t) a polynomial of degree <= m and the k-min pmf, its
+    difference, one of degree <= m - 1.  The first m ranks take the
+    Poisson-binomial; the rest extend their backward differences by m - 1
+    integer additions per rank, exactly.
+    """
+    m = len(pending)
+    done = [0] * m                      # F_i(t) = P(G_i <= t)
+    probs = [0] * m                     # P(G_i = t)
+    survival_prev = _survival(done, pending, k)
+    boundaries = sorted(steps)
+    for b, b_next in zip(boundaries, boundaries[1:]):
+        probs = [p + d for p, d in zip(probs, steps[b])]
+        head = []
+        for _ in range(min(b_next - b, m)):
+            for i in range(m):
+                done[i] += probs[i]
+                pending[i] -= probs[i]
+            survival = _survival(done, pending, k)
+            head.append(survival_prev - survival)
+            survival_prev = survival
+            yield head[-1]
+        left = b_next - b - m
+        if left <= 0:
+            continue
+        diffs = [head[-1]]              # backward differences at the last head rank
+        for _ in range(m - 1):
+            head = [hi - lo for lo, hi in zip(head, head[1:])]
+            diffs.append(head[-1])
+        for _ in range(left):
+            for j in range(m - 2, -1, -1):
+                diffs[j] += diffs[j + 1]
+            yield diffs[0]
+        for i in range(m):
+            done[i] += probs[i] * left
+            pending[i] -= probs[i] * left
+        survival_prev = _survival(done, pending, k)
 
 
 def kmin_moment_exact(

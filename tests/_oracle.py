@@ -13,7 +13,9 @@ root-finding code with the library.
 The Dyadic-keyed type-law build and rank below are the library's
 earlier implementations, kept as references past brute-force reach: they
 multiply, hash and compare exact ``Dyadic`` levels where the library
-adds packed level-code keys.
+adds packed level-code keys.  The per-rank k-min law is likewise the
+library's earlier one: a Poisson-binomial at every rank, where the
+library extends each segment's pmf by differences.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 
 from guesslab.dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic
 from guesslab.entropy import conditional_min_entropy
-from guesslab.guesswork import YTypeLaw
+from guesslab.guesswork import YTypeLaw, guesswork_distribution
 from guesslab.ldp import ALPHA_BRACKET, scgf_limit
 from guesslab.model import PairSource, make_source
 
@@ -313,3 +315,57 @@ def dyadic_rank(source: PairSource, xs: list[int], ys: list[int]) -> int:
         if jd[xs[j]][ys[j]].is_zero():
             prefix_zero = True
     return positive_suffix[0] + before + 1
+
+
+def kmin_law_per_rank(users, k: int, n: int) -> tuple[tuple[int, ...], tuple[Dyadic, ...]]:
+    """(counts, levels) of the k-th smallest of the users' ranks, by one
+    Poisson-binomial over users at every rank on integers over one 2**K."""
+    m = len(users)
+    dists = [guesswork_distribution(u, n) for u in users]
+    total = dists[0].total_sequences
+    shift = max(
+        -block.joint_level.e
+        for dist in dists
+        for law in dist.laws
+        for block in law.blocks
+        if block.joint_level
+    )
+    steps = {1: [0] * m, total + 1: [0] * m}
+    pending = [0] * m
+    for i, dist in enumerate(dists):
+        for law in dist.laws:
+            for block in law.blocks:
+                level = block.joint_level
+                if level:
+                    q = (law.y_sequences * level.m) << (shift + level.e)
+                    steps.setdefault(block.start, [0] * m)[i] += q
+                    steps.setdefault(block.start + block.count, [0] * m)[i] -= q
+                    pending[i] += q * block.count
+
+    done = [0] * m
+    probs = [0] * m
+    survival_prev = math.prod(pending)
+    scale = Dyadic(1, -shift * m)
+    counts, levels = [], []
+    run_start, run_num = 1, None
+    boundaries = sorted(steps)
+    for b, b_next in zip(boundaries, boundaries[1:]):
+        probs = [p + d for p, d in zip(probs, steps[b])]
+        for t in range(b, b_next):
+            for i in range(m):
+                done[i] += probs[i]
+                pending[i] -= probs[i]
+            coef = [1] + [0] * (k - 1)
+            for f, r in zip(done, pending):
+                coef = [coef[0] * r] + [coef[j] * r + coef[j - 1] * f for j in range(1, k)]
+            survival = sum(coef)
+            num = survival_prev - survival
+            survival_prev = survival
+            if num != run_num:
+                if run_num is not None:
+                    counts.append(t - run_start)
+                    levels.append(Dyadic.from_int(run_num) * scale)
+                run_start, run_num = t, num
+    counts.append(total + 1 - run_start)
+    levels.append(Dyadic.from_int(run_num) * scale)
+    return tuple(counts), tuple(levels)

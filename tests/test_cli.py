@@ -395,6 +395,20 @@ def test_parallel_flag_misuse_is_an_ensemble_error(capsys, bsc_path):
     assert json.loads(err)["error"] == "ensemble_error"
 
 
+def test_parallel_huge_rank_span_is_an_ensemble_error(capsys, bsc_path):
+    # 2**15000 has more decimal digits than an int may print by default
+    code, out, err = run_cli(
+        capsys,
+        ["parallel", "--sources", bsc_path, "--iid", "--m", "2", "--k", "1",
+         "--n", "15000", "--alphas", "1"],
+    )
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ensemble_error"
+    assert "2**15000" in error["message"]
+
+
 # ---------------------------------------------------------------------------
 # sample
 # ---------------------------------------------------------------------------

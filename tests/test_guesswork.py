@@ -161,6 +161,19 @@ def test_rank_tables_refuse_another_length_or_source(bsc01, skew22):
         guess_rank_indices(skew22, [0, 1, 0], [0, 1, 1], tables)
 
 
+@pytest.mark.parametrize(
+    "xs, ys",
+    [([-1], [0]), ([0], [-1]), ([2], [0]), ([0], [2]), ([0, -1], [1, 0]), ([], []), ([0, 1], [0])],
+)
+def test_rank_indices_out_of_range_are_sequence_errors(bsc01, xs, ys):
+    # a negative index would wrap to the last symbol and rank another sequence
+    with pytest.raises(SequenceError):
+        guess_rank_indices(bsc01, xs, ys)
+    if len(xs) == len(ys) == 2:
+        with pytest.raises(SequenceError):
+            guess_rank_indices(bsc01, xs, ys, RankTables(bsc01, 2))
+
+
 def test_uniform_n5_single_block(uniform_binary):
     dist = guesswork_distribution(uniform_binary, 5)
     assert len(dist.laws) == 1

@@ -2,7 +2,10 @@
 
 The k-min law combiner is checked against a brute-force enumeration that
 iterates over all rank tuples of the (already independently validated)
-single-user laws in exact Fraction arithmetic.
+single-user laws in exact Fraction arithmetic, and, past brute-force
+reach, block for block against the per-rank Poisson-binomial law of
+``_oracle.kmin_law_per_rank`` on ensembles whose segments between user
+block boundaries run far longer than m ranks.
 """
 
 import math
@@ -34,7 +37,7 @@ from guesslab import (
     scgf_parallel_iid,
 )
 
-from _oracle import lattice_sources
+from _oracle import kmin_law_per_rank, lattice_sources
 
 # Arimoto order-2/3 value for the 0.1-flip binary symmetric channel,
 # frozen from the mpmath oracle below (the test re-derives it).
@@ -154,6 +157,53 @@ def test_kmin_matches_brute_force_on_random_lattice_users(data):
     n = data.draw(st.integers(1, 3))
     users = tuple(data.draw(lattice_sources(x_size)) for _ in range(m))
     assert_kmin_matches_brute_force(users, n)
+
+
+def assert_kmin_matches_per_rank_oracle(users, n: int) -> None:
+    for k in range(1, len(users) + 1):
+        law = kmin_distribution(UserEnsemble(users=users, k=k), n).laws[0]
+        counts, levels = kmin_law_per_rank(users, k, n)
+        assert law.counts == counts, f"counts differ for k={k}, n={n}, m={len(users)}"
+        assert law.levels == levels, f"levels differ for k={k}, n={n}, m={len(users)}"
+
+
+def longest_segment(users, n: int) -> int:
+    """Most ranks between consecutive block boundaries of the users' laws."""
+    bounds = {users[0].x_alphabet.size**n + 1}
+    for user in users:
+        for law in guesswork_distribution(user, n).laws:
+            bounds.update(block.start for block in law.blocks)
+    bounds = sorted(bounds)
+    return max(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_kmin_matches_per_rank_oracle_iid(bsc01, m, n):
+    users = (bsc01,) * m
+    assert longest_segment(users, n) > 10 * m
+    assert_kmin_matches_per_rank_oracle(users, n)
+
+
+def test_kmin_matches_per_rank_oracle_mixed(bsc01, skew22, uniform_binary, independent, noiseless, corpus):
+    wide = next(src for src in corpus if src.y_alphabet.size == 3 and src.x_alphabet.size == 2)
+    for users, n in [
+        ((bsc01, skew22, noiseless), 10),  # noiseless leaves zero runs
+        ((wide, bsc01), 10),
+        ((bsc01, skew22, uniform_binary, independent, bsc01), 8),
+    ]:
+        assert longest_segment(users, n) > len(users)
+        assert_kmin_matches_per_rank_oracle(users, n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_kmin_matches_per_rank_oracle_on_random_lattice_users(data):
+    x_size = data.draw(st.integers(2, 3))
+    m = data.draw(st.integers(2, 4))
+    n = data.draw(st.integers(1, 8))
+    users = tuple(data.draw(lattice_sources(x_size)) for _ in range(m))
+    assert_kmin_matches_per_rank_oracle(users, n)
 
 
 def test_kmin_mass_conservation(bsc01, skew22, uniform_binary):
