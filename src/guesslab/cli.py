@@ -63,6 +63,8 @@ from .parallel import (
 __all__ = ["RunManifest", "dispatch", "main"]
 
 _LN2 = math.log(2.0)
+# an --xgrid list is built before any handler runs
+_MAX_GRID_POINTS = 10**6
 
 _ERROR_CODES: tuple[tuple[type, str], ...] = (
     (BudgetExceededError, "budget_exceeded"),
@@ -111,8 +113,10 @@ def _grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"grid must be lo:hi:step, got {text!r}")
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0.0 or hi < lo:
         raise argparse.ArgumentTypeError(f"grid must be finite with step > 0 and hi >= lo: {text!r}")
-    count = int(round((hi - lo) / step)) + 1
-    return [lo + i * step for i in range(count)]
+    span = (hi - lo) / step  # inf when it overflows
+    if not span < _MAX_GRID_POINTS - 0.5:  # round(span) + 1 points
+        raise argparse.ArgumentTypeError(f"grid must have at most {_MAX_GRID_POINTS} points: {text!r}")
+    return [lo + i * step for i in range(int(round(span)) + 1)]
 
 
 def _format_cell(value) -> str:

@@ -24,6 +24,10 @@ the product of levels is the sum of their keys, and equal keys are equal
 levels.  Packed levels are ordered by float logs taken from their
 vectors, and a level becomes a ``Dyadic`` only where exactness is read:
 sums, and the near ties that the float logs cannot separate.
+
+The k-min law's levels are keyed by a ``NumeratorCode``: a key is the
+level's numerator over one 2**bits.  Both codes give a key's exact level
+(``dyadic``) and float logs (``log_scales``), all that a law reads.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 
 __all__ = [
     "Dyadic", "DYADIC_ZERO", "DYADIC_ONE", "NEAR_TIE",
-    "LevelCode", "LevelPacking", "coprime_basis", "descending",
+    "LevelCode", "LevelPacking", "NumeratorCode", "coprime_basis", "descending",
 ]
 
 _LN2 = math.log(2.0)
@@ -372,3 +376,28 @@ class LevelPacking:
             exact_target = self.dyadic(target)
             above += sum(counts[keys[i]] for i in near if self.dyadic(keys[i]) > exact_target)
         return above
+
+
+class NumeratorCode:
+    """Levels k / 2**bits keyed by their integer numerators k > 0: the k-min law's code."""
+
+    def __init__(self, bits: int):
+        self.bits = bits
+
+    def log_scales(self, keys: "list[int]") -> "tuple[np.ndarray, np.ndarray]":
+        """(log level, scale) arrays, as ``LevelPacking.log_scales`` gives them.
+
+        A key of L bits is 2**L times its top 53 bits over 2**53, in [1/2, 1),
+        so its log is (L - bits) ln 2, rounded once, plus the log of that
+        float: off by a few ulps of the scale, where log k - bits ln 2 cancels.
+        """
+        lengths = [key.bit_length() for key in keys]
+        tops = [k >> (n - 53) if n > 53 else k << (53 - n) for k, n in zip(keys, lengths)]
+        powers = np.array(lengths, dtype=np.float64) - self.bits
+        rests = np.log(np.ldexp(np.array(tops, dtype=np.float64), -53))
+        return powers * _LN2 + rests, np.abs(powers) * _LN2 - rests
+
+    def dyadic(self, key: int) -> Dyadic:
+        """key / 2**bits in canonical form."""
+        zeros = (key & -key).bit_length() - 1
+        return Dyadic(key >> zeros, zeros - self.bits)

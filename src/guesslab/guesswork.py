@@ -35,7 +35,7 @@ from operator import mul
 
 import numpy as np
 
-from .dyadic import DYADIC_ONE, DYADIC_ZERO, NEAR_TIE, Dyadic, LevelPacking, descending
+from .dyadic import DYADIC_ONE, DYADIC_ZERO, NEAR_TIE, Dyadic, LevelPacking, NumeratorCode, descending
 from .entropy import _logsumexp, conditional_renyi_arimoto
 from .model import Alphabet, Distribution, PairSource
 from .powersum import power_sum_log, power_sums_log
@@ -133,31 +133,28 @@ class TypeBlock:
 class YTypeLaw:
     """Rank law conditional on the y-sequence type (shared by all its y-sequences).
 
-    Columnar: ``counts`` are the block sizes in rank order, by descending
-    level with any zero-level block last, so block starts are their running
-    sums.  A type law names the levels of its positive blocks by the packed
-    level-code ``keys`` of ``packing``, with their float ``logs`` and
-    ``scales`` as ``LevelPacking.log_scales`` gives them.  A law built from
-    explicit ``levels``, one per block, has no keys: the k-min law.
-    ``blocks`` rebuilds the exact blocks on demand, and two laws are equal
-    when their y-types and exact blocks are.
+    Columnar: ``counts`` are the block sizes in rank order, with any
+    zero-level block last, so block starts are their running sums.  The
+    positive blocks' levels are the ``keys`` of a ``code``, with their float
+    ``logs`` and ``scales`` as ``code.log_scales`` gives them: packed
+    level-code keys (``LevelPacking``) for a type law, with levels
+    descending, and numerators over one power of two (``NumeratorCode``)
+    for the k-min law.  ``blocks`` rebuilds the exact blocks on demand, and
+    two laws are equal when their y-types and exact blocks are.
     """
 
     y_counts: tuple[int, ...]
     y_sequences: int
     py_product: Dyadic
     counts: tuple[int, ...]
-    levels: tuple[Dyadic, ...] = ()
-    keys: tuple[int, ...] = ()
-    packing: LevelPacking | None = field(default=None, repr=False)
-    logs: np.ndarray | None = field(default=None, repr=False)
-    scales: np.ndarray | None = field(default=None, repr=False)
+    keys: tuple[int, ...]
+    code: LevelPacking | NumeratorCode = field(repr=False)
+    logs: np.ndarray = field(repr=False)
+    scales: np.ndarray = field(repr=False)
 
     def level(self, i: int) -> Dyadic:
         """Exact level of block i."""
-        if self.packing is None:
-            return self.levels[i]
-        return self.packing.dyadic(self.keys[i]) if i < len(self.keys) else DYADIC_ZERO
+        return self.code.dyadic(self.keys[i]) if i < len(self.keys) else DYADIC_ZERO
 
     @cached_property
     def blocks(self) -> tuple[TypeBlock, ...]:
@@ -196,16 +193,9 @@ class _FloatView:
 def _float_view(laws: tuple[YTypeLaw, ...], total: int) -> _FloatView:
     logs, log_ys, exact_starts, exact_counts, offsets = [], [], [], [], [0]
     for law in laws:
-        starts = list(accumulate(law.counts, initial=1))
-        if law.packing is None:
-            positive = [i for i, level in enumerate(law.levels) if level]
-            logs.append(np.array([law.levels[i].log() for i in positive]))
-            exact_starts += [starts[i] for i in positive]
-            exact_counts += [law.counts[i] for i in positive]
-        else:
-            logs.append(law.logs)
-            exact_starts += starts[: len(law.keys)]
-            exact_counts += law.counts[: len(law.keys)]
+        logs.append(law.logs)
+        exact_starts += list(accumulate(law.counts, initial=1))[: len(law.keys)]
+        exact_counts += law.counts[: len(law.keys)]
         offsets.append(len(exact_starts))
         log_ys.append(math.log(law.y_sequences))
     log_weights = np.repeat(log_ys, np.diff(offsets)) + np.concatenate(logs)
@@ -268,15 +258,9 @@ class GuessworkDistribution:
 
     def _check_decreasing(self) -> None:
         """Levels strictly decrease in every law: by float log gaps, exactly on near ties."""
-        keyed = [law for law in self.laws if law.packing is not None]
-        for law in self.laws:
-            if law.packing is None and not all(b < a for a, b in zip(law.levels, law.levels[1:])):
-                raise GuessworkError("block levels must strictly decrease")
-        if not keyed:
-            return
-        logs = np.concatenate([law.logs for law in keyed])
-        scales = np.concatenate([law.scales for law in keyed])
-        ends = np.cumsum([len(law.keys) for law in keyed])
+        logs = np.concatenate([law.logs for law in self.laws])
+        scales = np.concatenate([law.scales for law in self.laws])
+        ends = np.cumsum([len(law.keys) for law in self.laws])
         gaps = logs[:-1] - logs[1:]
         tolerance = NEAR_TIE * (1.0 + np.maximum(scales[:-1], scales[1:]))
         inner = np.ones(gaps.size, dtype=bool)
@@ -285,7 +269,7 @@ class GuessworkDistribution:
             raise GuessworkError("block levels must strictly decrease")
         for i in np.flatnonzero(inner & (np.abs(gaps) <= tolerance)).tolist():
             j = int(np.searchsorted(ends, i, side="right"))
-            law = keyed[j]
+            law = self.laws[j]
             local = i - int(ends[j]) + len(law.keys)
             if not law.level(local + 1) < law.level(local):
                 raise GuessworkError("block levels must strictly decrease")
@@ -320,10 +304,7 @@ class GuessworkDistribution:
         return rows
 
     def prob_eq_one_dyadic(self) -> Dyadic:
-        total = DYADIC_ZERO
-        for law in self.laws:
-            total = total + block_scale(law.level(0), law.y_sequences)
-        return total
+        return sum((Dyadic.from_int(law.y_sequences) * law.level(0) for law in self.laws), DYADIC_ZERO)
 
     def prob_eq_one(self) -> float:
         return self.prob_eq_one_dyadic().to_float()
@@ -354,12 +335,15 @@ class GuessworkDistribution:
         """log P(log(G)/n in [lo, hi]); -inf when the event has zero mass.
 
         Blocks inside the window add their whole count; only the blocks
-        holding its end ranks are clipped, in exact integers.
+        holding its end ranks are clipped, in exact integers.  Ends past
+        log|X| are settled before any rank is built from them.
         """
-        if hi < lo:
+        log_x = math.log(self.x_size)
+        if hi < lo or lo > log_x:
             return -math.inf
         r_lo = max(1, _int_exp(self.n * lo, math.ceil))
-        r_hi = min(self.total_sequences, _int_exp(self.n * hi, math.floor))
+        total = self.total_sequences
+        r_hi = total if hi > log_x else min(total, _int_exp(self.n * hi, math.floor))
         if r_hi < r_lo:
             return -math.inf
         view = self._view
@@ -390,11 +374,6 @@ def exp_or_inf(log_value: float) -> float:
         return math.exp(log_value)
     except OverflowError:
         return math.inf
-
-
-def block_scale(level: Dyadic, count: int) -> Dyadic:
-    """count * level as an exact dyadic (count a nonnegative integer)."""
-    return Dyadic.from_int(count) * level
 
 
 def _level_ratio(joint_level: Dyadic, py: float, log_py: float) -> float:
@@ -546,7 +525,7 @@ def guesswork_distribution(
             py_product=py_product,
             counts=tuple(law_counts),
             keys=law_keys,
-            packing=packing,
+            code=packing,
             logs=logs[start:stop],
             scales=scales[start:stop],
         ))

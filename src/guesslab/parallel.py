@@ -11,8 +11,8 @@ P(k-min > t), a Poisson-binomial over users, is a polynomial of degree
 Poisson-binomial recursion on those integers; the rest of the segment
 extends the pmf from its m - 1 backward differences by integer
 additions, exactly.  The survival differences telescope, so the pmf is
-exactly nonnegative; each run of equal pmf values becomes one block
-with an exact level.
+exactly nonnegative; each run of equal pmf values becomes one block,
+keyed by its numerator (``dyadic.NumeratorCode``).
 
 The asymptotic layer evaluates the rate function of G_{k,m} ~ e^(nx):
 one user i lands at e^(nx) at cost Lambda*_i(x), k-1 others finish
@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic
+from .dyadic import DYADIC_ONE, Dyadic, NumeratorCode
 from .entropy import conditional_shannon
 from .guesswork import (
     DEFAULT_MAX_TYPE_TUPLES,
@@ -152,40 +152,27 @@ def kmin_distribution(
                 steps.setdefault(start, [0] * m)[i] -= q
                 pending[i] += q * count
 
-    counts, levels = [], []
-    run_num, run_count = None, 0
+    counts, keys = [], []
     for num in _kmin_pmf(steps, pending, ensemble.k):
-        if num == run_num:
-            run_count += 1
-            continue
-        if run_num is not None:
-            counts.append(run_count)
-            levels.append(_level(run_num, shift * m))
-        run_num, run_count = num, 1
-    counts.append(run_count)
-    levels.append(_level(run_num, shift * m))
-    law = YTypeLaw(y_counts=(), y_sequences=1, py_product=DYADIC_ONE, counts=tuple(counts), levels=tuple(levels))
-    return GuessworkDistribution(
-        n=n, x_size=ensemble.x_size, y_symbols=(), laws=(law,), monotone=False
-    )
+        if keys and num == keys[-1]:
+            counts[-1] += 1
+        else:
+            counts.append(1)
+            keys.append(num)
+    # user pmfs are positive on prefixes of the ranks, so the k-min pmf is too
+    if not keys[-1]:
+        keys.pop()
+    code = NumeratorCode(shift * m)
+    logs, scales = code.log_scales(keys)
+    law = YTypeLaw(y_counts=(), y_sequences=1, py_product=DYADIC_ONE, counts=tuple(counts),
+                   keys=tuple(keys), code=code, logs=logs, scales=scales)
+    return GuessworkDistribution(n=n, x_size=ensemble.x_size, y_symbols=(), laws=(law,), monotone=False)
 
 
 def _distinct_levels(dist: GuessworkDistribution) -> dict[int, Dyadic]:
-    """The exact level of each distinct key of a single-user distribution."""
-    levels: dict[int, Dyadic] = {}
-    for law in dist.laws:
-        for key in law.keys:
-            if key not in levels:
-                levels[key] = law.packing.dyadic(key)
-    return levels
-
-
-def _level(num: int, bits: int) -> Dyadic:
-    """num / 2**bits in canonical form."""
-    if not num:
-        return DYADIC_ZERO
-    zeros = (num & -num).bit_length() - 1
-    return Dyadic(num >> zeros, zeros - bits)
+    """The exact level of each distinct key of a single-user distribution (one code for all its laws)."""
+    code = dist.laws[0].code
+    return {key: code.dyadic(key) for key in {key for law in dist.laws for key in law.keys}}
 
 
 def _survival(done: list[int], pending: list[int], k: int) -> int:

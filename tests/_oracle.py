@@ -27,7 +27,7 @@ from math import factorial
 import numpy as np
 from hypothesis import strategies as st
 
-from guesslab.dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic
+from guesslab.dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic, NumeratorCode
 from guesslab.entropy import conditional_min_entropy
 from guesslab.guesswork import YTypeLaw, guesswork_distribution
 from guesslab.ldp import ALPHA_BRACKET, scgf_limit
@@ -255,14 +255,23 @@ def dyadic_law(source: PairSource, y_counts: tuple[int, ...]) -> YTypeLaw:
         levels = dyadic_convolve(levels, dyadic_group_levels(source, y_index, size))
         py_product = py_product * source.py_dyadic[y_index] ** size
     ranked = sorted((lv for lv in levels if not lv.is_zero()), reverse=True)
+    counts = [levels[lv] for lv in ranked]
     if DYADIC_ZERO in levels:
-        ranked.append(DYADIC_ZERO)
+        counts.append(levels[DYADIC_ZERO])
+    # the law names its levels as numerators over the smallest common 2**bits
+    bits = max(-lv.e for lv in ranked)
+    code = NumeratorCode(bits)
+    keys = [lv.m << (bits + lv.e) for lv in ranked]
+    logs, scales = code.log_scales(keys)
     return YTypeLaw(
         y_counts=y_counts,
         y_sequences=multinomial(y_counts),
         py_product=py_product,
-        counts=tuple(levels[lv] for lv in ranked),
-        levels=tuple(ranked),
+        counts=tuple(counts),
+        keys=tuple(keys),
+        code=code,
+        logs=logs,
+        scales=scales,
     )
 
 

@@ -304,6 +304,23 @@ def test_ldp_rows_match_library(capsys, uniform_path):
     assert saw_empty_window
 
 
+def test_ldp_window_past_the_rank_range(capsys, bsc_path):
+    # x - eps past log|X| is an empty window and x + eps = inf takes every rank;
+    # neither may build a rank integer longer than |X|**n
+    for eps, empty in (("1", True), ("1e308", False)):
+        argv = ["ldp", "--source", bsc_path, "--x", "1e308", "--eps", eps, "--nmax", "2"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and "Traceback" not in err
+        _, rows = csv_rows(out)
+        assert [row[0] for row in rows] == ["1", "2"]
+        for row in rows:
+            assert row[4] == "inf"
+            if empty:
+                assert row[3] == "inf"
+            else:  # -n^-1 log of the whole law's float mass
+                assert abs(float(row[3])) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # parallel
 # ---------------------------------------------------------------------------
@@ -565,6 +582,10 @@ def test_usage_errors_exit_2(capsys, bsc_path):
     )[0] == 2
     assert run_cli(
         capsys, ["rate", "--source", bsc_path, "--xgrid", "0:1:inf"]
+    )[0] == 2
+    # 10**300 points would be listed before any handler runs
+    assert run_cli(
+        capsys, ["rate", "--source", bsc_path, "--xgrid", "0:1:1e-300"]
     )[0] == 2
     assert run_cli(
         capsys, ["parallel", "--sources", f"{bsc_path},{bsc_path}", "--k", "1", "--alphas", "1", "--tuples"]

@@ -409,6 +409,12 @@ def test_prob_log_window_against_oracle():
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
     assert dist.prob_log_window(0.9, 0.2) == 0.0
     assert dist.log_prob_log_window(10.0, 11.0) == -math.inf
+    # ends past log|X| are settled without building e^(n lo) or e^(n hi)
+    assert dist.prob_log_window(1e308, math.inf) == 0.0
+    assert dist.prob_log_window(0.0, math.inf) == pytest.approx(1.0, rel=1e-15)
+    r_lo = math.ceil(math.exp(n * 0.3))
+    want = sum(int(key) for keys in keys_by_y.values() for key in keys[r_lo - 1 :]) / _oracle.DENOM**n
+    assert dist.prob_log_window(0.3, 1e308) == pytest.approx(want, rel=1e-12)
 
 
 def test_log_window_past_float_exp_range():

@@ -8,6 +8,7 @@ must never carry across a field for products of up to n levels.
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,13 @@ from guesslab.dyadic import (
     coprime_basis,
     descending,
 )
-from guesslab.guesswork import GuessworkDistribution, guess_rank_indices, guesswork_distribution
+from guesslab.guesswork import (
+    GuessworkDistribution,
+    GuessworkError,
+    guess_rank_indices,
+    guesswork_distribution,
+)
+from guesslab.parallel import UserEnsemble, kmin_distribution
 from guesslab.model import make_source
 
 import _oracle
@@ -156,13 +163,17 @@ def test_near_tie_law_and_ranks_match_fraction_brute_force(monkeypatch):
     assert rank_exact, "the exact tie-break of the rank was never taken"
 
 
-def test_view_logs_are_within_near_tie_of_exact_logs(bsc01, corpus):
+def test_view_logs_are_within_near_tie_of_exact_logs(bsc01, skew22, noiseless, corpus):
     sources = [(bsc01, 64), (float_source(31, 3, 2), 18), (float_source(32, 3, 1), 100)]
     sources += [(src, 8) for src in corpus]
-    for src, n in sources:
-        for law in guesswork_distribution(src, n).laws:
-            for i, (log, scale) in enumerate(zip(law.logs.tolist(), law.scales.tolist())):
-                assert abs(log - law.level(i).log()) <= NEAR_TIE * (1.0 + scale)
+    laws = [law for src, n in sources for law in guesswork_distribution(src, n).laws]
+    # k-min laws: numerators over one 2**K, K past a thousand bits at m = 3
+    ensembles = (((bsc01,) * 3, 2, 12), ((bsc01, noiseless, skew22), 2, 10), ((bsc01, corpus[5]), 1, 9))
+    for users, k, n in ensembles:
+        laws += kmin_distribution(UserEnsemble(users, k), n).laws
+    for law in laws:
+        for i, (log, scale) in enumerate(zip(law.logs.tolist(), law.scales.tolist())):
+            assert abs(log - law.level(i).log()) <= NEAR_TIE * (1.0 + scale)
 
 
 def test_explicit_level_laws_read_like_keyed_laws(bsc01, corpus):
@@ -178,6 +189,44 @@ def test_explicit_level_laws_read_like_keyed_laws(bsc01, corpus):
             assert explicit.log_moment(alpha) == pytest.approx(keyed.log_moment(alpha), rel=1e-13)
         lo, hi = 0.2 * src.log_x_size, 0.7 * src.log_x_size
         assert explicit.log_prob_log_window(lo, hi) == pytest.approx(keyed.log_prob_log_window(lo, hi), rel=1e-13)
+
+
+def swapped(law, i: int, j: int):
+    """The law with its positive blocks i and j exchanged, counts, keys, logs and scales."""
+    order = list(range(len(law.keys)))
+    order[i], order[j] = j, i
+    counts = tuple(law.counts[o] for o in order) + law.counts[len(order) :]
+    return replace(law, counts=counts, keys=tuple(law.keys[o] for o in order), logs=law.logs[order],
+                   scales=law.scales[order])
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("zero count", "contiguous"),
+    ("short cover", "cover"),
+    ("far-apart levels swapped", "decrease"),
+    ("near-tie levels swapped", "decrease"),
+    ("mass off 1", "mass"),
+])
+def test_distribution_rejects_malformed_laws(bsc01, fault, message):
+    src = near_tie_source() if fault == "near-tie levels swapped" else bsc01
+    n = 4
+    laws = list(guesswork_distribution(src, n).laws)
+    GuessworkDistribution(n, src.x_alphabet.size, src.y_alphabet.symbols, tuple(laws))  # as built: valid
+    law = laws[0]
+    if fault == "zero count":
+        laws[0] = replace(law, counts=law.counts + (0,))
+    elif fault == "short cover":
+        laws[0] = replace(law, counts=law.counts[:-1] + (law.counts[-1] + 1,))
+    elif fault == "far-apart levels swapped":
+        laws[0] = swapped(law, 0, len(law.keys) - 1)
+    elif fault == "near-tie levels swapped":
+        # logs one ulp apart, inside the near-tie tolerance: only the exact levels tell
+        assert abs(law.logs[6] - law.logs[7]) <= NEAR_TIE and law.level(6) > law.level(7)
+        laws[0] = swapped(law, 6, 7)
+    else:
+        laws[0] = replace(law, y_sequences=2 * law.y_sequences)
+    with pytest.raises(GuessworkError, match=message):
+        GuessworkDistribution(n, src.x_alphabet.size, src.y_alphabet.symbols, tuple(laws))
 
 
 def test_build_makes_exact_levels_only_on_near_ties(monkeypatch, bsc01):

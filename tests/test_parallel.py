@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from guesslab import (
     DomainError,
+    Dyadic,
     EnsembleError,
     RateFunction,
     UserEnsemble,
@@ -29,6 +30,7 @@ from guesslab import (
     guesswork_distribution,
     kmin_distribution,
     kmin_moment_exact,
+    make_source,
     moment_exact,
     rate_parallel,
     rate_parallel_iid,
@@ -164,7 +166,7 @@ def assert_kmin_matches_per_rank_oracle(users, n: int) -> None:
         law = kmin_distribution(UserEnsemble(users=users, k=k), n).laws[0]
         counts, levels = kmin_law_per_rank(users, k, n)
         assert law.counts == counts, f"counts differ for k={k}, n={n}, m={len(users)}"
-        assert law.levels == levels, f"levels differ for k={k}, n={n}, m={len(users)}"
+        assert tuple(b.joint_level for b in law.blocks) == levels, f"levels differ for k={k}, n={n}, m={len(users)}"
 
 
 def longest_segment(users, n: int) -> int:
@@ -204,6 +206,64 @@ def test_kmin_matches_per_rank_oracle_on_random_lattice_users(data):
     n = data.draw(st.integers(1, 8))
     users = tuple(data.draw(lattice_sources(x_size)) for _ in range(m))
     assert_kmin_matches_per_rank_oracle(users, n)
+
+
+def exact_log_moment_and_window(counts, levels, n: int, alpha: float, lo: float, hi: float):
+    """log E G^alpha and log P(log(G)/n in [lo, hi]) of an exact per-rank law, at 40 digits.
+
+    The window's end ranks are rounded from float e^(n lo) and e^(n hi), as the library does.
+    """
+    r_lo = max(1, math.ceil(math.exp(n * lo)))
+    r_hi = math.floor(math.exp(n * hi))
+    moment, window = mpmath.mpf(0), Fraction(0)
+    with mpmath.workdps(40):
+        start = 1
+        for count, level in zip(counts, levels):
+            q = level.as_fraction()
+            if q:
+                ranks = range(start, start + count)
+                power_sum = mpmath.fsum(mpmath.mpf(r) ** alpha for r in ranks)
+                moment += mpmath.mpf(q.numerator) / q.denominator * power_sum
+                window += q * max(0, min(ranks[-1], r_hi) - max(start, r_lo) + 1)
+            start += count
+        log_window = mpmath.log(mpmath.mpf(window.numerator) / window.denominator) if window else -mpmath.inf
+        return float(mpmath.log(moment)), float(log_window)
+
+
+@pytest.mark.parametrize("users, k, n", [
+    (("bsc01", "noiseless", "skew22"), 1, 12),  # all mass at rank 1: log E G^alpha ~ -1e-32
+    (("bsc01", "noiseless", "skew22"), 2, 12),
+    (("bsc01", "bsc01", "bsc01"), 2, 12),
+    (("bsc01", "lat22"), 1, 12),
+])
+def test_kmin_moments_and_windows_match_exact_reference(request, users, k, n):
+    """Float logs of the k-min levels come from their numerators without cancellation."""
+    lat22 = make_source(["0", "1"], ["0", "1"], [[0.5, 0.1], [0.15, 0.25]])
+    users = tuple(lat22 if u == "lat22" else request.getfixturevalue(u) for u in users)
+    dist = kmin_distribution(UserEnsemble(users=users, k=k), n)
+    counts, levels = kmin_law_per_rank(users, k, n)
+    for alpha, lo, hi in ((1.5, 0.1, 0.4), (-0.5, 0.0, 0.3), (2.0, 0.35, 0.6)):
+        log_moment, log_window = exact_log_moment_and_window(counts, levels, n, alpha, lo, hi)
+        assert abs(dist.log_moment(alpha) - log_moment) <= 1e-14
+        got = dist.log_prob_log_window(lo, hi)
+        assert got == log_window == -math.inf or abs(got - log_window) <= 1e-14
+
+
+def test_kmin_law_makes_exact_levels_only_for_user_keys(monkeypatch, bsc01, skew22, noiseless):
+    """The k-min law keeps each run's numerator; only the users' distinct keys become Dyadic."""
+    users, n = (bsc01, skew22, noiseless), 10
+    ensemble = UserEnsemble(users=users, k=2)
+    kmin_distribution(ensemble, n)  # level codes and their cached powers are built once per source
+    made = []
+    init = Dyadic.__init__
+    monkeypatch.setattr(Dyadic, "__init__", lambda self, m, e: made.append(m) or init(self, m, e))
+    dists = [guesswork_distribution(u, n) for u in users]
+    by_users = len(made)
+    law = kmin_distribution(ensemble, n).laws[0]
+    by_kmin = len(made) - 2 * by_users  # kmin_distribution builds the users' laws again
+    distinct = sum(len({key for user_law in dist.laws for key in user_law.keys}) for dist in dists)
+    assert by_kmin <= distinct + 4
+    assert len(law.counts) > 10 * (distinct + 4)  # one per run would not pass
 
 
 def test_kmin_mass_conservation(bsc01, skew22, uniform_binary):
