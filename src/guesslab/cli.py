@@ -18,6 +18,7 @@ import math
 import re
 import sys
 from dataclasses import asdict, dataclass, field
+from functools import cache
 
 from .entropy import (
     OrderError,
@@ -212,12 +213,14 @@ def _cmd_dist(args) -> int:
     rows = []
     cursor = 0
     for law in dist.laws:
-        y_type = ";".join(
-            f"{sym}:{cnt}" for sym, cnt in zip(dist.y_symbols, law.y_counts)
+        stop = cursor + len(law.counts)
+        y_type = ";".join(f"{sym}:{cnt}" for sym, cnt in zip(dist.y_symbols, law.y_counts))
+        y_mass = _format_cell(flat[cursor][3])  # one per law
+        rows.extend(
+            [y_type, y_mass, str(start), str(count), _format_cell(level)]
+            for start, count, level, _ in flat[cursor:stop]
         )
-        for start, count, level, y_mass in flat[cursor : cursor + len(law.blocks)]:
-            rows.append([y_type, y_mass, start, count, level])
-        cursor += len(law.blocks)
+        cursor = stop
     header = ["y_type", "y_mass", "start", "count", "level"]
     _emit_csv(args, header, rows, _manifest(args, "dist", [args.source]))
     return 0
@@ -356,6 +359,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\.?\d[\d.,:eE+-]*$")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="guesslab",
@@ -423,7 +427,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str]) -> int:
-    """Run one CLI invocation: 0 ok, 1 computation error, 2 usage error."""
+    """Run one CLI invocation: 0 ok, 1 computation error, 2 usage error.
+
+    The parser is built on the first call and reused: parsing keeps no
+    state in it.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -27,7 +27,11 @@ sums, and the near ties that the float logs cannot separate.
 
 The k-min law's levels are keyed by a ``NumeratorCode``: a key is the
 level's numerator over one 2**bits.  Both codes give a key's exact level
-(``dyadic``) and float logs (``log_scales``), all that a law reads.
+(``dyadic``), float logs (``log_scales``) and correctly rounded floats
+(``floats``), all that a law reads.  ``LevelPacking.floats`` multiplies
+tabulated basis powers in double-double arithmetic and makes a level
+exact only where Ziv's rounding test cannot decide, so the ``dist`` rows
+are read from the keys, not from exact levels.
 """
 
 from __future__ import annotations
@@ -45,10 +49,37 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_TWO_53 = 9007199254740992.0
 
 # Float logs of levels closer than NEAR_TIE * (1 + scale) are ordered
 # exactly; see ``descending``.
 NEAR_TIE = 1e-12
+
+# Relative error per factor of ``LevelPacking.floats``: a power table entry
+# is within 2**-106, and a double-double product of values in [1/2, 1)
+# adds at most 17 * 2**-106, so 2**-100 = 64 * 2**-106 bounds both with
+# room for their compounding.
+_FLOAT_ERROR = 2.0**-100
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
+
+
+def _top_bits(k: int, length: int) -> int:
+    """k > 0 of bit length ``length`` over 2**(length - 53), rounded half up: in [2**52, 2**53]."""
+    if length <= 53:
+        return k << (53 - length)
+    return ((k >> (length - 54)) + 1) >> 1
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """(p, err) with p = fl(a * b) and p + err == a * b exactly (Dekker 1971)."""
+    p = a * b
+    a_hi = _SPLIT * a
+    a_hi = a_hi - (a_hi - a)
+    a_lo = a - a_hi
+    b_hi = _SPLIT * b
+    b_hi = b_hi - (b_hi - b)
+    b_lo = b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 class Dyadic:
@@ -106,21 +137,6 @@ class Dyadic:
         shift = (m & -m).bit_length() - 1
         return Dyadic(m >> shift, e + shift)
 
-    def divide_exact(self, other: "Dyadic") -> "Dyadic | None":
-        """self / other when the quotient is dyadic, else None.
-
-        Used by the tie-offset rank search: a required suffix product
-        either is an achievable dyadic value or cannot occur at all.
-        """
-        if other.m == 0:
-            raise ZeroDivisionError("dyadic division by zero")
-        if self.m == 0:
-            return DYADIC_ZERO
-        q, r = divmod(self.m, other.m)
-        if r != 0:
-            return None
-        return Dyadic(q, self.e - other.e)  # odd/odd with no remainder is odd
-
     def _cmp(self, other: "Dyadic") -> int:
         if self.m == 0:
             return -1 if other.m != 0 else 0
@@ -159,10 +175,22 @@ class Dyadic:
         return self.m == 0
 
     def log(self) -> float:
-        """Natural log; -inf for zero.  math.log on big ints keeps full range."""
+        """Natural log; -inf for zero.
+
+        A mantissa of L bits is 2**L times its top 53 bits over 2**53, so the
+        log is (L + e) ln 2, rounded once, plus the log of that float in
+        [1/2, 1]: log m + e ln 2 would cancel when m has thousands of bits.
+        A value in [1/2, 2) is log1p of its exact difference from 1 instead,
+        so a log near 0 keeps its relative precision.
+        """
         if self.m == 0:
             return float("-inf")
-        return math.log(self.m) + self.e * _LN2
+        length = self.m.bit_length()
+        power = length + self.e
+        if power in (0, 1):  # then e <= 0
+            one = 1 << -self.e
+            return math.log1p((self.m - one) / one)
+        return power * _LN2 + math.log(_top_bits(self.m, length) / _TWO_53)
 
     def to_float(self) -> float:
         """Correctly rounded double; 0.0 on underflow, inf on overflow."""
@@ -314,6 +342,7 @@ class LevelPacking:
             for d, v in code.vectors.items()
         }
         self._powers: dict[tuple[int, int], int] = {}
+        self._tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def key(self, level: Dyadic) -> "int | None":
         """Key of one of the code's levels; None for zero."""
@@ -330,13 +359,80 @@ class LevelPacking:
         rests of its basis elements, so it is off by a few ulps of
         |log level| + sum |k rest|: far inside NEAR_TIE * (1 + scale).
         """
-        fields = np.array(
-            [[(key >> offset) & mask for key in keys] for offset, mask in self.fields],
-            dtype=np.float64,
-        ).reshape(len(self.fields), len(keys))
+        fields = self._unpack_all(keys).astype(np.float64)
         code = self.code
         logs = (code.field_bits @ fields) * _LN2 + code.field_rests @ fields
         return logs, np.abs(code.field_logs) @ fields
+
+    def _unpack_all(self, keys: "list[int]") -> np.ndarray:
+        """Every key's vector, one row per field."""
+        return np.array(
+            [[(key >> offset) & mask for key in keys] for offset, mask in self.fields],
+            dtype=np.int64,
+        ).reshape(len(self.fields), len(keys))
+
+    def floats(self, keys: "list[int]") -> np.ndarray:
+        """The correctly rounded double of every key's level, in one vectorised pass.
+
+        A level is the product of its basis powers b**k, times 2**-e.  Each
+        power is tabulated as (hi + lo) * 2**E, hi its top 53 bits in [1/2, 1)
+        and lo the rest, rounded; the product runs in double-double
+        (Dekker's two-product) and is renormalised into [1/2, 1) by frexp
+        after every factor.  Ziv's test: with relative error at most
+        _FLOAT_ERROR per factor, hi is the rounded level wherever |lo| is
+        farther than that from half an ulp of hi.  The other keys take the
+        exact ``dyadic(key).to_float()``: undecided ones, levels below the
+        normal range, and hi = 1/2 with lo < 0, where the ulp below is half
+        as wide.
+        """
+        if not keys:
+            return np.zeros(0)
+        fields = self._unpack_all(keys)
+        hi = np.full(len(keys), 0.5)
+        lo = np.zeros(len(keys))
+        exponent = 1 - fields[-1]
+        for i, powers in enumerate(fields[:-1]):
+            table_hi, table_lo, table_exponent = self._power_table(i, int(powers.max()))
+            b_hi, b_lo = table_hi[powers], table_lo[powers]
+            p, err = _two_product(hi, b_hi)
+            t = err + (hi * b_lo + lo * b_hi)
+            hi = p + t
+            lo = t - (hi - p)  # exact: |p| >= |t|
+            hi, shift = np.frexp(hi)
+            lo = np.ldexp(lo, -shift)
+            exponent += table_exponent[powers] + shift
+        slack = 2.0**-54 - _FLOAT_ERROR * len(fields)
+        sure = (np.abs(lo) < slack) & ((lo >= 0.0) | (hi != 0.5)) & (exponent >= -1021) & (exponent <= 1024)
+        out = np.ldexp(hi, np.where(sure, exponent, 0))
+        for i in np.flatnonzero(~sure).tolist():
+            out[i] = self.dyadic(keys[i]).to_float()
+        return out
+
+    def _power_table(self, i: int, top: int) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """(hi, lo, E) of b**k = (hi + lo) * 2**E for k = 0..top at least, b basis element i.
+
+        hi is the top 53 bits of b**k over 2**53 and lo the rest over the
+        same, rounded once: within 2**-107 of it, so 2**-106 relative.
+        """
+        table = self._tables.get(i)
+        if table is None or table[0].size <= top:
+            b = self.code.basis[i]
+            his, los, exponents = [], [], []
+            power = 1
+            for _ in range(top + 1):
+                length = power.bit_length()
+                shift = max(length - 53, 0)
+                head = power >> shift
+                his.append(head << (53 - length + shift))
+                los.append((power - (head << shift)) / (1 << shift))
+                exponents.append(length)
+                power *= b
+            table = self._tables[i] = (
+                np.ldexp(np.array(his, dtype=np.float64), -53),
+                np.ldexp(np.array(los), -53),
+                np.array(exponents, dtype=np.int64),
+            )
+        return table
 
     def dyadic(self, key: int) -> Dyadic:
         """The exact level of a key; basis powers are cached, as levels share them."""
@@ -392,10 +488,15 @@ class NumeratorCode:
         float: off by a few ulps of the scale, where log k - bits ln 2 cancels.
         """
         lengths = [key.bit_length() for key in keys]
-        tops = [k >> (n - 53) if n > 53 else k << (53 - n) for k, n in zip(keys, lengths)]
+        tops = [_top_bits(k, n) for k, n in zip(keys, lengths)]
         powers = np.array(lengths, dtype=np.float64) - self.bits
         rests = np.log(np.ldexp(np.array(tops, dtype=np.float64), -53))
         return powers * _LN2 + rests, np.abs(powers) * _LN2 - rests
+
+    def floats(self, keys: "list[int]") -> np.ndarray:
+        """key / 2**bits for every key, correctly rounded by int true division."""
+        one = 1 << self.bits
+        return np.array([key / one for key in keys], dtype=np.float64)
 
     def dyadic(self, key: int) -> Dyadic:
         """key / 2**bits in canonical form."""

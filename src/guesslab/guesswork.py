@@ -289,7 +289,12 @@ class GuessworkDistribution:
 
     @property
     def blocks(self) -> list[tuple[int, int, float, float]]:
-        """Flat display view: (start, count, conditional level, y-type mass)."""
+        """Flat display view: (start, count, conditional level, y-type mass).
+
+        A level is its code's correctly rounded float over the y-type's
+        probability as a float.  Only a level that underflows a double is
+        made exact, and divided in logs.
+        """
         rows = []
         for law in self.laws:
             py = law.py_product.to_float()
@@ -298,9 +303,15 @@ class GuessworkDistribution:
                 y_mass = law.y_sequences * py
             else:
                 y_mass = math.exp(math.log(law.y_sequences) + log_py)
-            for block in law.blocks:
-                level = _level_ratio(block.joint_level, py, log_py)
-                rows.append((block.start, block.count, level, y_mass))
+            levels = law.code.floats(law.keys).tolist()
+            levels += [0.0] * (len(law.counts) - len(levels))  # the zero-level block
+            starts = accumulate(law.counts, initial=1)
+            for i, (start, count, level) in enumerate(zip(starts, law.counts, levels)):
+                if level > 0.0:  # then py >= level > 0
+                    level /= py
+                elif i < len(law.keys):
+                    level = math.exp(law.level(i).log() - log_py)
+                rows.append((start, count, level, y_mass))
         return rows
 
     def prob_eq_one_dyadic(self) -> Dyadic:
@@ -374,16 +385,6 @@ def exp_or_inf(log_value: float) -> float:
         return math.exp(log_value)
     except OverflowError:
         return math.inf
-
-
-def _level_ratio(joint_level: Dyadic, py: float, log_py: float) -> float:
-    """joint level / y-type probability as a float, stable at extreme scales."""
-    if joint_level.is_zero():
-        return 0.0
-    level = joint_level.to_float()
-    if py > 0.0 and 0.0 < level < math.inf:
-        return level / py
-    return math.exp(joint_level.log() - log_py)
 
 
 def _int_exp(t: float, rounding) -> int:

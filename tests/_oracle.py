@@ -12,8 +12,8 @@ root-finding code with the library.
 
 The Dyadic-keyed type-law build and rank below are the library's
 earlier implementations, kept as references past brute-force reach: they
-multiply, hash and compare exact ``Dyadic`` levels where the library
-adds packed level-code keys.  The per-rank k-min law is likewise the
+multiply, hash, compare and divide exact ``Dyadic`` levels where the
+library adds and subtracts packed level-code keys.  The per-rank k-min law is likewise the
 library's earlier one: a Poisson-binomial at every rank, where the
 library extends each segment's pmf by differences.
 """
@@ -275,6 +275,22 @@ def dyadic_law(source: PairSource, y_counts: tuple[int, ...]) -> YTypeLaw:
     )
 
 
+def divide_exact(a: Dyadic, b: Dyadic) -> "Dyadic | None":
+    """a / b when the quotient is dyadic, else None.
+
+    Used by the tie-offset rank search: a required suffix product either
+    is an achievable dyadic value or cannot occur at all.
+    """
+    if b.m == 0:
+        raise ZeroDivisionError("dyadic division by zero")
+    if a.m == 0:
+        return DYADIC_ZERO
+    q, r = divmod(a.m, b.m)
+    if r != 0:
+        return None
+    return Dyadic(q, a.e - b.e)  # odd/odd with no remainder is odd
+
+
 def dyadic_rank(source: PairSource, xs: list[int], ys: list[int]) -> int:
     """Optimal-order rank by Dyadic-keyed suffix tables and exact division."""
     n = len(xs)
@@ -306,7 +322,7 @@ def dyadic_rank(source: PairSource, xs: list[int], ys: list[int]) -> int:
                 w = jd[x][ys[j]]
                 if w.is_zero():
                     continue
-                quotient = target.divide_exact(prefix * w)
+                quotient = divide_exact(target, prefix * w)
                 if quotient is not None:
                     ties_before += suffix[j + 1].get(quotient, 0)
             prefix = prefix * jd[xs[j]][ys[j]]

@@ -20,6 +20,7 @@ import sys
 import pytest
 
 import guesslab
+from guesslab import cli
 from guesslab.cli import dispatch
 from guesslab.entropy import conditional_renyi_arimoto, renyi_entropy
 from guesslab.guesswork import (
@@ -123,6 +124,26 @@ def test_entropy_bits_divides_by_ln2(capsys, bsc_path):
     _, rows = csv_rows(out)
     source = load_source_file(bsc_path)
     assert float(rows[0][1]) == conditional_renyi_arimoto(source, 2.0) / LN2
+
+
+def test_cached_parser_keeps_no_flags_between_calls(capsys, bsc_path, tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    source = load_source_file(bsc_path)
+    argv = ["entropy", "--source", bsc_path, "--orders", "2"]
+    _, bits_out, _ = run_cli(capsys, argv + ["--bits"])
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert float(csv_rows(bits_out)[1][0][1]) == conditional_renyi_arimoto(source, 2.0) / LN2
+    assert float(csv_rows(out)[1][0][1]) == conditional_renyi_arimoto(source, 2.0)
+    assert json.loads(err)["parameters"]["bits"] is False
+
+    path = str(tmp_path / "entropy.csv")
+    assert run_cli(capsys, argv + ["--out", path]) == (0, "", "")
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert out == open(path, encoding="utf-8").read()
+    manifest = json.loads(err)
+    assert manifest["outputs"] == [] and "out" not in manifest["parameters"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,15 @@ that float logs cannot separate must be ordered exactly, and the packing
 must never carry across a field for products of up to n levels.
 """
 
+import csv
 import itertools
+import json
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +27,7 @@ from guesslab.dyadic import (
     Dyadic,
     LevelCode,
     LevelPacking,
+    NumeratorCode,
     coprime_basis,
     descending,
 )
@@ -32,8 +37,9 @@ from guesslab.guesswork import (
     guess_rank_indices,
     guesswork_distribution,
 )
+from guesslab.cli import dispatch
 from guesslab.parallel import UserEnsemble, kmin_distribution
-from guesslab.model import make_source
+from guesslab.model import load_source_file, make_source
 
 import _oracle
 
@@ -296,7 +302,7 @@ def test_level_code_is_exact_on_shared_factors(levels, n, data):
         for (_, b), kb in zip(products, keys):
             assert (ka == kb) == (a == b)
             q = packing.quotient(ka, kb)
-            exact = a.divide_exact(b)
+            exact = _oracle.divide_exact(a, b)
             if exact is None or exact.e > 0:
                 assert q is None
             else:
@@ -322,3 +328,140 @@ def test_coprime_basis_refines_shared_factors():
 def test_level_code_rejects_levels_above_one():
     with pytest.raises(ValueError):
         LevelCode([Dyadic(3, 1)])
+
+
+# ---------------------------------------------------------------------------
+# correctly rounded level floats
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def float_sources(draw):
+    """Joint pmfs of arbitrary floats, |X| <= 3 and |Y| <= 2, every entry at least 0.03 before scaling."""
+    x_size, y_size = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    weights = np.array(draw(st.lists(st.floats(0.03, 1.0), min_size=x_size * y_size,
+                                     max_size=x_size * y_size))).reshape(x_size, y_size)
+    joint = weights / weights.sum()
+    joint[-1, -1] = 1.0 - (joint.sum() - joint[-1, -1])
+    return make_source([f"x{i}" for i in range(x_size)], [f"y{j}" for j in range(y_size)], joint.tolist())
+
+
+def exact_floats(code, keys) -> list[float]:
+    return [code.dyadic(key).to_float() for key in keys]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(source=st.one_of(_oracle.lattice_sources(), float_sources()), n=st.integers(1, 6),
+       bits=st.integers(0, 2500), data=st.data())
+def test_floats_match_exact_to_float(source, n, bits, data):
+    dist = guesswork_distribution(source, n)
+    packing = source.level_code.packing(n)
+    keys = [key for law in dist.laws for key in law.keys]
+    assert packing.floats(keys).tolist() == exact_floats(packing, keys)
+    # levels k / 2**bits <= 1; past 1,074 bits most are subnormal or zero
+    numerators = data.draw(st.lists(st.integers(1, 2**bits), min_size=1, max_size=20))
+    code = NumeratorCode(bits)
+    assert code.floats(numerators).tolist() == exact_floats(code, numerators)
+
+
+@pytest.fixture(scope="module")
+def bsc01_n240(bsc01):
+    """bsc01 at n = 240: its smallest levels, 0.05**240 and near, are subnormal."""
+    return guesswork_distribution(bsc01, 240)
+
+
+@pytest.fixture()
+def asked(monkeypatch):
+    """The keys that LevelPacking.floats sends to the exact path."""
+    keys = []
+    packed_dyadic = LevelPacking.dyadic
+    monkeypatch.setattr(LevelPacking, "dyadic", lambda self, key: keys.append(key) or packed_dyadic(self, key))
+    return keys
+
+
+def test_floats_take_the_exact_path_on_midpoints_and_tiny_levels(asked, bsc01_n240):
+    # 0.75 * (0.5 + 2**-53) = (3 * 2**52 + 3) * 2**-55: a 54-bit odd mantissa, halfway between doubles
+    three_quarters, above_half, tiny = (Dyadic.from_float(x) for x in (0.75, 0.5 + 2.0**-53, 1e-160))
+    packing = LevelCode([three_quarters, above_half, tiny]).packing(3)
+    key = packing.key
+    cases = {
+        key(three_quarters) + key(above_half): 0.375 + 2.0**-53,  # the tie goes to the even mantissa
+        2 * key(tiny): 1e-160 * 1e-160,  # subnormal
+        3 * key(tiny): 0.0,  # below half the smallest subnormal
+        key(three_quarters): 0.75,
+    }
+    keys = list(cases)
+    assert packing.floats(keys).tolist() == list(cases.values())
+    assert asked == keys[:3]
+
+    # the levels below about 1e-300, by their float logs
+    packing = bsc01_n240.laws[0].code
+    keys = [key for law in bsc01_n240.laws for key, log in zip(law.keys, law.logs.tolist()) if log < -690.0]
+    asked.clear()
+    floats = packing.floats(keys).tolist()
+    want = exact_floats(packing, keys)
+    assert floats == want
+    subnormal = {key for key, x in zip(keys, want) if x < sys.float_info.min}
+    assert subnormal and subnormal <= set(asked)
+
+
+def test_log_prob_eq_one_is_within_4_ulps_of_mpmath(bsc01_n240, bsc01, noiseless, skew22):
+    # the k-min law's P(G = 1) is 1 up to the rounding of the users' float entries:
+    # m * 2**-1320 with a 1,320-bit m, whose log is about -9e-33
+    kmin = kmin_distribution(UserEnsemble((bsc01, noiseless, skew22), 1), 12)
+    for dist in (guesswork_distribution(bsc01, 64), bsc01_n240, kmin):
+        exact = dist.prob_eq_one_dyadic()
+        with mpmath.workdps(60):
+            want = float(mpmath.log(mpmath.mpf(exact.m) * mpmath.mpf(2) ** exact.e))
+        assert abs(dist.log_prob_eq_one() - want) <= 4 * math.ulp(want)
+
+
+def test_floats_with_a_huge_error_bound_take_the_exact_path_everywhere(monkeypatch, asked, bsc01):
+    monkeypatch.setattr(dyadic_module, "_FLOAT_ERROR", 1.0)
+    for source, n in ((bsc01, 40), (float_source(31, 3, 2), 10)):
+        asked.clear()
+        keys = [key for law in guesswork_distribution(source, n).laws for key in law.keys]
+        packing = source.level_code.packing(n)
+        floats = packing.floats(keys).tolist()
+        assert asked == keys
+        assert floats == exact_floats(packing, keys)
+
+
+def run_dist(tmp_path, capsys, source, n: int) -> tuple[object, list[list[str]]]:
+    """The loaded source and the rows of ``guesslab dist`` on a config written from it."""
+    path = tmp_path / "source.json"
+    path.write_text(json.dumps({"x_symbols": list(source.x_alphabet.symbols),
+                                "y_symbols": list(source.y_alphabet.symbols),
+                                "joint": source.joint.tolist()}))
+    assert dispatch(["dist", "--source", str(path), "--n", str(n)]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[0] == ["y_type", "y_mass", "start", "count", "level"]
+    return load_source_file(str(path)), rows[1:]
+
+
+def test_dist_makes_a_few_exact_levels_per_law(monkeypatch, tmp_path, capsys):
+    made = []
+    init = Dyadic.__init__
+    monkeypatch.setattr(Dyadic, "__init__", lambda self, m, e: made.append(m) or init(self, m, e))
+    _, rows = run_dist(tmp_path, capsys, float_source(32, 3, 1), 140)
+    assert len(rows) == 10_011  # C(142, 2) levels in the one law
+    assert len(made) <= 10  # the source's entries and the y-type's probability
+
+
+def test_dist_rows_match_exact_oracle_levels(tmp_path, capsys, bsc01, corpus):
+    cases = [(float_source(32, 3, 1), 140), (bsc01, 100), (float_source(31, 3, 2), 18)]
+    cases += [(src, n) for src in corpus for n in (3, 6)]
+    for source, n in cases:
+        source, rows = run_dist(tmp_path, capsys, source, n)
+        want = []
+        for y_counts in _oracle.y_types(n, source.y_alphabet.size):
+            law = _oracle.dyadic_law(source, y_counts)
+            y_type = ";".join(f"{s}:{c}" for s, c in zip(source.y_alphabet.symbols, y_counts))
+            py = law.py_product.to_float()
+            for block in law.blocks:
+                level = block.joint_level.to_float()
+                assert level > 0.0 or block.joint_level.is_zero()  # no level underflows here
+                want.append((y_type, law.y_sequences * py, block.start, block.count, level / py))
+        got = [(y_type, float(mass), int(start), int(count), float(level))
+               for y_type, mass, start, count, level in rows]
+        assert got == want
