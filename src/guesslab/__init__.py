@@ -36,10 +36,8 @@ from .guesswork import (
     scgf_empirical,
 )
 from .ldp import (
-    ConvergenceReport,
     DomainError,
     RateFunction,
-    convergence_report,
     empirical_exponent,
     gamma,
     rate_function,
@@ -127,8 +125,6 @@ __all__ = [
     "gamma",
     "rate_function",
     "empirical_exponent",
-    "ConvergenceReport",
-    "convergence_report",
     "EnsembleError",
     "UserEnsemble",
     "kmin_distribution",

@@ -142,9 +142,12 @@ def _scaled(value: float | None, bits: bool) -> float | None:
 
 
 def _emit_csv(args, header: list[str], rows: list[list], manifest: RunManifest) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    _emit_lines(args, header, [",".join(map(_format_cell, row)) for row in rows], manifest)
+
+
+def _emit_lines(args, header: list[str], lines: list[str], manifest: RunManifest) -> None:
+    """Write the header and the already formatted CSV lines, and the manifest."""
+    text = "\n".join([",".join(header), *lines]) + "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -210,19 +213,18 @@ def _cmd_dist(args) -> int:
     source = load_source_file(args.source)
     dist = guesswork_distribution(source, args.n, args.max_type_tuples)
     flat = dist.blocks
-    rows = []
+    lines = []
     cursor = 0
     for law in dist.laws:
         stop = cursor + len(law.counts)
         y_type = ";".join(f"{sym}:{cnt}" for sym, cnt in zip(dist.y_symbols, law.y_counts))
-        y_mass = _format_cell(flat[cursor][3])  # one per law
-        rows.extend(
-            [y_type, y_mass, str(start), str(count), _format_cell(level)]
-            for start, count, level, _ in flat[cursor:stop]
+        prefix = f"{y_type},{_format_cell(flat[cursor][3])},"  # one y-mass per law
+        lines.extend(
+            f"{prefix}{start},{count},{_format_cell(level)}" for start, count, level, _ in flat[cursor:stop]
         )
         cursor = stop
     header = ["y_type", "y_mass", "start", "count", "level"]
-    _emit_csv(args, header, rows, _manifest(args, "dist", [args.source]))
+    _emit_lines(args, header, lines, _manifest(args, "dist", [args.source]))
     return 0
 
 

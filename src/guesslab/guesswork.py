@@ -38,7 +38,7 @@ import numpy as np
 from .dyadic import DYADIC_ONE, DYADIC_ZERO, NEAR_TIE, Dyadic, LevelPacking, NumeratorCode, descending
 from .entropy import _logsumexp, conditional_renyi_arimoto
 from .model import Alphabet, Distribution, PairSource
-from .powersum import power_sum_log, power_sums_log
+from .powersum import log_ints, power_sums_log
 
 __all__ = [
     "DEFAULT_MAX_TYPE_TUPLES",
@@ -71,9 +71,6 @@ DEFAULT_MAX_TYPE_TUPLES = 10**8
 MAX_RANK_TABLE_ENTRIES = 1 << 18
 
 _LN2 = math.log(2.0)
-# float64 ranks stop here: a block whose last rank reaches it is summed by
-# power_sum_log on its exact integer ends
-_WIDE_RANK = 1 << 1000
 
 
 class GuessworkError(ValueError):
@@ -174,20 +171,16 @@ class _FloatView:
     """Float64 columns over the positive blocks of every law of a distribution.
 
     Law j's blocks are at offsets[j]:offsets[j + 1], in rank order.  Ranks
-    are exact in ``exact_starts`` and ``exact_counts``; ``starts`` and
-    ``counts`` are their floats, which the kernel takes for every block in
-    ``fit``, and ``wide`` lists the blocks whose last rank reaches 2**1000.
+    are exact in ``exact_starts`` and ``exact_counts``, and ``log_starts``
+    and ``log_counts`` are their logs, which the power-sum kernel takes.
     """
 
     log_weights: np.ndarray  # log(y_sequences * level)
-    starts: np.ndarray
-    counts: np.ndarray
+    log_starts: np.ndarray
     log_counts: np.ndarray
     exact_starts: list[int]
     exact_counts: list[int]
     offsets: list[int]
-    fit: "slice | np.ndarray"
-    wide: list[int]
 
 
 def _float_view(laws: tuple[YTypeLaw, ...], total: int) -> _FloatView:
@@ -199,23 +192,8 @@ def _float_view(laws: tuple[YTypeLaw, ...], total: int) -> _FloatView:
         offsets.append(len(exact_starts))
         log_ys.append(math.log(law.y_sequences))
     log_weights = np.repeat(log_ys, np.diff(offsets)) + np.concatenate(logs)
-    if total < _WIDE_RANK:
-        starts = np.array(exact_starts, dtype=np.float64)
-        counts = np.array(exact_counts, dtype=np.float64)
-        return _FloatView(log_weights, starts, counts, np.log(counts), exact_starts, exact_counts,
-                          offsets, slice(None), [])
-    wide = [i for i, (s, c) in enumerate(zip(exact_starts, exact_counts)) if s + c > _WIDE_RANK]
-    return _FloatView(
-        log_weights,
-        np.array([min(s, _WIDE_RANK) for s in exact_starts], dtype=np.float64),
-        np.array([min(c, _WIDE_RANK) for c in exact_counts], dtype=np.float64),
-        np.array([math.log(c) for c in exact_counts]),
-        exact_starts,
-        exact_counts,
-        offsets,
-        np.setdiff1d(np.arange(len(exact_starts)), wide),
-        wide,
-    )
+    return _FloatView(log_weights, log_ints(exact_starts, total), log_ints(exact_counts, total),
+                      exact_starts, exact_counts, offsets)
 
 
 class GuessworkDistribution:
@@ -329,12 +307,7 @@ class GuessworkDistribution:
         if not math.isfinite(alpha):
             raise GuessworkError(f"moment order must be finite, got {alpha}")
         view = self._view
-        sums = np.empty(view.starts.size)
-        sums[view.fit] = power_sums_log(view.starts[view.fit], view.counts[view.fit], alpha)
-        for i in view.wide:
-            start = view.exact_starts[i]
-            sums[i] = power_sum_log(start, start + view.exact_counts[i] - 1, alpha)
-        return _logsumexp(view.log_weights + sums)
+        return _logsumexp(view.log_weights + power_sums_log(view.log_starts, view.log_counts, alpha))
 
     def moment(self, alpha: float) -> float:
         return exp_or_inf(self.log_moment(alpha))
@@ -359,7 +332,7 @@ class GuessworkDistribution:
             return -math.inf
         view = self._view
         starts, counts = view.exact_starts, view.exact_counts
-        inside = np.zeros(view.starts.size, dtype=bool)
+        inside = np.zeros(view.log_starts.size, dtype=bool)
         edges = []
         for p, q in zip(view.offsets, view.offsets[1:]):
             last = bisect_right(starts, r_hi, p, q) - 1

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -37,10 +36,6 @@ __all__ = [
     "gamma",
     "rate_function",
     "empirical_exponent",
-    "ScgfRow",
-    "ExponentRow",
-    "ConvergenceReport",
-    "convergence_report",
 ]
 
 ALPHA_BRACKET = 64.0
@@ -233,59 +228,3 @@ def empirical_exponent(
     if log_p == -math.inf:
         return math.inf
     return -log_p / n
-
-
-@dataclass(frozen=True)
-class ScgfRow:
-    n: int
-    alpha: float
-    empirical: float
-    limit: float
-    gap: float
-    envelope: float | None
-
-
-@dataclass(frozen=True)
-class ExponentRow:
-    n: int
-    x: float
-    eps: float
-    empirical: float
-    limit: float
-    gap: float
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    scgf_rows: tuple[ScgfRow, ...]
-    exponent_rows: tuple[ExponentRow, ...]
-
-
-def convergence_report(
-    source: PairSource,
-    alphas: Sequence[float],
-    x_grid: Sequence[float],
-    n_max: int,
-    eps: float = 0.05,
-    max_type_tuples: int = DEFAULT_MAX_TYPE_TUPLES,
-) -> ConvergenceReport:
-    """Finite-n quantities next to their limits, with the provable
-    gap envelope -alpha*log(1 + n log|X|)/n for alpha in (-1, 0)."""
-    limits = RateFunction.from_source(source)(np.asarray(x_grid, dtype=np.float64)).tolist()
-    log_x = source.log_x_size
-    scgf_rows = []
-    exponent_rows = []
-    for n in range(1, n_max + 1):
-        dist = guesswork_distribution(source, n, max_type_tuples)
-        for alpha in alphas:
-            empirical = dist.scgf_empirical(alpha)
-            limit = scgf_limit(source, alpha)
-            envelope = None
-            if -1.0 < alpha < 0.0:
-                envelope = -alpha * math.log1p(n * log_x) / n
-            scgf_rows.append(ScgfRow(n, alpha, empirical, limit, empirical - limit, envelope))
-        for x, limit in zip(x_grid, limits):
-            empirical = empirical_exponent(source, x, eps, n, dist=dist)
-            gap = empirical - limit if math.isfinite(empirical) and math.isfinite(limit) else math.nan
-            exponent_rows.append(ExponentRow(n, x, eps, empirical, limit, gap))
-    return ConvergenceReport(tuple(scgf_rows), tuple(exponent_rows))

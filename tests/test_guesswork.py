@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -192,22 +193,37 @@ def test_counted_compositions_match_reference():
         assert [count for _, count in got] == [_oracle.multinomial(x) for x, _ in got]
 
 
-def test_moments_sum_by_scalar_only_past_float_ranks(monkeypatch, bsc01, uniform_binary):
-    calls = []
-    scalar = guesswork_module.power_sum_log
-    monkeypatch.setattr(
-        guesswork_module, "power_sum_log", lambda a, b, alpha: calls.append((a, b)) or scalar(a, b, alpha)
-    )
-    dist = guesswork_distribution(bsc01, 240)
-    for alpha in (-3.5, 1.5, 12.5):
-        dist.log_moment(alpha)
-    assert calls == []
+def test_moments_past_float_ranks_match_mpmath(uniform_binary):
     # one block of 2**1200 ranks at level 2**-1200, its last rank past float range
     wide = guesswork_distribution(uniform_binary, 1200)
     for alpha in (-3.5, 1.5):
-        want = scalar(1, 2**1200, alpha) - 1200 * math.log(2.0)
+        with mpmath.workdps(40):
+            want = float(_oracle.log_power_sum(1, 2**1200, alpha) - 1200 * mpmath.log(2))
         assert wide.log_moment(alpha) == pytest.approx(want, rel=1e-14)
-    assert calls == [(1, 2**1200)] * 2
+
+
+def test_moments_of_a_law_past_2_to_the_1000_match_mpmath_block_by_block():
+    """Every block of a law whose ranks pass 2**1000 is summed without a warning.
+
+    The law's blocks whose ranks stay below 2**1000 once overflowed a float
+    product in the kernel.  Block d holds the C(n, d) sequences with d ones,
+    at level .75**(n - d) .25**d.
+    """
+    n = 1100
+    dist = guesswork_distribution(make_source(["0", "1"], ["y"], [[0.75], [0.25]]), n)
+    for alpha in (-3.5, 1.5, 6.5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dist.log_moment(alpha)
+        with mpmath.workdps(40):
+            terms, start = [], 1
+            for d in range(n + 1):
+                count = math.comb(n, d)
+                level = (n - d) * mpmath.log(0.75) + d * mpmath.log(0.25)
+                terms.append(mpmath.exp(_oracle.log_power_sum(start, start + count - 1, alpha) + level))
+                start += count
+            want = float(mpmath.log(mpmath.fsum(terms)))
+        assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_bsc_n2_block_structure(bsc01):

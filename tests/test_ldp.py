@@ -18,7 +18,6 @@ from guesslab.ldp import (
     DomainError,
     RateFunction,
     _conjugate,
-    convergence_report,
     empirical_exponent,
     gamma,
     rate_function,
@@ -233,34 +232,12 @@ def test_ldp_convergence_bound_uniform(uniform_binary):
             assert abs(got - limit) <= 2 * 0.05 + 3 * math.log(n + 1) / n
 
 
-def test_convergence_report_structure(bsc01):
-    report = convergence_report(bsc01, [-0.5, 1.0], [0.2, 0.4], 6)
-    assert len(report.scgf_rows) == 12
-    assert len(report.exponent_rows) == 12
-    limit = scgf_limit(bsc01, -0.5)
-    for row in report.scgf_rows:
-        assert row.gap == pytest.approx(row.empirical - row.limit, abs=1e-15)
-        if row.alpha == -0.5:
-            assert row.limit == pytest.approx(limit, abs=1e-14)
-            assert row.envelope == pytest.approx(
-                0.5 * math.log1p(row.n * math.log(2.0)) / row.n, rel=1e-12
-            )
-            #-0.5 < 0: empirical exceeds the limit by at most the envelope
-            assert -1e-12 <= row.gap <= row.envelope + 1e-12
-        else:
-            assert row.envelope is None
-    rate = RateFunction.from_source(bsc01)
-    for row in report.exponent_rows:
-        assert row.x in (0.2, 0.4)
-        assert row.limit == rate(row.x)
-
-
 def test_envelope_bound_is_provable_for_negative_alpha(bsc01, skew22):
     # the finite-n SCGF sits inside [limit, limit + envelope] for alpha in (-1,0)
     for src in (bsc01, skew22):
         for alpha in (-0.9, -0.5, -0.1):
             limit = scgf_limit(src, alpha)
-            for n in (1, 3, 6, 10):
+            for n in (1, 2, 3, 4, 5, 6, 10):
                 emp = guesswork_distribution(src, n).scgf_empirical(alpha)
                 envelope = -alpha * math.log1p(n * src.log_x_size) / n
                 assert limit - 1e-12 <= emp <= limit + envelope + 1e-12

@@ -7,6 +7,7 @@ must never carry across a field for products of up to n levels.
 """
 
 import csv
+import hashlib
 import itertools
 import json
 import math
@@ -427,32 +428,39 @@ def test_floats_with_a_huge_error_bound_take_the_exact_path_everywhere(monkeypat
         assert floats == exact_floats(packing, keys)
 
 
-def run_dist(tmp_path, capsys, source, n: int) -> tuple[object, list[list[str]]]:
-    """The loaded source and the rows of ``guesslab dist`` on a config written from it."""
+def run_dist(tmp_path, capsys, source, n: int) -> tuple[object, list[list[str]], str]:
+    """The loaded source, and the rows and text of ``guesslab dist`` on a config written from it."""
     path = tmp_path / "source.json"
     path.write_text(json.dumps({"x_symbols": list(source.x_alphabet.symbols),
                                 "y_symbols": list(source.y_alphabet.symbols),
                                 "joint": source.joint.tolist()}))
     assert dispatch(["dist", "--source", str(path), "--n", str(n)]) == 0
-    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    text = capsys.readouterr().out
+    rows = list(csv.reader(text.splitlines()))
     assert rows[0] == ["y_type", "y_mass", "start", "count", "level"]
-    return load_source_file(str(path)), rows[1:]
+    return load_source_file(str(path)), rows[1:], text
 
 
 def test_dist_makes_a_few_exact_levels_per_law(monkeypatch, tmp_path, capsys):
     made = []
     init = Dyadic.__init__
     monkeypatch.setattr(Dyadic, "__init__", lambda self, m, e: made.append(m) or init(self, m, e))
-    _, rows = run_dist(tmp_path, capsys, float_source(32, 3, 1), 140)
+    _, rows, _ = run_dist(tmp_path, capsys, float_source(32, 3, 1), 140)
     assert len(rows) == 10_011  # C(142, 2) levels in the one law
     assert len(made) <= 10  # the source's entries and the y-type's probability
 
 
 def test_dist_rows_match_exact_oracle_levels(tmp_path, capsys, bsc01, corpus):
-    cases = [(float_source(32, 3, 1), 140), (bsc01, 100), (float_source(31, 3, 2), 18)]
-    cases += [(src, n) for src in corpus for n in (3, 6)]
-    for source, n in cases:
-        source, rows = run_dist(tmp_path, capsys, source, n)
+    # the long laws' text is also pinned byte for byte, by its SHA-256
+    cases = [
+        (float_source(32, 3, 1), 140, "ae99bf0be4691c52778c520fb320254bc023dddf7ea865291eb551d9eda92002"),
+        (bsc01, 100, "b232fbcdca958b57ce49bf125c0361bedcf5475b7885946129e442e052d2e1a4"),
+        (float_source(31, 3, 2), 18, "6d403791bc26cc9f6f37a52ee2bf2304a359e4f3e5e55158c808741e15220ad7"),
+    ]
+    cases += [(src, n, None) for src in corpus for n in (3, 6)]
+    for source, n, digest in cases:
+        source, rows, text = run_dist(tmp_path, capsys, source, n)
+        assert digest is None or hashlib.sha256(text.encode()).hexdigest() == digest
         want = []
         for y_counts in _oracle.y_types(n, source.y_alphabet.size):
             law = _oracle.dyadic_law(source, y_counts)

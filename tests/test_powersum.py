@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guesslab.powersum import _tail_log, power_sum, power_sum_log, power_sums_log
+from guesslab.powersum import _tail_logs, log_ints, power_sum, power_sum_log, power_sums_log
+
+from _oracle import log_power_sum
 
 mpmath.mp.dps = 40
 
@@ -55,12 +57,12 @@ def test_tail_is_returned_only_within_its_certificate():
     for alpha in (-8.5, -3.2, -1.0, -0.5, 0.7, 2.5, 6.3, 10.5, 14.5):
         for lo in (2, 4, 8, 16, 32, 64):
             for hi in (lo + 40, 5000):
-                got = _tail_log(lo, hi, alpha)
-                if got is None:
+                tail, ok = _tail_logs(np.array([math.log(lo)]), np.array([math.log1p((hi - lo) / lo)]), alpha)
+                if not ok[0]:
                     refused += 1
                     continue
                 given += 1
-                assert abs(math.expm1(got - zeta_log_sum(lo, hi, alpha))) <= 1e-12
+                assert abs(math.expm1(tail[0] - zeta_log_sum(lo, hi, alpha))) <= 1e-12
     assert given and refused
 
 
@@ -147,14 +149,17 @@ def test_power_sum_log_matches_zeta_oracle(a, count, alpha):
 
 @st.composite
 def block_arrays(draw):
-    """An order and blocks (start, count) that take every path of power_sum_log.
+    """An order and blocks (start, count) that take every path of the kernel.
 
     Counts straddle the head length H, so some blocks are summed by the head
-    alone and some add a tail; starts past 2**53 are not exact as floats.
+    alone and some add a tail; starts past 2**53 are not exact as floats,
+    and starts up to 2**1100 pass the range of a double.
     """
     alpha = draw(st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.floats(-14.0, 14.0)))
     head = max(32, 4 * (int(abs(alpha)) + 1))
-    starts = st.one_of(st.integers(1, 100), st.integers(1, 10**15), st.integers(2**53, 2**60))
+    starts = st.one_of(
+        st.integers(1, 100), st.integers(1, 10**15), st.integers(2**53, 2**60), st.integers(2**1000, 2**1100)
+    )
     counts = st.one_of(
         st.just(1),
         st.integers(2, 5),
@@ -167,11 +172,18 @@ def block_arrays(draw):
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(case=block_arrays())
-def test_power_sums_log_matches_scalar_per_block(case):
-    """Each block's sum within 1e-13 relative of power_sum_log's, |exp(got - want) - 1|."""
+def test_power_sums_log_matches_mpmath_per_block(case):
+    """Each block's sum within 1e-12 relative of a 40-digit mpmath sum, |exp(got - want) - 1|.
+
+    Doubles past 2048 are 4.5e-13 or more apart, so no log there is always
+    within 1e-12 of the true one; the bound is the larger of 1e-12 and 4
+    units in the last place of the log.
+    """
     alpha, blocks = case
-    starts = np.array([a for a, _ in blocks], dtype=np.float64)
-    counts = np.array([c for _, c in blocks], dtype=np.float64)
+    bound = max(a + c for a, c in blocks)
+    starts = log_ints([a for a, _ in blocks], bound)
+    counts = log_ints([c for _, c in blocks], bound)
     got = power_sums_log(starts, counts, alpha).tolist()
     for (a, c), value in zip(blocks, got):
-        assert abs(math.expm1(value - power_sum_log(a, a + c - 1, alpha))) <= 1e-13
+        want = log_power_sum(a, a + c - 1, alpha)
+        assert abs(mpmath.expm1(value - want)) <= max(1e-12, 4 * math.ulp(float(want)))
