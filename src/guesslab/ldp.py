@@ -107,22 +107,30 @@ def _tilt(columns: Columns, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return f_top + np.log(total), slope, (w * var).sum(axis=1) + s * spread
 
 
-def _conjugate(columns: Columns, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha*x - Lambda(alpha), alpha) with Lambda'(alpha) = x, for x > gamma.
+def _orders(columns: Columns, x: np.ndarray, t: np.ndarray):
+    """(alpha*x - Lambda(alpha), alpha, t, dt/dx) at the order solving Lambda'(alpha) = x, for x > gamma.
 
-    Where no bracketed order reaches the slope x, alpha = ALPHA_BRACKET.
+    t = log(1 + alpha) comes from Newton started at the given t, so a start
+    at the root for a nearby x takes one or two steps; dt/dx is 1 over
+    dLambda'/dt there, and 0 where that underflows.  Where no bracketed
+    order reaches the slope x, alpha = ALPHA_BRACKET and dt/dx = 0.
     """
-    capped = x >= _tilt(columns, np.array([_T_HI]))[1][0]
-    t = np.where(capped, _T_HI, 0.0)
+    lam_hi, slope_hi, _ = _tilt(columns, np.array([_T_HI]))
+    capped = x >= slope_hi[0]
+    t = np.where(capped, _T_HI, np.clip(t, _T_LO, _T_HI))
+    lam = np.full_like(x, lam_hi[0])
+    curv = np.zeros_like(x)  # dLambda'/dt; 0 where capped
     lo = np.full_like(x, _T_LO)
     hi = np.full_like(x, _T_HI)
     todo = np.flatnonzero(~capped)
     for _ in range(_MAX_STEPS):
         if todo.size == 0:
             break
-        _, slope, curvature = _tilt(columns, t[todo])
+        value, slope, curvature = _tilt(columns, t[todo])
         resid = slope - x[todo]
         done = np.abs(resid) <= _RESIDUAL_TOL
+        lam[todo[done]] = value[done]
+        curv[todo[done]] = curvature[done]
         todo, resid, curvature = todo[~done], resid[~done], curvature[~done]
         t_now = t[todo]
         hi[todo] = np.where(resid > 0.0, t_now, hi[todo])
@@ -131,8 +139,11 @@ def _conjugate(columns: Columns, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             step = t_now - resid / curvature
         inside = (step > lo[todo]) & (step < hi[todo])
         t[todo] = np.where(inside, step, 0.5 * (lo[todo] + hi[todo]))
+    if todo.size:  # out of steps: the last iterate stands
+        lam[todo], _, curv[todo] = _tilt(columns, t[todo])
     alpha = np.where(capped, ALPHA_BRACKET, np.expm1(t))
-    return alpha * x - _tilt(columns, t)[0], alpha
+    pace = np.divide(1.0, curv, out=np.zeros_like(x), where=curv > 0.0)
+    return alpha * x - lam, alpha, t, pace
 
 
 def scgf_derivative(source: PairSource, alpha: float) -> float:
@@ -197,11 +208,23 @@ class RateFunction:
         xs = _domain(x)
         value = np.full(xs.shape, math.inf)
         finite = (xs <= self.log_x_size) & (xs <= self.x_sup + 1e-12)
-        linear = finite & (xs <= self.gamma)
-        value[linear] = self.h_inf - xs[linear]
-        strict = finite & ~linear
-        value[strict] = _conjugate(self.columns, xs[strict])[0]
+        attainable = xs[finite]
+        value[finite] = self.conjugate(attainable, np.zeros_like(attainable))[0]
         return _shaped(xs, value)
+
+    def conjugate(self, x: np.ndarray, t: np.ndarray):
+        """(Lambda*(x), alpha, t, dt/dx) on a 1-D array of x in [0, x_sup].
+
+        alpha is the order attaining the sup: -1 with dt/dx = 0 on [0, gamma],
+        where t passes through unchanged; above gamma it is ``_orders``',
+        with the Newton iteration in t = log(1 + alpha) started from t.
+        """
+        value = self.h_inf - x
+        alpha = np.full_like(x, -1.0)
+        t, pace = t.copy(), np.zeros_like(x)
+        strict = x > self.gamma
+        value[strict], alpha[strict], t[strict], pace[strict] = _orders(self.columns, x[strict], t[strict])
+        return value, alpha, t, pace
 
 
 def rate_function(source: PairSource, x):

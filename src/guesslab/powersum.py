@@ -144,18 +144,21 @@ def _head_logs(log_a: np.ndarray, inv_a: np.ndarray, m: np.ndarray, alpha: float
         log_top, step = log_a + np.log1p(q), -inv_a / (1.0 + q)
     else:
         log_top, step = log_a, inv_a
-    # columns j = 1..m-1 relative to the largest term; blocks sorted by m, longest
-    # first, so the blocks still summing at column j are a prefix
-    order = np.argsort(-m, kind="stable")
+    # columns j = 1..m-1 relative to the largest term.  Where even the last,
+    # 1 + (m - 1) step, rounds to 1.0, every term is exactly 1.0 and they sum
+    # to m - 1; the other blocks are sorted by m, longest first, so the blocks
+    # still summing at column j are a prefix
+    total = m - 1.0
+    rest = np.flatnonzero(1.0 + step * total != 1.0)
+    order = rest[np.argsort(-m[rest], kind="stable")]
     m_sorted, step_sorted = m[order], step[order]
-    columns = np.arange(1, int(m_sorted[0]) if m.size else 1)
+    columns = np.arange(1, int(m_sorted[0]) if order.size else 1)
     active = np.searchsorted(-m_sorted, -columns, side="left")
-    acc, term = np.zeros(m.size), np.empty(m.size)
+    acc, term = np.zeros(order.size), np.empty(order.size)
     for j, n_active in enumerate(active.tolist(), start=1):
         t = np.multiply(step_sorted[:n_active], j, out=term[:n_active])
         t += 1.0
         acc[:n_active] += np.power(t, alpha, out=t)
-    total = np.empty(m.size)
     total[order] = acc
     return alpha * log_top + np.log1p(total)
 
@@ -190,8 +193,11 @@ def power_sums_log(log_starts: np.ndarray, log_counts: np.ndarray, alpha: float)
     while todo.size:
         tail = lc[todo] > math.log(head + 1.5)
         done = todo[~tail]
-        out[done] = _head_logs(la[done], np.exp(-la[done]), np.rint(np.exp(lc[done])), alpha)
+        if done.size:
+            out[done] = _head_logs(la[done], np.exp(-la[done]), np.rint(np.exp(lc[done])), alpha)
         todo = todo[tail]
+        if not todo.size:
+            break
         log_a, log_c = la[todo], lc[todo]
         inv_a = np.exp(-log_a)
         log_lo = log_a + np.log1p(head * inv_a)

@@ -17,7 +17,6 @@ from guesslab.ldp import (
     ALPHA_BRACKET,
     DomainError,
     RateFunction,
-    _conjugate,
     empirical_exponent,
     gamma,
     rate_function,
@@ -137,7 +136,7 @@ def test_first_order_condition_inside_strict_branch(bsc01, skew22):
     for src in (bsc01, skew22):
         rf = RateFunction.from_source(src)
         xs = np.linspace(rf.gamma + 0.05, 0.6, 8)
-        values, args = _conjugate(rf.columns, xs)
+        values, args, _, _ = rf.conjugate(xs, np.zeros_like(xs))
         assert values.tolist() == rf(xs).tolist()
         for x, value, arg in zip(xs, values, args):
             assert -1.0 < arg < ALPHA_BRACKET - 1e-6

@@ -39,7 +39,7 @@ from guesslab import (
     scgf_parallel_iid,
 )
 
-from _oracle import kmin_law_per_rank, lattice_sources
+from _oracle import golden_max, kmin_law_per_rank, lattice_sources, rate_golden
 
 # Arimoto order-2/3 value for the 0.1-flip binary symmetric channel,
 # frozen from the mpmath oracle below (the test re-derives it).
@@ -75,15 +75,27 @@ def rank_pmf(dist) -> dict[int, Fraction]:
 
 
 def kmin_pmf_brute(user_pmfs: list[dict[int, Fraction]], k: int) -> dict[int, Fraction]:
-    """k-th smallest of independent ranks by enumerating all rank tuples."""
-    out: dict[int, Fraction] = defaultdict(Fraction)
-    for combo in product(*(sorted(p.items()) for p in user_pmfs)):
+    """k-th smallest of independent ranks by enumerating all rank tuples.
+
+    Every user probability is dyadic, so each user's pmf is taken as integer
+    numerators over its largest denominator, a power of two; tuple
+    probabilities are integer products over the product of those, and each
+    rank becomes one Fraction at the end.
+    """
+    scaled, denominator = [], 1
+    for pmf in user_pmfs:
+        scale = max(q.denominator for q in pmf.values())
+        assert scale & (scale - 1) == 0
+        scaled.append(sorted((r, q.numerator * (scale // q.denominator)) for r, q in pmf.items()))
+        denominator *= scale
+    out: dict[int, int] = defaultdict(int)
+    for combo in product(*scaled):
         ranks = sorted(r for r, _ in combo)
-        prob = Fraction(1)
+        prob = 1
         for _, q in combo:
             prob *= q
         out[ranks[k - 1]] += prob
-    return out
+    return {r: Fraction(num, denominator) for r, num in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +553,7 @@ def test_heterogeneous_rate_finite_and_dominates_components(uniform_binary, skew
 def test_scgf_parallel_single_user_matches_scgf_limit(bsc01):
     ens = UserEnsemble(users=(bsc01,), k=1)
     for alpha in (-2.0, -0.9, -0.5, 0.0, 0.5, 1.0, 2.0):
-        assert scgf_parallel(ens, alpha) == pytest.approx(
-            scgf_limit(bsc01, alpha), abs=1e-5
-        )
+        assert scgf_parallel(ens, alpha) == scgf_limit(bsc01, alpha)
 
 
 def test_scgf_parallel_identical_users_matches_iid(bsc01):
@@ -551,13 +561,74 @@ def test_scgf_parallel_identical_users_matches_iid(bsc01):
         ens = UserEnsemble(users=(bsc01,) * m, k=k)
         for alpha in (-1.5, -0.5, 0.5, 1.0, 2.0):
             assert scgf_parallel(ens, alpha) == pytest.approx(
-                scgf_parallel_iid(bsc01, k, m, alpha), abs=1e-6
+                scgf_parallel_iid(bsc01, k, m, alpha), abs=1e-13
             )
+
+
+@pytest.mark.parametrize("m, k", [(2, 1), (3, 2), (3, 1), (4, 2), (9, 1), (13, 1), (13, 13)])
+def test_scgf_parallel_matches_iid_closed_forms(bsc01, skew22, m, k):
+    for src in (bsc01, skew22):
+        ens = UserEnsemble(users=(src,) * m, k=k)
+        for alpha in (-2.0, -1.2, -0.5, -0.1, 0.3, 1.0, 2.5, 5.0):
+            assert abs(scgf_parallel(ens, alpha) - scgf_parallel_iid(src, k, m, alpha)) <= 1e-13
+
+
+def scgf_parallel_oracle(users, k: int, alpha: float) -> float:
+    """Lambda_{k,m}(alpha) as the best over all role permutations of sup_x [alpha x - I_a(x)].
+
+    Each assignment is maximised on its own, by golden section over [0, x_a]
+    with both ends also tried, x_a the least x_sup of the leader and the
+    users above; I_a adds up the users' ``RateFunction`` values where their
+    roles cost something.
+    """
+    rfs = [RateFunction.from_source(u) for u in users]
+    shannons = [conditional_shannon(u) for u in users]
+    best = -math.inf
+    for lead, *below in {perm[:k] for perm in permutations(range(len(users)))}:
+        above = [j for j in range(len(users)) if j != lead and j not in below]
+
+        def gain(x: float) -> float:
+            paying = [lead] + [j for j in below if x <= shannons[j]] + [j for j in above if x >= shannons[j]]
+            return alpha * x - sum(rfs[j](x) for j in paying)
+
+        top = min(rfs[j].x_sup for j in [lead] + above)
+        best = max(best, gain(0.0), gain(top), golden_max(gain, 0.0, top))
+    return best
+
+
+def test_scgf_parallel_matches_assignment_oracle(bsc01, skew22):
+    lat22 = make_source(["0", "1"], ["0", "1"], [[0.5, 0.1], [0.15, 0.25]])
+    for src in (bsc01, skew22, lat22):
+        for x in np.linspace(0.0, src.log_x_size, 9):
+            assert abs(RateFunction.from_source(src)(float(x)) - rate_golden(src, float(x))) <= 1e-12
+    for users, k in [((bsc01, skew22), 1), ((bsc01, skew22, lat22), 1), ((bsc01, skew22, lat22), 2)]:
+        ens = UserEnsemble(users=users, k=k)
+        for alpha in (-1.5, -0.5, 0.5, 1.0, 3.0):
+            assert abs(scgf_parallel(ens, alpha) - scgf_parallel_oracle(users, k, alpha)) <= 1e-12
 
 
 def test_scgf_parallel_zero_alpha(bsc01):
     ens = UserEnsemble(users=(bsc01, bsc01), k=1)
-    assert abs(scgf_parallel(ens, 0.0)) <= 1e-9
+    assert abs(scgf_parallel(ens, 0.0)) <= 1e-15
+
+
+def test_scgf_parallel_caps_the_assignment_count(bsc01):
+    # 13 * C(12, 5) = 10,296 assignments, past the 5,544 of 12 users with k = 6
+    with pytest.raises(EnsembleError):
+        scgf_parallel(UserEnsemble(users=(bsc01,) * 13, k=6), 1.0)
+
+
+def test_scgf_parallel_takes_many_users_with_few_assignments():
+    # k = 1 has m assignments, so the cap leaves any m (13 identical users,
+    # at k = 1 and k = m, are among the iid closed-form cases)
+    users = [make_source(["0", "1"], ["0", "1"], [[0.45 - 0.025 * i, 0.05 + 0.025 * i], [0.1, 0.4]])
+             for i in range(13)]
+    ens = UserEnsemble(users=users, k=1)
+    # the minimum of the ranks is below each of them
+    for alpha in (-1.5, -0.5, 0.5, 2.0):
+        value = scgf_parallel(ens, alpha)
+        singles = [scgf_limit(u, alpha) for u in users]
+        assert value <= min(singles) + 1e-13 if alpha > 0.0 else value >= max(singles) - 1e-13
 
 
 def test_scgf_parallel_domain_errors(bsc01):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guesslab import guesswork_distribution, powersum
 from guesslab.powersum import _tail_logs, log_ints, power_sum, power_sum_log, power_sums_log
 
 from _oracle import log_power_sum
@@ -187,3 +188,37 @@ def test_power_sums_log_matches_mpmath_per_block(case):
     for (a, c), value in zip(blocks, got):
         want = log_power_sum(a, a + c - 1, alpha)
         assert abs(mpmath.expm1(value - want)) <= max(1e-12, 4 * math.ulp(float(want)))
+
+
+@pytest.fixture(scope="module")
+def bsc01_n240_view(bsc01):
+    """The blocks of bsc01 at n = 240: 42,416 tail blocks, most starting past 2**53 * H."""
+    return guesswork_distribution(bsc01, 240)._view
+
+
+def _head_logs_every_term(log_a, inv_a, m, alpha):
+    """``_head_logs`` with every block's terms summed column by column, none skipped."""
+    if alpha > 0.0:
+        q = (m - 1.0) * inv_a
+        log_top, step = log_a + np.log1p(q), -inv_a / (1.0 + q)
+    else:
+        log_top, step = log_a, inv_a
+    total = np.zeros(m.size)
+    for j in range(1, int(m.max()) if m.size else 1):
+        live = m > j
+        total[live] += (1.0 + step[live] * j) ** alpha
+    return alpha * log_top + np.log1p(total)
+
+
+@pytest.mark.parametrize("alpha", [-3.5, 0.37, 1.5, 12.5])
+def test_head_of_terms_rounding_to_one_is_bit_identical(bsc01_n240_view, monkeypatch, alpha):
+    """Blocks whose head terms all round to 1.0 add m - 1 without the column loop."""
+    view, head_logs, heads = bsc01_n240_view, powersum._head_logs, []
+    monkeypatch.setattr(powersum, "_head_logs", lambda *args: heads.append(args) or head_logs(*args))
+    got = power_sums_log(view.log_starts, view.log_counts, alpha)
+    monkeypatch.setattr(powersum, "_head_logs", _head_logs_every_term)
+    assert np.array_equal(got, power_sums_log(view.log_starts, view.log_counts, alpha))
+    # the heads on their own, as the tails swamp most of them in the sums
+    assert sum(args[0].size for args in heads) > 40000
+    for args in heads:
+        assert np.array_equal(head_logs(*args), _head_logs_every_term(*args))
