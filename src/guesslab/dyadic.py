@@ -62,6 +62,10 @@ NEAR_TIE = 1e-12
 _FLOAT_ERROR = 2.0**-100
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
 
+# Packed keys are split into int64 words of this many bits to be unpacked.
+_WORD = 62
+_WORD_MASK = (1 << _WORD) - 1
+
 
 def _top_bits(k: int, length: int) -> int:
     """k > 0 of bit length ``length`` over 2**(length - 53), rounded half up: in [2**52, 2**53]."""
@@ -337,6 +341,7 @@ class LevelPacking:
             self.fields.append((offset, (1 << width) - 1))
             self.guard |= 1 << (offset + width - 1)
             offset += width
+        self.width = offset
         self._keys = {
             d: sum(c << offset for c, (offset, _) in zip(v, self.fields))
             for d, v in code.vectors.items()
@@ -357,19 +362,41 @@ class LevelPacking:
         The scale is the sum of the absolute parts, about log m + |e| ln 2.
         A log is its exact count of bits times ln 2, rounded once, plus the
         rests of its basis elements, so it is off by a few ulps of
-        |log level| + sum |k rest|: far inside NEAR_TIE * (1 + scale).
+        |log level| + sum |k rest|: far inside NEAR_TIE * (1 + scale).  The
+        fields are added one at a time, in field order, so a key's log and
+        scale do not depend on the other keys of the call.
         """
-        fields = self._unpack_all(keys).astype(np.float64)
         code = self.code
-        logs = (code.field_bits @ fields) * _LN2 + code.field_rests @ fields
-        return logs, np.abs(code.field_logs) @ fields
+        bits, rests, scales = np.zeros((3, len(keys)))
+        for row, b, rest, log in zip(self._unpack_all(keys).astype(np.float64), code.field_bits,
+                                     code.field_rests, np.abs(code.field_logs)):
+            bits += b * row
+            rests += rest * row
+            scales += log * row
+        return bits * _LN2 + rests, scales
 
     def _unpack_all(self, keys: "list[int]") -> np.ndarray:
-        """Every key's vector, one row per field."""
-        return np.array(
-            [[(key >> offset) & mask for key in keys] for offset, mask in self.fields],
-            dtype=np.int64,
-        ).reshape(len(self.fields), len(keys))
+        """Every key's vector, one row per field.
+
+        The keys are split into int64 words of _WORD bits, the only per-key
+        big-int work, and none when the packing fits one word; each field is
+        then shifted and masked out of the words it spans.
+        """
+        if self.width <= _WORD:
+            words = np.array(keys, dtype=np.int64).reshape(1, len(keys))
+        else:
+            big = np.array(keys, dtype=object)
+            words = np.array([(big >> shift) & _WORD_MASK for shift in range(0, self.width, _WORD)],
+                             dtype=np.int64).reshape(-1, len(keys))
+        fields = np.empty((len(self.fields), len(keys)), dtype=np.int64)
+        for row, (offset, mask) in zip(fields, self.fields):
+            word, shift = divmod(offset, _WORD)
+            row[:] = words[word] >> shift
+            taken = _WORD - shift
+            if mask >> taken:  # the field runs on into the next word; int64 fields span at most two
+                row |= (words[word + 1] & (mask >> taken)) << taken
+            row &= mask
+        return fields
 
     def floats(self, keys: "list[int]") -> np.ndarray:
         """The correctly rounded double of every key's level, in one vectorised pass.

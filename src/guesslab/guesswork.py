@@ -9,9 +9,16 @@ every comparison, tie, and count below is exact on the joint entries;
 float logs order levels only where they cannot be wrong.
 
 The law of the rank is built by the method of types, never by |X|**n
-enumeration: positions are grouped by y-symbol, per-group x-type
-vectors carry exact multinomial counts, and the per-group level
-dictionaries are convolved, merging equal levels.  Levels are keyed by
+enumeration: positions are grouped by column class, per-class x-type
+vectors carry exact multinomial counts, and the per-class level
+dictionaries are convolved, merging equal levels.  A column class is a
+set of y-symbols whose columns hold the same positive joint entries, up to
+a permutation of the rows; the positions observing any of them draw
+their levels from one multiset, so a y-type's law depends only on its
+signature, the number of positions in each class.  Each distinct
+signature is built once and its law shared: a symmetric channel such as
+the BSC has one for all n + 1 y-types, while a source whose columns are
+all distinct has one per y-type.  Levels are keyed by
 the source's level code (``dyadic.LevelCode``): a product of joint
 entries is a packed exponent vector over a coprime basis of their odd
 mantissas, so merging adds and hashes small ints.  The build makes no
@@ -399,15 +406,31 @@ def _counted_compositions(total: int, parts: int):
 
 
 def enumeration_budget(source: PairSource, n: int) -> int:
-    """Type tuples visited: sum over y-compositions of prod_s C(n_s+|X|-1, |X|-1)."""
+    """Bound on the type tuples visited: sum over y-compositions of prod_s C(n_s+|X|-1, |X|-1).
+
+    The build visits this many when every column is its own class; y-types
+    that share a class signature are built once, so it visits fewer.
+    """
     cells = source.x_alphabet.size * source.y_alphabet.size
     return math.comb(n + cells - 1, cells - 1)
 
 
-def _group_levels(source: PairSource, packing: LevelPacking, y_index: int, size: int) -> dict[int, int]:
-    """Positive level key -> count over x-assignments of the `size` positions observing y_index."""
-    column = (packing.key(source.joint_dyadic[x][y_index]) for x in range(source.x_alphabet.size))
-    cells = [key for key in column if key is not None]
+def _column_classes(source: PairSource, packing: LevelPacking) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The sorted positive level keys of each column class, and the class of each y-symbol.
+
+    Two columns share a class exactly when they are permutations of each
+    other as exact dyadics, zero cells left out.
+    """
+    classes: dict[tuple[int, ...], int] = {}
+    members = []
+    for column in zip(*source.joint_dyadic):
+        cells = tuple(sorted(key for key in map(packing.key, column) if key is not None))
+        members.append(classes.setdefault(cells, len(classes)))
+    return list(classes), members
+
+
+def _group_levels(cells: tuple[int, ...], size: int) -> dict[int, int]:
+    """Positive level key -> count over x-assignments of `size` positions whose column has these cells."""
     counts: dict[int, int] = {}
     for x_counts, count in _counted_compositions(size, len(cells)):
         key = sum(map(mul, x_counts, cells))
@@ -434,12 +457,12 @@ def _extend(table: dict[int, int], column: list[int]) -> dict[int, int]:
     return out
 
 
-def _law_counts(columns, y_counts: tuple[int, ...]) -> dict[int, int]:
-    """Positive level key -> x-sequence count for one y-type; columns(y_index, size) gives each group's."""
+def _law_counts(columns, signature: tuple[int, ...]) -> dict[int, int]:
+    """Positive level key -> x-sequence count for one class signature; columns(c, size) gives each group's."""
     counts = None
-    for y_index, size in enumerate(y_counts):
+    for c, size in enumerate(signature):
         if size:
-            group = columns(y_index, size)
+            group = columns(c, size)
             counts = group if counts is None else _convolve(counts, group)
     return counts
 
@@ -451,8 +474,11 @@ def guesswork_distribution(
 ) -> GuessworkDistribution:
     """Exact rank law at length n via per-y-type enumeration.
 
-    Every law's keys are ordered in one pass: one ``log_scales`` call for
-    the whole distribution, and exact levels only on near ties.
+    A y-type's law depends only on its signature, the positions in each
+    column class, so it is built once per distinct signature and its
+    counts, keys, logs and scales are shared by every y-type that has it.
+    The distinct laws' keys are ordered in one pass: one ``log_scales``
+    call, and exact levels only on near ties.
     """
     if n < 1:
         raise SequenceError(f"sequence length must be >= 1, got {n}")
@@ -460,49 +486,51 @@ def guesswork_distribution(
     if required > max_type_tuples:
         raise BudgetExceededError(required, max_type_tuples)
     packing = source.level_code.packing(n)
-    y_size = source.y_alphabet.size
+    classes, members = _column_classes(source, packing)
     tables: dict[tuple[int, int], dict[int, int]] = {}
 
-    def columns(y_index: int, size: int) -> dict[int, int]:
-        # a column's table recurs across y-types only when |Y| >= 3
-        if y_size < 3:
-            return _group_levels(source, packing, y_index, size)
-        table = tables.get((y_index, size))
+    def columns(c: int, size: int) -> dict[int, int]:
+        table = tables.get((c, size))
         if table is None:
-            table = tables[y_index, size] = _group_levels(source, packing, y_index, size)
+            table = tables[c, size] = _group_levels(classes[c], size)
         return table
 
-    y_types = list(_counted_compositions(n, y_size))
-    merged = [_law_counts(columns, y_counts) for y_counts, _ in y_types]
-    keys = [key for counts in merged for key in counts]
+    y_types = list(_counted_compositions(n, source.y_alphabet.size))
+    signatures = []
+    merged: dict[tuple[int, ...], dict[int, int]] = {}
+    for y_counts, _ in y_types:
+        signature = [0] * len(classes)
+        for c, size in zip(members, y_counts):
+            signature[c] += size
+        signature = tuple(signature)
+        if signature not in merged:
+            merged[signature] = _law_counts(columns, signature)
+        signatures.append(signature)
+    keys = [key for counts in merged.values() for key in counts]
     logs, scales = packing.log_scales(keys)
-    groups = np.repeat(np.arange(len(merged)), [len(counts) for counts in merged])
+    groups = np.repeat(np.arange(len(merged)), [len(counts) for counts in merged.values()])
     order = descending(logs, scales, groups, lambda i: packing.dyadic(keys[i]))
     logs, scales = logs[order], scales[order]
     ranked = [keys[i] for i in order.tolist()]
     total = source.x_alphabet.size**n
-    laws = []
+    shared = {}
     stop = 0
-    for (y_counts, y_sequences), counts in zip(y_types, merged):
+    for signature, counts in merged.items():
         start, stop = stop, stop + len(counts)
         law_keys = tuple(ranked[start:stop])
         law_counts = [counts[key] for key in law_keys]
         zero_count = total - sum(law_counts)
         if zero_count:
             law_counts.append(zero_count)
+        shared[signature] = dict(counts=tuple(law_counts), keys=law_keys, logs=logs[start:stop],
+                                 scales=scales[start:stop])
+    laws = []
+    for (y_counts, y_sequences), signature in zip(y_types, signatures):
         py_product = DYADIC_ONE
         for py, size in zip(source.py_dyadic, y_counts):
             py_product = py_product * py**size
-        laws.append(YTypeLaw(
-            y_counts=y_counts,
-            y_sequences=y_sequences,
-            py_product=py_product,
-            counts=tuple(law_counts),
-            keys=law_keys,
-            code=packing,
-            logs=logs[start:stop],
-            scales=scales[start:stop],
-        ))
+        laws.append(YTypeLaw(y_counts=y_counts, y_sequences=y_sequences, py_product=py_product, code=packing,
+                             **shared[signature]))
     return GuessworkDistribution(
         n=n,
         x_size=source.x_alphabet.size,

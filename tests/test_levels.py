@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guesslab import dyadic as dyadic_module
+from guesslab import guesswork as guesswork_module
 from guesslab.dyadic import (
     DYADIC_ONE,
     NEAR_TIE,
@@ -83,6 +84,83 @@ def test_law_matches_dyadic_reference_float_sources():
 def test_law_matches_dyadic_reference_corpus_n8(corpus):
     for src in corpus:
         assert_matches_reference(src, 8)
+
+
+# ---------------------------------------------------------------------------
+# column classes: y-types with equal class signatures share one law
+# ---------------------------------------------------------------------------
+
+
+def erasure_source():
+    """Uniform binary X through an erasure channel, erasure probability 1/4.
+
+    Columns 0 and 2 are permutations of each other; the erasure column, 1,
+    is its own class.
+    """
+    return make_source(["0", "1"], ["0", "1", "2"], [[0.375, 0.125, 0.0], [0.0, 0.125, 0.375]])
+
+
+def ternary_symmetric_source():
+    """Uniform ternary X through a 3-ary symmetric channel: one class of three columns."""
+    a, b = 0.8 / 3, 0.1 / 3
+    return make_source(["0", "1", "2"], ["0", "1", "2"], [[a, b, b], [b, a, b], [b, b, a]])
+
+
+def permuted_zero_source():
+    """3x2, the columns permutations of each other with their zero cells in different rows."""
+    return make_source(["a", "b", "c"], ["u", "v"], [[0.3, 0.0], [0.2, 0.3], [0.0, 0.2]])
+
+
+def test_law_matches_dyadic_reference_on_shared_column_classes(noiseless, independent):
+    for source, n in ((noiseless, 12), (independent, 12), (erasure_source(), 12),
+                      (ternary_symmetric_source(), 8), (permuted_zero_source(), 12)):
+        assert_matches_reference(source, n)
+
+
+def test_each_class_signature_builds_one_shared_law(monkeypatch, bsc01, skew22):
+    calls = []
+    law_counts = guesswork_module._law_counts
+    monkeypatch.setattr(guesswork_module, "_law_counts",
+                        lambda columns, signature: calls.append(signature) or law_counts(columns, signature))
+    # (source, n, the class of each y-symbol, y-types, laws built); skew22's columns are each their own class
+    for source, n, members, y_types, built in ((bsc01, 64, (0, 0), 65, 1), (erasure_source(), 12, (0, 1, 0), 91, 13),
+                                               (skew22, 20, (0, 1), 21, 21)):
+        calls.clear()
+        laws = guesswork_distribution(source, n).laws
+        assert len(laws) == y_types
+        assert len(calls) == len(set(calls)) == built
+        by_signature = {}
+        for law in laws:
+            signature = [0] * (max(members) + 1)
+            for c, size in zip(members, law.y_counts):
+                signature[c] += size
+            by_signature.setdefault(tuple(signature), []).append(law)
+        assert len(by_signature) == built
+        for group in by_signature.values():
+            for field in ("counts", "keys", "logs", "scales"):
+                assert len({id(getattr(law, field)) for law in group}) == 1
+
+
+@st.composite
+def sources_with_a_permuted_column(draw):
+    """A lattice source with one column halved and a row permutation of that half appended.
+
+    Halving keeps the lattice exact, so the new column is an exact
+    permutation of the halved one, and the two share a class.
+    """
+    source = draw(_oracle.lattice_sources())
+    joint = source.joint.copy()
+    j = draw(st.integers(0, joint.shape[1] - 1))
+    joint[:, j] /= 2.0
+    permutation = draw(st.permutations(range(joint.shape[0])))
+    joint = np.column_stack([joint, joint[list(permutation), j]])
+    return make_source(source.x_alphabet.symbols, [f"y{k}" for k in range(joint.shape[1])], joint.tolist())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(source=sources_with_a_permuted_column(), n=st.integers(1, 5))
+def test_law_matches_dyadic_reference_with_a_permuted_column(source, n):
+    assert_matches_reference(source, n)
 
 
 def zero_cell_source():
@@ -317,6 +395,46 @@ def test_level_code_is_exact_on_shared_factors(levels, n, data):
     groups = np.zeros(len(distinct), dtype=int)
     order = descending(logs, scales, groups, lambda i: exact_levels[distinct[i]]).tolist()
     assert [exact_levels[distinct[i]] for i in order] == sorted(exact_levels.values(), reverse=True)
+
+
+def random_keys(packing, rng, size: int = 500) -> list[int]:
+    """Keys of random vectors, every field below its guard bit."""
+    return [sum(int(rng.integers(0, (mask >> 1) + 1)) << offset for offset, mask in packing.fields)
+            for _ in range(size)]
+
+
+def test_unpack_all_matches_unpack_key_by_key():
+    word = dyadic_module._WORD
+    tri2 = float_source(32, 3, 2)
+    rng = np.random.default_rng(5)
+    one_word = float_source(32, 3, 1).level_code.packing(140)
+    # nine 53-bit mantissas at n = 10**4: three words
+    wide = float_source(33, 3, 3).level_code.packing(10**4)
+    cases = [(one_word, random_keys(one_word, rng)), (wide, random_keys(wide, rng))]
+    for n in (18, 40):  # two words, with a field across them
+        packing = tri2.level_code.packing(n)
+        assert word < packing.width <= 2 * word
+        assert any(offset < word < offset + mask.bit_length() for offset, mask in packing.fields)
+        cases.append((packing, random_keys(packing, rng)))
+    cases.append((tri2.level_code.packing(18), [key for law in guesswork_distribution(tri2, 18).laws
+                                                 for key in law.keys]))
+    assert one_word.width <= word and wide.width > 2 * word
+    for packing, keys in cases:
+        want = np.array([packing.unpack(key) for key in keys], dtype=np.int64).T
+        assert np.array_equal(packing._unpack_all(keys), want)
+
+
+def test_log_scales_of_a_key_do_not_depend_on_the_batch(bsc01):
+    # bsc01 at n = 40: batch-wide matrix products gave 13 of its 41 keys another log alone
+    rng = np.random.default_rng(11)
+    for source, n in ((bsc01, 40), (float_source(32, 3, 2), 18), (float_source(31, 3, 2), 10)):
+        packing = source.level_code.packing(n)
+        keys = sorted({key for law in guesswork_distribution(source, n).laws for key in law.keys})
+        keys = [keys[i] for i in rng.permutation(len(keys))]
+        logs, scales = packing.log_scales(keys)
+        for i in sorted(rng.permutation(len(keys))[:300].tolist()):
+            alone = packing.log_scales([keys[i]])
+            assert (alone[0][0], alone[1][0]) == (logs[i], scales[i])
 
 
 def test_coprime_basis_refines_shared_factors():
