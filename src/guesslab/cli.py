@@ -203,7 +203,7 @@ def _cmd_moments(args) -> int:
         if -1.0 < alpha < 0.0:
             lower, upper = moment_bounds(source, args.n, alpha)
         log_m = dist.log_moment(alpha)
-        rows.append([args.n, alpha, exp_or_inf(log_m), lower, upper, log_m / dist.n])
+        rows.append([args.n, alpha, exp_or_inf(log_m), lower, upper, _scaled(log_m / dist.n, args.bits)])
     header = ["n", "alpha", "exact", "lower", "upper", "scgf_empirical"]
     _emit_csv(args, header, rows, _manifest(args, "moments", [args.source]))
     return 0
@@ -212,17 +212,14 @@ def _cmd_moments(args) -> int:
 def _cmd_dist(args) -> int:
     source = load_source_file(args.source)
     dist = guesswork_distribution(source, args.n, args.max_type_tuples)
-    flat = dist.blocks
     lines = []
-    cursor = 0
-    for law in dist.laws:
-        stop = cursor + len(law.counts)
-        y_type = ";".join(f"{sym}:{cnt}" for sym, cnt in zip(dist.y_symbols, law.y_counts))
-        prefix = f"{y_type},{_format_cell(flat[cursor][3])},"  # one y-mass per law
-        lines.extend(
-            f"{prefix}{start},{count},{_format_cell(level)}" for start, count, level, _ in flat[cursor:stop]
-        )
-        cursor = stop
+    last = None
+    for y_counts, y_mass, start, count, level in dist.blocks:
+        if y_counts != last:  # one label and y-mass per y-type
+            last = y_counts
+            y_type = ";".join(f"{sym}:{cnt}" for sym, cnt in zip(dist.y_symbols, y_counts))
+            prefix = f"{y_type},{_format_cell(y_mass)},"
+        lines.append(f"{prefix}{start},{count},{_format_cell(level)}")
     header = ["y_type", "y_mass", "start", "count", "level"]
     _emit_lines(args, header, lines, _manifest(args, "dist", [args.source]))
     return 0

@@ -15,20 +15,21 @@ dictionaries are convolved, merging equal levels.  A column class is a
 set of y-symbols whose columns hold the same positive joint entries, up to
 a permutation of the rows; the positions observing any of them draw
 their levels from one multiset, so a y-type's law depends only on its
-signature, the number of positions in each class.  Each distinct
-signature is built once and its law shared: a symmetric channel such as
-the BSC has one for all n + 1 y-types, while a source whose columns are
-all distinct has one per y-type.  Levels are keyed by
+signature, the number of positions in each class.  A law is built once
+per distinct signature and lists the y-types that share it: a symmetric
+channel such as the BSC has one law for all n + 1 y-types, while a source
+whose columns are all distinct has one per y-type.  Levels are keyed by
 the source's level code (``dyadic.LevelCode``): a product of joint
 entries is a packed exponent vector over a coprime basis of their odd
 mantissas, so merging adds and hashes small ints.  The build makes no
-level exact: the keys of every y-type are sorted by the float logs of
+level exact: the keys of every law are sorted by the float logs of
 their vectors, and only near ties are ordered by exact ``Dyadic``
 comparison.  A law keeps its counts and keys and rebuilds exact levels on
 demand (``YTypeLaw.blocks``); mass, moments and windows are read from one
-float view of all its positive blocks, with power sums from the certified
-array kernel ``power_sums_log``.  All sequence counts are
-arbitrary-precision integers because they reach |X|**n.
+float view of the distinct laws' positive blocks, each weighted by the
+y-sequences of all its y-types, with power sums from the certified array
+kernel ``power_sums_log``.  All sequence counts are arbitrary-precision
+integers because they reach |X|**n.
 """
 
 from __future__ import annotations
@@ -135,26 +136,34 @@ class TypeBlock:
 
 @dataclass(frozen=True, eq=False)
 class YTypeLaw:
-    """Rank law conditional on the y-sequence type (shared by all its y-sequences).
+    """Rank law conditional on a y-sequence, shared by every y-sequence of its y-types.
 
-    Columnar: ``counts`` are the block sizes in rank order, with any
-    zero-level block last, so block starts are their running sums.  The
-    positive blocks' levels are the ``keys`` of a ``code``, with their float
-    ``logs`` and ``scales`` as ``code.log_scales`` gives them: packed
-    level-code keys (``LevelPacking``) for a type law, with levels
-    descending, and numerators over one power of two (``NumeratorCode``)
-    for the k-min law.  ``blocks`` rebuilds the exact blocks on demand, and
-    two laws are equal when their y-types and exact blocks are.
+    ``y_types`` pairs each y-type's symbol counts with its number of
+    y-sequences, in composition order: for a type law, the y-types of one
+    class signature, whose y-sequences all have probability ``py_product``;
+    for the k-min law, one empty y-type.  Columnar: ``counts`` are the
+    block sizes in rank order, with any zero-level block last, so block
+    starts are their running sums.  The positive blocks' levels are the
+    ``keys`` of a ``code``, with their float ``logs`` and ``scales`` as
+    ``code.log_scales`` gives them: packed level-code keys (``LevelPacking``)
+    for a type law, with levels descending, and numerators over one power of
+    two (``NumeratorCode``) for the k-min law.  ``blocks`` rebuilds the exact
+    blocks on demand, and two laws are equal when their y-types and exact
+    blocks are.
     """
 
-    y_counts: tuple[int, ...]
-    y_sequences: int
+    y_types: tuple[tuple[tuple[int, ...], int], ...]
     py_product: Dyadic
     counts: tuple[int, ...]
     keys: tuple[int, ...]
     code: LevelPacking | NumeratorCode = field(repr=False)
     logs: np.ndarray = field(repr=False)
     scales: np.ndarray = field(repr=False)
+
+    @property
+    def y_sequences(self) -> int:
+        """The y-sequences of all its y-types."""
+        return sum(count for _, count in self.y_types)
 
     def level(self, i: int) -> Dyadic:
         """Exact level of block i."""
@@ -168,9 +177,7 @@ class YTypeLaw:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, YTypeLaw):
             return NotImplemented
-        return (self.y_counts, self.y_sequences, self.py_product, self.blocks) == (
-            other.y_counts, other.y_sequences, other.py_product, other.blocks
-        )
+        return (self.y_types, self.py_product, self.blocks) == (other.y_types, other.py_product, other.blocks)
 
 
 @dataclass(frozen=True)
@@ -204,10 +211,10 @@ def _float_view(laws: tuple[YTypeLaw, ...], total: int) -> _FloatView:
 
 
 class GuessworkDistribution:
-    """Exact law of the guess rank as per-y-type probability-level blocks.
+    """Exact law of the guess rank as probability-level blocks, one law per set of y-types sharing it.
 
     For single-user optimal guessing (monotone=True) block levels are
-    strictly decreasing within each y-type; order-statistic laws built
+    strictly decreasing within each law; order-statistic laws built
     by the parallel module are not monotone and skip that check.  Mass,
     moments and windows are read from one cached float view of all the
     laws' positive blocks.
@@ -273,31 +280,34 @@ class GuessworkDistribution:
         return math.fsum(np.exp(view.log_weights + view.log_counts).tolist())
 
     @property
-    def blocks(self) -> list[tuple[int, int, float, float]]:
-        """Flat display view: (start, count, conditional level, y-type mass).
+    def blocks(self) -> list[tuple[tuple[int, ...], float, int, int, float]]:
+        """Flat display view: (y-type counts, y-type mass, start, count, conditional level).
 
-        A level is its code's correctly rounded float over the y-type's
-        probability as a float.  Only a level that underflows a double is
-        made exact, and divided in logs.
+        Each y-type has its law's blocks, in rank order, and the y-types
+        come in composition order.  A level is its code's correctly rounded
+        float over the y-sequence's probability as a float, computed once
+        per law.  Only a level that underflows a double is made exact, and
+        divided in logs.
         """
-        rows = []
+        y_types = []
         for law in self.laws:
             py = law.py_product.to_float()
             log_py = law.py_product.log()
-            if py > 0.0:
-                y_mass = law.y_sequences * py
-            else:
-                y_mass = math.exp(math.log(law.y_sequences) + log_py)
             levels = law.code.floats(law.keys).tolist()
             levels += [0.0] * (len(law.counts) - len(levels))  # the zero-level block
             starts = accumulate(law.counts, initial=1)
+            rows = []
             for i, (start, count, level) in enumerate(zip(starts, law.counts, levels)):
                 if level > 0.0:  # then py >= level > 0
                     level /= py
                 elif i < len(law.keys):
                     level = math.exp(law.level(i).log() - log_py)
-                rows.append((start, count, level, y_mass))
-        return rows
+                rows.append((start, count, level))
+            for y_counts, y_sequences in law.y_types:
+                y_mass = y_sequences * py if py > 0.0 else math.exp(math.log(y_sequences) + log_py)
+                y_types.append((y_counts, y_mass, rows))
+        y_types.sort(key=lambda y_type: y_type[0])
+        return [(y_counts, y_mass, *row) for y_counts, y_mass, rows in y_types for row in rows]
 
     def prob_eq_one_dyadic(self) -> Dyadic:
         return sum((Dyadic.from_int(law.y_sequences) * law.level(0) for law in self.laws), DYADIC_ZERO)
@@ -475,10 +485,9 @@ def guesswork_distribution(
     """Exact rank law at length n via per-y-type enumeration.
 
     A y-type's law depends only on its signature, the positions in each
-    column class, so it is built once per distinct signature and its
-    counts, keys, logs and scales are shared by every y-type that has it.
-    The distinct laws' keys are ordered in one pass: one ``log_scales``
-    call, and exact levels only on near ties.
+    column class, so there is one law per distinct signature, listing the
+    y-types that have it.  The laws' keys are ordered in one pass: one
+    ``log_scales`` call, and exact levels only on near ties.
     """
     if n < 1:
         raise SequenceError(f"sequence length must be >= 1, got {n}")
@@ -495,48 +504,35 @@ def guesswork_distribution(
             table = tables[c, size] = _group_levels(classes[c], size)
         return table
 
-    y_types = list(_counted_compositions(n, source.y_alphabet.size))
-    signatures = []
-    merged: dict[tuple[int, ...], dict[int, int]] = {}
-    for y_counts, _ in y_types:
+    by_signature: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for y_counts, y_sequences in _counted_compositions(n, source.y_alphabet.size):
         signature = [0] * len(classes)
         for c, size in zip(members, y_counts):
             signature[c] += size
-        signature = tuple(signature)
-        if signature not in merged:
-            merged[signature] = _law_counts(columns, signature)
-        signatures.append(signature)
-    keys = [key for counts in merged.values() for key in counts]
+        by_signature.setdefault(tuple(signature), []).append((y_counts, y_sequences))
+    merged = [_law_counts(columns, signature) for signature in by_signature]
+    keys = [key for counts in merged for key in counts]
     logs, scales = packing.log_scales(keys)
-    groups = np.repeat(np.arange(len(merged)), [len(counts) for counts in merged.values()])
+    groups = np.repeat(np.arange(len(merged)), [len(counts) for counts in merged])
     order = descending(logs, scales, groups, lambda i: packing.dyadic(keys[i]))
     logs, scales = logs[order], scales[order]
     ranked = [keys[i] for i in order.tolist()]
     total = source.x_alphabet.size**n
-    shared = {}
+    # the columns of a class are permutations of each other, so they have one exact p(y)
+    class_py = dict(zip(members, source.py_dyadic))
+    laws = []
     stop = 0
-    for signature, counts in merged.items():
+    for (signature, y_types), counts in zip(by_signature.items(), merged):
         start, stop = stop, stop + len(counts)
         law_keys = tuple(ranked[start:stop])
         law_counts = [counts[key] for key in law_keys]
         zero_count = total - sum(law_counts)
         if zero_count:
             law_counts.append(zero_count)
-        shared[signature] = dict(counts=tuple(law_counts), keys=law_keys, logs=logs[start:stop],
-                                 scales=scales[start:stop])
-    laws = []
-    for (y_counts, y_sequences), signature in zip(y_types, signatures):
-        py_product = DYADIC_ONE
-        for py, size in zip(source.py_dyadic, y_counts):
-            py_product = py_product * py**size
-        laws.append(YTypeLaw(y_counts=y_counts, y_sequences=y_sequences, py_product=py_product, code=packing,
-                             **shared[signature]))
-    return GuessworkDistribution(
-        n=n,
-        x_size=source.x_alphabet.size,
-        y_symbols=source.y_alphabet.symbols,
-        laws=tuple(laws),
-    )
+        py_product = math.prod((class_py[c] ** size for c, size in enumerate(signature)), start=DYADIC_ONE)
+        laws.append(YTypeLaw(y_types=tuple(y_types), py_product=py_product, counts=tuple(law_counts),
+                             keys=law_keys, code=packing, logs=logs[start:stop], scales=scales[start:stop]))
+    return GuessworkDistribution(n, source.x_alphabet.size, source.y_alphabet.symbols, tuple(laws))
 
 
 def _sequence_indices(source: PairSource, x_seq, y_seq) -> tuple[list[int], list[int]]:
@@ -560,8 +556,9 @@ def guess_rank(source: PairSource, x_seq, y_seq) -> int:
     Counts sequences beating the target by the suffix-level tables of a
     ``RankTables``: the table of positions j..n-1 maps each positive joint
     product over them, as a packed level-code key, to the number of
-    x-suffixes achieving it, and depends only on the type of y_j..y_{n-1},
-    so it is keyed by that type and shared by every rank at the same n.
+    x-suffixes achieving it, and depends only on the class signature of
+    y_j..y_{n-1}, so it is keyed by that signature and shared by every rank
+    at the same n.
     The count of strictly better sequences reads off the full table by
     float log, with exact ``Dyadic`` comparison on near ties;
     lexicographic tie offsets query the table of positions j+1..n-1 for
@@ -593,14 +590,16 @@ class RankTables:
     """Suffix-level tables of one (source, n), shared by every rank at length n.
 
     The x-suffixes over positions j..n-1 at each level key depend only on
-    the type of y_j..y_{n-1}, packed into one int code, not on its order.
-    A table is cached under its suffix length and type code, and built
-    along the ranked sequence's own y's: the column of y_j convolved with
-    the table of positions j+1..n-1.  The count of strictly better
-    sequences depends only on the full y-type and the target key, and is
-    memoised under both.  After a rank, the memo and then the longest
-    suffix tables are dropped until at most ``MAX_RANK_TABLE_ENTRIES``
-    entries remain; short suffixes are the ones shared most.
+    the class signature of y_j..y_{n-1}, its positions in each column class
+    (as for the laws of ``guesswork_distribution``), packed into one int
+    code, not on its order.  A table is cached under its suffix length and
+    signature code, and built along the ranked sequence's own y's: the
+    column of y_j convolved with the table of positions j+1..n-1.  The
+    count of strictly better sequences depends only on the full signature
+    and the target key, and is memoised under both.  After a rank, the memo
+    and then the longest suffix tables are dropped until at most
+    ``MAX_RANK_TABLE_ENTRIES`` entries remain; short suffixes are the ones
+    shared most.
     """
 
     def __init__(self, source: PairSource, n: int):
@@ -612,7 +611,7 @@ class RankTables:
         self.cells = [[packing.key(d) for d in row] for row in source.joint_dyadic]
         self.columns = [[key for key in column if key is not None] for column in zip(*self.cells)]
         width = n.bit_length()
-        self.steps = [1 << (y * width) for y in range(len(self.columns))]
+        self.steps = [1 << (c * width) for c in _column_classes(source, packing)[1]]
         self.tables: list[dict[int, dict[int, int]]] = [{} for _ in range(n + 1)]
         self.above: dict[tuple[int, int], int] = {}
         self.entries = 0

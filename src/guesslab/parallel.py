@@ -172,7 +172,7 @@ def kmin_distribution(
         keys.pop()
     code = NumeratorCode(shift * m)
     logs, scales = code.log_scales(keys)
-    law = YTypeLaw(y_counts=(), y_sequences=1, py_product=DYADIC_ONE, counts=tuple(counts),
+    law = YTypeLaw(y_types=(((), 1),), py_product=DYADIC_ONE, counts=tuple(counts),
                    keys=tuple(keys), code=code, logs=logs, scales=scales)
     return GuessworkDistribution(n=n, x_size=ensemble.x_size, y_symbols=(), laws=(law,), monotone=False)
 

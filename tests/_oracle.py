@@ -15,7 +15,9 @@ earlier implementations, kept as references past brute-force reach: they
 multiply, hash, compare and divide exact ``Dyadic`` levels where the
 library adds and subtracts packed level-code keys.  The per-rank k-min law is likewise the
 library's earlier one: a Poisson-binomial at every rank, where the
-library extends each segment's pmf by differences.
+library extends each segment's pmf by differences.  ``split_laws`` gives
+a distribution one law per y-type, as these references build it, where the
+library shares one law among the y-types of a column-class signature.
 
 ``log_power_sum`` sums r**alpha over a rank block of any size in mpmath,
 by direct sums and an uncertified Euler-Maclaurin series taken to 40
@@ -25,6 +27,7 @@ digits, for checks of the library's certified float kernel.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import product as iter_product
 from math import factorial
 
@@ -34,7 +37,7 @@ from hypothesis import strategies as st
 
 from guesslab.dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic, NumeratorCode
 from guesslab.entropy import conditional_min_entropy
-from guesslab.guesswork import YTypeLaw, guesswork_distribution
+from guesslab.guesswork import GuessworkDistribution, YTypeLaw, guesswork_distribution
 from guesslab.ldp import ALPHA_BRACKET, scgf_limit
 from guesslab.model import PairSource, make_source
 
@@ -138,15 +141,15 @@ def multinomial(counts: tuple[int, ...]) -> int:
 
 def assert_matches_naive(source: PairSource, dist, n: int) -> None:
     """Integer-exact block comparison for every y-type of length n."""
-    by_counts = {law.y_counts: law for law in dist.laws}
-    assert len(by_counts) == len(dist.laws)
+    by_counts = {y_counts: (law, y_sequences) for law in dist.laws for y_counts, y_sequences in law.y_types}
+    assert len(by_counts) == sum(len(law.y_types) for law in dist.laws)
     y_size = source.y_alphabet.size
     col_sums = numerators(source).sum(axis=0, dtype=np.int64)
     expected_types = set(y_types(n, y_size))
     assert set(by_counts) == expected_types
     for counts in expected_types:
-        law = by_counts[counts]
-        assert law.y_sequences == multinomial(counts)
+        law, y_sequences = by_counts[counts]
+        assert y_sequences == multinomial(counts)
         py_num = 1
         for j, c in enumerate(counts):
             py_num *= int(col_sums[j]) ** c
@@ -269,8 +272,7 @@ def dyadic_law(source: PairSource, y_counts: tuple[int, ...]) -> YTypeLaw:
     keys = [lv.m << (bits + lv.e) for lv in ranked]
     logs, scales = code.log_scales(keys)
     return YTypeLaw(
-        y_counts=y_counts,
-        y_sequences=multinomial(y_counts),
+        y_types=((y_counts, multinomial(y_counts)),),
         py_product=py_product,
         counts=tuple(counts),
         keys=tuple(keys),
@@ -278,6 +280,13 @@ def dyadic_law(source: PairSource, y_counts: tuple[int, ...]) -> YTypeLaw:
         logs=logs,
         scales=scales,
     )
+
+
+def split_laws(dist: GuessworkDistribution) -> GuessworkDistribution:
+    """The distribution with one law per y-type, in composition order: each law repeated for each of its y-types."""
+    laws = sorted((replace(law, y_types=(y_type,)) for law in dist.laws for y_type in law.y_types),
+                  key=lambda law: law.y_types[0][0])
+    return GuessworkDistribution(dist.n, dist.x_size, dist.y_symbols, tuple(laws), dist.monotone)
 
 
 def divide_exact(a: Dyadic, b: Dyadic) -> "Dyadic | None":

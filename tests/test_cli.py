@@ -179,6 +179,18 @@ def test_moments_table_and_bound_cells(capsys, bsc_path):
         assert row[4] == ""
 
 
+def test_moments_bits_scales_only_the_log_scale_column(capsys, bsc_path):
+    argv = ["moments", "--source", bsc_path, "--n", "6", "--alphas", "-0.5,1"]
+    _, nats_out, _ = run_cli(capsys, argv)
+    code, bits_out, _ = run_cli(capsys, argv + ["--bits"])
+    assert code == 0
+    dist = guesswork_distribution(load_source_file(bsc_path), 6)
+    for nats, bits, alpha in zip(csv_rows(nats_out)[1], csv_rows(bits_out)[1], (-0.5, 1.0)):
+        assert float(nats[5]) == dist.scgf_empirical(alpha)
+        assert float(bits[5]) == float(nats[5]) / LN2
+        assert bits[:5] == nats[:5]  # moments and their bounds are not logs
+
+
 def test_budget_exceeded_reports_json_error(capsys, bsc_path):
     code, out, err = run_cli(
         capsys, ["moments", "--source", bsc_path, "--n", "999", "--alphas", "1"]
@@ -214,7 +226,8 @@ def test_dist_rows_match_library_blocks(capsys, bsc_path):
     assert {row[0] for row in rows} == {"0:1;1:0", "0:0;1:1"}
 
     dist = guesswork_distribution(load_source_file(bsc_path), 1)
-    for row, (start, count, level, y_mass) in zip(rows, dist.blocks):
+    for row, (y_counts, y_mass, start, count, level) in zip(rows, dist.blocks):
+        assert row[0] == ";".join(f"{s}:{c}" for s, c in zip(dist.y_symbols, y_counts))
         assert float(row[1]) == y_mass
         assert int(row[2]) == start
         assert int(row[3]) == count

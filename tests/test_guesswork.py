@@ -140,7 +140,7 @@ def test_shared_rank_tables_agree_with_the_law(corpus):
     for src in (corpus[3], corpus[5], corpus[10], zero_cells):
         x_size, y_size = src.x_alphabet.size, src.y_alphabet.size
         for n in range(1, 6):
-            laws = {law.y_counts: law for law in guesswork_distribution(src, n).laws}
+            laws = {y_counts: law for law in guesswork_distribution(src, n).laws for y_counts, _ in law.y_types}
             tables = RankTables(src, n)
             for ys in itertools.product(range(y_size), repeat=n):
                 law = laws[tuple(ys.count(y) for y in range(y_size))]
@@ -152,6 +152,22 @@ def test_shared_rank_tables_agree_with_the_law(corpus):
                     assert law.blocks[bisect_right(starts, rank) - 1].joint_level == level
                     ranks.append(rank)
                 assert sorted(ranks) == list(range(1, x_size**n + 1))
+
+
+def test_rank_tables_share_one_suffix_table_per_class_signature():
+    # a lattice channel whose two columns are row permutations of each other, so one class and one
+    # table per suffix length; a 2x2 one has a cell of at least 256/1024, whose 8th power
+    # overflows the oracle's int64 numerators
+    src = make_source(["a", "b", "c"], ["0", "1"], [[200 / 1024, 112 / 1024], [112 / 1024, 200 / 1024],
+                                                    [200 / 1024, 200 / 1024]])
+    n = 8
+    tables = RankTables(src, n)
+    rng = np.random.default_rng(8)
+    for ys in itertools.product(range(2), repeat=n):
+        for _ in range(3):
+            xs = [int(v) for v in rng.integers(0, 3, n)]
+            assert guess_rank_indices(src, xs, list(ys), tables) == _oracle.naive_rank(src, xs, list(ys))
+    assert [len(tables.tables[length]) for length in range(1, n + 1)] == [1] * n
 
 
 def test_rank_tables_refuse_another_length_or_source(bsc01, skew22):
@@ -234,7 +250,7 @@ def test_bsc_n2_block_structure(bsc01):
         assert starts == [1, 2, 4]
         assert counts == [1, 2, 1]
     flat = dist.blocks
-    levels = sorted({round(level, 12) for _, _, level, _ in flat}, reverse=True)
+    levels = sorted({round(level, 12) for _, _, _, _, level in flat}, reverse=True)
     assert levels == [0.81, 0.09, 0.01]
     assert dist.prob_eq_one() == pytest.approx(0.81, abs=1e-15)
 
@@ -243,19 +259,20 @@ def test_n1_blocks_reproduce_optimal_order(skew22, corpus):
     for src in [skew22] + corpus[:5]:
         dist = guesswork_distribution(src, 1)
         for law in dist.laws:
-            y_index = law.y_counts.index(1)
-            column = [src.joint_dyadic[i][y_index] for i in range(src.x_alphabet.size)]
-            # block levels in rank order are the column multiset, sorted
-            block_levels = []
-            for block in law.blocks:
-                block_levels.extend([block.joint_level] * block.count)
-            assert block_levels == sorted(column, reverse=True)
-            # per-symbol ranks match optimal_order of the conditional pmf
-            cond = Distribution(src.x_alphabet, src.cond_x_given_y[:, y_index])
-            order = optimal_order(cond)
-            y_sym = src.y_alphabet.symbols[y_index]
-            for x_sym in src.x_alphabet.symbols:
-                assert guess_rank(src, [x_sym], [y_sym]) == order.rank(x_sym)
+            for y_counts, _ in law.y_types:
+                y_index = y_counts.index(1)
+                column = [src.joint_dyadic[i][y_index] for i in range(src.x_alphabet.size)]
+                # block levels in rank order are the column multiset, sorted
+                block_levels = []
+                for block in law.blocks:
+                    block_levels.extend([block.joint_level] * block.count)
+                assert block_levels == sorted(column, reverse=True)
+                # per-symbol ranks match optimal_order of the conditional pmf
+                cond = Distribution(src.x_alphabet, src.cond_x_given_y[:, y_index])
+                order = optimal_order(cond)
+                y_sym = src.y_alphabet.symbols[y_index]
+                for x_sym in src.x_alphabet.symbols:
+                    assert guess_rank(src, [x_sym], [y_sym]) == order.rank(x_sym)
 
 
 def test_distribution_matches_naive_oracle_small(corpus):

@@ -58,12 +58,12 @@ def float_source(seed: int, x_size: int, y_size: int):
 
 
 def assert_matches_reference(source, n: int) -> None:
-    dist = guesswork_distribution(source, n)
+    dist = _oracle.split_laws(guesswork_distribution(source, n))
     compositions = list(_oracle.y_types(n, source.y_alphabet.size))
     assert len(dist.laws) == len(compositions)
     for law, y_counts in zip(dist.laws, compositions):
         ref = _oracle.dyadic_law(source, y_counts)
-        assert law.y_counts == ref.y_counts
+        assert law.y_types == ref.y_types
         assert law.y_sequences == ref.y_sequences
         assert law.py_product == ref.py_product
         assert len(law.blocks) == len(ref.blocks)
@@ -123,22 +123,27 @@ def test_each_class_signature_builds_one_shared_law(monkeypatch, bsc01, skew22):
     monkeypatch.setattr(guesswork_module, "_law_counts",
                         lambda columns, signature: calls.append(signature) or law_counts(columns, signature))
     # (source, n, the class of each y-symbol, y-types, laws built); skew22's columns are each their own class
-    for source, n, members, y_types, built in ((bsc01, 64, (0, 0), 65, 1), (erasure_source(), 12, (0, 1, 0), 91, 13),
+    for source, n, members, y_types, built in ((bsc01, 64, (0, 0), 65, 1), (bsc01, 400, (0, 0), 401, 1),
+                                               (erasure_source(), 12, (0, 1, 0), 91, 13),
                                                (skew22, 20, (0, 1), 21, 21)):
         calls.clear()
         laws = guesswork_distribution(source, n).laws
-        assert len(laws) == y_types
-        assert len(calls) == len(set(calls)) == built
-        by_signature = {}
+        assert len(laws) == len(calls) == len(set(calls)) == built
+        listed = [y_counts for law in laws for y_counts, _ in law.y_types]
+        assert len(listed) == y_types
+        assert sorted(listed) == list(_oracle.y_types(n, source.y_alphabet.size))
+        signatures = set()
         for law in laws:
-            signature = [0] * (max(members) + 1)
-            for c, size in zip(members, law.y_counts):
-                signature[c] += size
-            by_signature.setdefault(tuple(signature), []).append(law)
-        assert len(by_signature) == built
-        for group in by_signature.values():
-            for field in ("counts", "keys", "logs", "scales"):
-                assert len({id(getattr(law, field)) for law in group}) == 1
+            assert [y_counts for y_counts, _ in law.y_types] == sorted(y_counts for y_counts, _ in law.y_types)
+            law_signatures = set()
+            for y_counts, _ in law.y_types:
+                signature = [0] * (max(members) + 1)
+                for c, size in zip(members, y_counts):
+                    signature[c] += size
+                law_signatures.add(tuple(signature))
+            assert len(law_signatures) == 1
+            signatures |= law_signatures
+        assert len(signatures) == built
 
 
 @st.composite
@@ -268,7 +273,7 @@ def test_explicit_level_laws_read_like_keyed_laws(bsc01, corpus):
         y_types = _oracle.y_types(n, src.y_alphabet.size)
         laws = tuple(_oracle.dyadic_law(src, y_counts) for y_counts in y_types)
         explicit = GuessworkDistribution(n, src.x_alphabet.size, src.y_alphabet.symbols, laws)
-        assert explicit.laws == keyed.laws
+        assert explicit.laws == _oracle.split_laws(keyed).laws
         assert explicit.prob_eq_one_dyadic() == keyed.prob_eq_one_dyadic()
         for alpha in (-1.5, 0.5, 2.0):
             assert explicit.log_moment(alpha) == pytest.approx(keyed.log_moment(alpha), rel=1e-13)
@@ -309,7 +314,8 @@ def test_distribution_rejects_malformed_laws(bsc01, fault, message):
         assert abs(law.logs[6] - law.logs[7]) <= NEAR_TIE and law.level(6) > law.level(7)
         laws[0] = swapped(law, 6, 7)
     else:
-        laws[0] = replace(law, y_sequences=2 * law.y_sequences)
+        (y_counts, y_sequences), *rest = law.y_types
+        laws[0] = replace(law, y_types=((y_counts, 2 * y_sequences), *rest))
     with pytest.raises(GuessworkError, match=message):
         GuessworkDistribution(n, src.x_alphabet.size, src.y_alphabet.symbols, tuple(laws))
 
@@ -522,6 +528,21 @@ def test_floats_take_the_exact_path_on_midpoints_and_tiny_levels(asked, bsc01_n2
     assert floats == want
     subnormal = {key for key, x in zip(keys, want) if x < sys.float_info.min}
     assert subnormal and subnormal <= set(asked)
+
+
+def test_shared_law_reads_like_one_law_per_y_type(bsc01_n240):
+    """The one law that bsc01's 241 y-types share agrees with a copy of it per y-type."""
+    (law,) = bsc01_n240.laws
+    assert len(law.y_types) == 241
+    split = _oracle.split_laws(bsc01_n240)
+    assert len(split.laws) == 241
+    for alpha in (-1.5, -0.5, 1.5, 12.5):
+        assert bsc01_n240.log_moment(alpha) == pytest.approx(split.log_moment(alpha), rel=1e-13)
+    # window probabilities, not their logs: the log of one near 1 is relatively ill-conditioned
+    log_x = math.log(2.0)
+    for lo, hi in ((0.0, 0.1 * log_x), (0.2 * log_x, 0.7 * log_x), (0.5 * log_x, 2.0 * log_x), (0.3, 0.3001)):
+        assert bsc01_n240.prob_log_window(lo, hi) == pytest.approx(split.prob_log_window(lo, hi), rel=1e-13, abs=0.0)
+    assert bsc01_n240.prob_eq_one_dyadic() == split.prob_eq_one_dyadic()
 
 
 def test_log_prob_eq_one_is_within_4_ulps_of_mpmath(bsc01_n240, bsc01, noiseless, skew22):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from guesslab import guesswork_distribution, powersum
 from guesslab.powersum import _tail_logs, log_ints, power_sum, power_sum_log, power_sums_log
 
-from _oracle import log_power_sum
+from _oracle import log_power_sum, split_laws
 
 mpmath.mp.dps = 40
 
@@ -192,8 +192,8 @@ def test_power_sums_log_matches_mpmath_per_block(case):
 
 @pytest.fixture(scope="module")
 def bsc01_n240_view(bsc01):
-    """The blocks of bsc01 at n = 240: 42,416 tail blocks, most starting past 2**53 * H."""
-    return guesswork_distribution(bsc01, 240)._view
+    """The blocks of bsc01 at n = 240, its one law tiled once per y-type: 42,416 tail blocks, most starting past 2**53 * H."""
+    return split_laws(guesswork_distribution(bsc01, 240))._view
 
 
 def _head_logs_every_term(log_a, inv_a, m, alpha):
