@@ -181,15 +181,10 @@ def _x_marginal(source: PairSource) -> Distribution:
 def _cmd_entropy(args) -> int:
     source = load_source_file(args.source)
     marginal = _x_marginal(source)
-    rows = []
-    for order in args.orders:
-        rows.append(
-            [
-                order,
-                _scaled(conditional_renyi_arimoto(source, order), args.bits),
-                _scaled(renyi_entropy(marginal, order), args.bits),
-            ]
-        )
+    conditional = conditional_renyi_arimoto(source, args.orders).tolist()
+    unconditional = renyi_entropy(marginal, args.orders).tolist()
+    rows = [[order, _scaled(c, args.bits), _scaled(u, args.bits)]
+            for order, c, u in zip(args.orders, conditional, unconditional)]
     _emit_csv(args, ["order", "conditional", "unconditional"], rows, _manifest(args, "entropy", [args.source]))
     return 0
 

@@ -44,7 +44,7 @@ from operator import mul
 import numpy as np
 
 from .dyadic import DYADIC_ONE, DYADIC_ZERO, NEAR_TIE, Dyadic, LevelPacking, NumeratorCode, descending
-from .entropy import _logsumexp, conditional_renyi_arimoto
+from .entropy import _scgf
 from .model import Alphabet, Distribution, PairSource
 from .powersum import log_ints, power_sums_log
 
@@ -367,6 +367,13 @@ class GuessworkDistribution:
     def prob_log_window(self, lo: float, hi: float) -> float:
         log_p = self.log_prob_log_window(lo, hi)
         return 0.0 if log_p == -math.inf else math.exp(log_p)
+
+
+def _logsumexp(values: np.ndarray) -> float:
+    top = float(values.max(initial=-math.inf))
+    if math.isinf(top):
+        return top
+    return top + math.log(math.fsum(np.exp(values - top).tolist()))
 
 
 def exp_or_inf(log_value: float) -> float:
@@ -748,8 +755,7 @@ def moment_bounds(source: PairSource, n: int, alpha: float) -> tuple[float, floa
     alpha = float(alpha)
     if not -1.0 < alpha < 0.0:
         raise GuessworkError(f"bounds require alpha in (-1, 0), got {alpha}")
-    beta = 1.0 / (1.0 + alpha)
-    log_base = n * alpha * conditional_renyi_arimoto(source, beta)
+    log_base = n * _scgf(source, alpha)
     lower = math.exp(log_base)
     upper = math.exp(log_base - alpha * math.log1p(n * math.log(source.x_alphabet.size)))
     return lower, upper

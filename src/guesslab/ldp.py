@@ -1,19 +1,16 @@
 """Asymptotics of the guess rank: SCGF, rate function, finite-n exponents.
 
-For memoryless pair sources the scaled cumulant generating function is
-Lambda(alpha) = alpha * H_{1/(1+alpha)}(X|Y) = log sum_y s_y^(1+alpha), with
-s_y = sum_x p(x,y)^beta and beta = 1/(1+alpha), for alpha > -1; it plateaus
-at -H_inf(X|Y) for alpha <= -1.  Its slope is closed-form: with the tilted
-columns q_y = p(., y)^beta / s_y and weights w_y proportional to
-s_y^(1+alpha), Lambda'(alpha) = sum_y w_y H(q_y).  At the plateau edge it
-tends to gamma = sum_y m_y log t_y / sum_y m_y, m_y the column maximum and
-t_y the number of entries tied at it.
+The SCGF is Lambda(alpha) = alpha H_{1/(1+alpha)}(X|Y) for alpha > -1 and
+-H_inf(X|Y) below; its slope Lambda' = sum_y w_y H(q_y) over the tilted
+columns tends at the plateau edge to gamma = sum_y m_y log t_y / sum_y m_y,
+m_y the column maximum and t_y its ties.  Both come from ``entropy``.
 
-The rate function Lambda*(x) is linear (h_inf - x) on [0, gamma], +inf
-above log max_y |support(y)|, and alpha*x - Lambda(alpha) in between, at
-the order solving Lambda'(alpha) = x.  That order comes from a safeguarded
-Newton iteration in t = log(1 + alpha), run over a whole array of x at
-once, with the order bracketed in (-1, ALPHA_BRACKET].
+The rate function Lambda*(x) is h_inf - x on [0, gamma], +inf above
+x_sup = log max_y |supp y|, and alpha x - Lambda(alpha) in between, at the
+root of Lambda'(alpha) = x by safeguarded Newton in v = log(1 + beta) over
+an array of x: v is -log(1 + alpha) as alpha nears -1 and beta as alpha
+grows, so no order is capped.  At x_sup the order is +inf and the rate
+-log sum_{y: N_y = N} N (prod_{x in supp y} p(x, y))^(1/N), N = max_y N_y.
 """
 
 from __future__ import annotations
@@ -23,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import conditional_min_entropy, conditional_renyi_arimoto
+from .entropy import Columns, _arimoto, _scgf, _slope, conditional_min_entropy
 from .guesswork import DEFAULT_MAX_TYPE_TUPLES, GuessworkDistribution, guesswork_distribution
 from .model import PairSource
 
 __all__ = [
-    "ALPHA_BRACKET",
     "DomainError",
     "RateFunction",
     "scgf_limit",
@@ -38,9 +34,8 @@ __all__ = [
     "empirical_exponent",
 ]
 
-ALPHA_BRACKET = 64.0
-_T_LO = -36.0  # t = log(1 + alpha) below double precision's resolution of alpha near -1
-_T_HI = math.log1p(ALPHA_BRACKET)
+_V_COLD = math.log(2.0)  # v = log(1 + beta) at alpha = 0, the Newton start with no better guess
+_V_MAX = 36.0  # beta = e^36: 1 + alpha below double precision's resolution of alpha near -1
 # Newton stops on the residual |Lambda' - x|: a step-size test lets points
 # cycle near the root for the whole iteration budget.
 _RESIDUAL_TOL = 1e-14
@@ -63,87 +58,42 @@ def scgf_limit(source: PairSource, alpha: float) -> float:
     alpha = _finite_order(alpha)
     if alpha <= -1.0:
         return -conditional_min_entropy(source)
-    if alpha == 0.0:
-        return 0.0
-    return alpha * conditional_renyi_arimoto(source, 1.0 / (1.0 + alpha))
+    return _scgf(source, alpha)
 
 
-Columns = tuple[tuple[float, np.ndarray], ...]
+def _orders(cols: Columns, x: np.ndarray, v: np.ndarray):
+    """(alpha x - Lambda(alpha), alpha, v, dv/dx, dalpha/dx) at the root of Lambda'(alpha) = x, gamma < x < x_sup.
 
-
-def _columns(source: PairSource) -> Columns:
-    """Per y-column: log max_x p(x,y), and log p(x,y) minus it on the support."""
-    logs = [np.log(col[col > 0.0]) for col in source.joint.T]
-    return tuple((float(v.max()), v - v.max()) for v in logs)
-
-
-def _tilt(columns: Columns, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Lambda, Lambda', dLambda'/dt) at alpha = e^t - 1, for a 1-D array t.
-
-    dLambda'/dt = sum_y w_y Var_{q_y}(log q_y) + (1+alpha) Var_w(H(q_y)).
-    H(q_y) = -sum q log q takes log q from the shifted logs, as the equal
-    log s_y - beta E_q[log p] cancels catastrophically near alpha = -1.
-    Reductions run along one point's row: points do not affect each other.
+    Newton in v = log(1 + beta) starts at the given v, or mid-bracket for one
+    outside (0, _V_MAX); Lambda' falls from x_sup as v rises.  Each step takes
+    only Lambda' and dLambda'/dt, t = log(1 + alpha), and each point Lambda
+    once, at its last iterate.  The derivatives are 0 where dLambda'/dt underflows.
     """
-    s = np.exp(t)
-    beta = np.exp(-t)
-    f, ent, var = [], [], []
-    for top, gaps in columns:
-        log_q = np.multiply.outer(beta, gaps)
-        lse = np.log(np.exp(log_q).sum(axis=1))
-        log_q -= lse[:, np.newaxis]
-        q = np.exp(log_q)
-        h = -(q * log_q).sum(axis=1)
-        f.append(top + s * lse)  # (1 + alpha) log s_y
-        ent.append(h)
-        var.append((q * (log_q + h[:, np.newaxis]) ** 2).sum(axis=1))
-    f, ent, var = (np.stack(rows, axis=1) for rows in (f, ent, var))
-    f_top = f.max(axis=1)
-    w = np.exp(f - f_top[:, np.newaxis])
-    total = w.sum(axis=1)
-    w /= total[:, np.newaxis]
-    slope = (w * ent).sum(axis=1)
-    spread = (w * (ent - slope[:, np.newaxis]) ** 2).sum(axis=1)
-    return f_top + np.log(total), slope, (w * var).sum(axis=1) + s * spread
-
-
-def _orders(columns: Columns, x: np.ndarray, t: np.ndarray):
-    """(alpha*x - Lambda(alpha), alpha, t, dt/dx) at the order solving Lambda'(alpha) = x, for x > gamma.
-
-    t = log(1 + alpha) comes from Newton started at the given t, so a start
-    at the root for a nearby x takes one or two steps; dt/dx is 1 over
-    dLambda'/dt there, and 0 where that underflows.  Where no bracketed
-    order reaches the slope x, alpha = ALPHA_BRACKET and dt/dx = 0.
-    """
-    lam_hi, slope_hi, _ = _tilt(columns, np.array([_T_HI]))
-    capped = x >= slope_hi[0]
-    t = np.where(capped, _T_HI, np.clip(t, _T_LO, _T_HI))
-    lam = np.full_like(x, lam_hi[0])
-    curv = np.zeros_like(x)  # dLambda'/dt; 0 where capped
-    lo = np.full_like(x, _T_LO)
-    hi = np.full_like(x, _T_HI)
-    todo = np.flatnonzero(~capped)
+    lo, hi = np.zeros_like(x), np.full_like(x, _V_MAX)
+    v = np.where((v > lo) & (v < hi), v, 0.5 * hi)
+    curv = np.empty_like(x)  # dLambda'/dt at the last iterate taken
+    todo = np.arange(x.size)
     for _ in range(_MAX_STEPS):
         if todo.size == 0:
             break
-        value, slope, curvature = _tilt(columns, t[todo])
+        v_now = v[todo]
+        beta = np.expm1(v_now)
+        slope, curv[todo] = _slope(cols, beta)
         resid = slope - x[todo]
-        done = np.abs(resid) <= _RESIDUAL_TOL
-        lam[todo[done]] = value[done]
-        curv[todo[done]] = curvature[done]
-        todo, resid, curvature = todo[~done], resid[~done], curvature[~done]
-        t_now = t[todo]
-        hi[todo] = np.where(resid > 0.0, t_now, hi[todo])
-        lo[todo] = np.where(resid > 0.0, lo[todo], t_now)
+        keep = np.abs(resid) > _RESIDUAL_TOL
+        todo, v_now, beta, resid = todo[keep], v_now[keep], beta[keep], resid[keep]
+        lo[todo] = np.where(resid > 0.0, v_now, lo[todo])
+        hi[todo] = np.where(resid > 0.0, hi[todo], v_now)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            step = t_now - resid / curvature
+            step = v_now + resid * beta / ((1.0 + beta) * curv[todo])
         inside = (step > lo[todo]) & (step < hi[todo])
-        t[todo] = np.where(inside, step, 0.5 * (lo[todo] + hi[todo]))
-    if todo.size:  # out of steps: the last iterate stands
-        lam[todo], _, curv[todo] = _tilt(columns, t[todo])
-    alpha = np.where(capped, ALPHA_BRACKET, np.expm1(t))
-    pace = np.divide(1.0, curv, out=np.zeros_like(x), where=curv > 0.0)
-    return alpha * x - lam, alpha, t, pace
+        v[todo] = np.where(inside, step, 0.5 * (lo[todo] + hi[todo]))
+    beta = np.expm1(v)
+    alpha = (1.0 - beta) / beta
+    known = curv > 0.0
+    pace = np.divide(-beta, (1.0 + beta) * curv, out=np.zeros_like(x), where=known)
+    rise = np.divide(1.0, beta * curv, out=np.zeros_like(x), where=known)
+    return alpha * (x - _arimoto(cols, beta, alpha)), alpha, v, pace, rise
 
 
 def scgf_derivative(source: PairSource, alpha: float) -> float:
@@ -151,8 +101,7 @@ def scgf_derivative(source: PairSource, alpha: float) -> float:
     alpha = _finite_order(alpha)
     if alpha <= -1.0:
         raise DomainError(f"derivative undefined at alpha <= -1, got {alpha}")
-    _, slope, _ = _tilt(_columns(source), np.array([math.log1p(alpha)]))
-    return float(slope[0])
+    return float(_slope(source.columns, np.array([1.0 / (1.0 + alpha)]))[0][0])
 
 
 def gamma(source: PairSource) -> float:
@@ -182,26 +131,29 @@ class RateFunction:
 
     Guess ranks never exceed the product of the per-letter column support
     sizes, so growth rates above x_sup = log(max_y |support(y)|) have zero
-    probability at every n and the rate is +inf there.  Where the order
-    solving Lambda'(alpha) = x exceeds ALPHA_BRACKET, the order is held at
-    the bracket and the value is a slight underestimate.
+    probability at every n and the rate is +inf there.  At x_sup it is the
+    closed form ``at_sup``, and below it the conjugate at an uncapped order.
     """
 
     gamma: float
     h_inf: float
     log_x_size: float
     x_sup: float
+    at_sup: float
     columns: Columns
 
     @classmethod
     def from_source(cls, source: PairSource) -> "RateFunction":
-        max_support = int((source.joint > 0.0).sum(axis=0).max())
+        sizes = np.count_nonzero(source.joint, axis=0)
+        widest = int(sizes.max())
+        terms = [widest * math.exp(np.log(col[col > 0.0]).mean()) for col in source.joint.T[sizes == widest]]
         return cls(
             gamma=gamma(source),
             h_inf=conditional_min_entropy(source),
             log_x_size=source.log_x_size,
-            x_sup=math.log(max_support),
-            columns=_columns(source),
+            x_sup=math.log(widest),
+            at_sup=-math.log(math.fsum(terms)) + 0.0,
+            columns=source.columns,
         )
 
     def __call__(self, x):
@@ -209,22 +161,26 @@ class RateFunction:
         value = np.full(xs.shape, math.inf)
         finite = (xs <= self.log_x_size) & (xs <= self.x_sup + 1e-12)
         attainable = xs[finite]
-        value[finite] = self.conjugate(attainable, np.zeros_like(attainable))[0]
+        value[finite] = self.conjugate(attainable, np.full_like(attainable, _V_COLD))[0]
         return _shaped(xs, value)
 
-    def conjugate(self, x: np.ndarray, t: np.ndarray):
-        """(Lambda*(x), alpha, t, dt/dx) on a 1-D array of x in [0, x_sup].
+    def conjugate(self, x: np.ndarray, v: np.ndarray):
+        """(Lambda*(x), alpha, v, dv/dx, dalpha/dx) on a 1-D array of x in [0, x_sup].
 
-        alpha is the order attaining the sup: -1 with dt/dx = 0 on [0, gamma],
-        where t passes through unchanged; above gamma it is ``_orders``',
-        with the Newton iteration in t = log(1 + alpha) started from t.
+        alpha is the order attaining the sup: -1 on [0, gamma], where v passes
+        through; +inf from x_sup on, with v = 0 and dalpha/dx = +inf; between,
+        ``_orders``' from Newton started at v.
         """
         value = self.h_inf - x
         alpha = np.full_like(x, -1.0)
-        t, pace = t.copy(), np.zeros_like(x)
+        v, pace, rise = v.copy(), np.zeros_like(x), np.zeros_like(x)
         strict = x > self.gamma
-        value[strict], alpha[strict], t[strict], pace[strict] = _orders(self.columns, x[strict], t[strict])
-        return value, alpha, t, pace
+        end = strict & (x >= self.x_sup)
+        value[end], alpha[end], v[end], rise[end] = self.at_sup, math.inf, 0.0, math.inf
+        strict &= ~end
+        value[strict], alpha[strict], v[strict], pace[strict], rise[strict] = _orders(
+            self.columns, x[strict], v[strict])
+        return value, alpha, v, pace, rise
 
 
 def rate_function(source: PairSource, x):

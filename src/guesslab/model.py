@@ -181,6 +181,13 @@ class PairSource:
         c.setflags(write=False)
         return c
 
+    @cached_property
+    def columns(self):
+        """The columns of p(x|y) as ``entropy``'s order-beta kernel reads them, built once."""
+        from .entropy import columns  # entropy imports this module
+
+        return columns(self.joint)
+
     @property
     def log_x_size(self) -> float:
         return math.log(self.x_alphabet.size)

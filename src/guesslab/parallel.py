@@ -48,7 +48,7 @@ from .guesswork import (
     YTypeLaw,
     guesswork_distribution,
 )
-from .ldp import _MAX_STEPS, ALPHA_BRACKET, RateFunction, _domain, _finite_order, _shaped, scgf_derivative, scgf_limit
+from .ldp import _MAX_STEPS, _V_COLD, RateFunction, _domain, _finite_order, _shaped, scgf_derivative, scgf_limit
 from .model import PairSource
 
 __all__ = [
@@ -285,24 +285,24 @@ def rate_parallel_iid(source: PairSource, k: int, m: int, x):
     return _shaped(xs, np.where(xs <= conditional_shannon(source), k * rate, (m - k + 1) * rate))
 
 
-def _assignment_slopes(ensemble: UserEnsemble, roles: np.ndarray, x: np.ndarray, t: np.ndarray):
-    """F_a(x), dF_a/dx and I_a(x) for each row of roles at its x, with each user's t and dt/dx.
+def _assignment_slopes(ensemble: UserEnsemble, roles: np.ndarray, x: np.ndarray, v: np.ndarray):
+    """F_a(x), dF_a/dx and I_a(x) for each row of roles at its x, with each user's v and dv/dx.
 
     A user counts where its role costs something: always as the leader,
     as a user below at x < H_j and as one above at x > H_j.  Elsewhere its
-    cost and order are 0 and its t, the Newton start on entry, passes
+    cost and order are 0 and its v, the Newton start on entry, passes
     through.
     """
     f, rise, rate = np.zeros(x.shape), np.zeros(x.shape), np.zeros(x.shape)
-    t, pace = t.copy(), np.zeros(t.shape)
+    v, pace = v.copy(), np.zeros(v.shape)
     for j, (rf, h) in enumerate(zip(ensemble.rate_functions, ensemble.shannon_values)):
         role = roles[:, j]
         on = (role == 0.0) | np.where(role < 0.0, x < h, x > h)
-        value, order, t[on, j], pace[on, j] = rf.conjugate(x[on], t[on, j])
+        value, order, v[on, j], pace[on, j], order_rise = rf.conjugate(x[on], v[on, j])
         f[on] += order
-        rise[on] += (1.0 + order) * pace[on, j]  # dalpha/dx = (1 + alpha) dt/dx
+        rise[on] += order_rise
         rate[on] += value
-    return f, rise, rate, t, pace
+    return f, rise, rate, v, pace
 
 
 def scgf_parallel(ensemble: UserEnsemble, alpha: float) -> float:
@@ -316,7 +316,7 @@ def scgf_parallel(ensemble: UserEnsemble, alpha: float) -> float:
     alpha >= F_a(x_a); the other assignments take one safeguarded Newton
     in x, all at once, started at the leader's slope for the order identical
     users would take.  Each user's order starts from its last iterate moved
-    by dt/dx, so a step costs about one tilt per user.  There are
+    by dv/dx, so a step costs about one tilt per user.  There are
     m * C(m-1, k-1) assignments, allowed up to the 5,544 of 12 users with
     k = 6, so k = 1 and k = m take any m.  A single user's SCGF is
     ``scgf_limit``, bit for bit.
@@ -332,8 +332,9 @@ def scgf_parallel(ensemble: UserEnsemble, alpha: float) -> float:
     x_sup = np.array([rf.x_sup for rf in ensemble.rate_functions])
     lo = np.zeros(len(roles))
     hi = np.where(roles >= 0.0, x_sup, math.inf).min(axis=1)
-    f_lo, _, rate_lo, _, _ = _assignment_slopes(ensemble, roles, lo, np.zeros(roles.shape))
-    f_hi, _, rate_hi, _, _ = _assignment_slopes(ensemble, roles, hi, np.zeros(roles.shape))
+    cold = np.full(roles.shape, _V_COLD)
+    f_lo, _, rate_lo, _, _ = _assignment_slopes(ensemble, roles, lo, cold)
+    f_hi, _, rate_hi, _, _ = _assignment_slopes(ensemble, roles, hi, cold)
     # every value is alpha x - I_a(x) at some x, and every bound a tangent's
     # top on the bracket, so value <= sup_a <= bound
     value = np.maximum(-rate_lo, alpha * hi - rate_hi)
@@ -342,20 +343,20 @@ def scgf_parallel(ensemble: UserEnsemble, alpha: float) -> float:
     if todo.size:
         # identical users share alpha evenly over the k (alpha <= 0) or m - k + 1
         # (alpha > 0) users whose roles cost something, and their maximiser is
-        # the slope there; started there, distinct users too take fewer steps
-        # than from the middle of [0, x_a] with t = 0
+        # the slope there; distinct users too start there (at the middle of
+        # [0, x_a] in place of x_a, where an order may be +inf)
         spread = ensemble.k if alpha <= 0.0 else ensemble.m - ensemble.k + 1
-        share = min(alpha / spread, ALPHA_BRACKET)  # > -1, as alpha > F_a(0) >= -k
+        share = alpha / spread  # > -1, as alpha > F_a(0) >= -k
         lead = np.argmin(np.abs(roles[todo]), axis=1)
         x = np.array([scgf_derivative(user, share) for user in ensemble.users])[lead]
-        x = np.clip(x, lo[todo], hi[todo])
         lo, hi, rows = lo[todo], hi[todo], roles[todo]
-        t = np.full(rows.shape, math.log1p(share))
+        x = np.where(x < hi, x, 0.5 * (lo + hi))
+        v = np.full(rows.shape, math.log1p(1.0 / (1.0 + share)))
         run = np.arange(todo.size)
         for _ in range(_MAX_STEPS):
             if run.size == 0:
                 break
-            f, rise, rate, t[run], pace = _assignment_slopes(ensemble, rows[run], x[run], t[run])
+            f, rise, rate, v[run], pace = _assignment_slopes(ensemble, rows[run], x[run], v[run])
             here = todo[run]
             now = alpha * x[run] - rate
             value[here] = np.maximum(value[here], now)
@@ -370,7 +371,7 @@ def scgf_parallel(ensemble: UserEnsemble, alpha: float) -> float:
             step = np.where(inside, step, 0.5 * (lo[run] + hi[run]))
             done = (g * g <= 2.0 * _GAIN_TOL * rise) | (step == x[run])
             done |= bound[here] < value.max() - _PRUNE_GAP
-            t[run] += (step - x[run])[:, np.newaxis] * pace
+            v[run] += (step - x[run])[:, np.newaxis] * pace
             x[run] = step
             run = run[~done]
     return float(value.max())

@@ -2,9 +2,9 @@
 
 Sources drawn on the 1/1024 probability lattice have integer-exact
 sequence probabilities: the numerator of a length-n sequence is a
-product of cell numerators below 2^63 for n <= 6, so ranks and block
-structure can be cross-checked against the library with no floating
-point at all.
+product of cell numerators, held in int64 below 2^63 and as Python
+integers past it, so ranks and block structure can be cross-checked
+against the library with no floating point at all.
 
 The rate-function reference conjugates the SCGF numerically, by
 golden-section search over its values alone, so it shares no slope or
@@ -36,9 +36,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from guesslab.dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic, NumeratorCode
-from guesslab.entropy import conditional_min_entropy
+from guesslab.entropy import _arimoto, conditional_min_entropy, conditional_shannon
 from guesslab.guesswork import GuessworkDistribution, YTypeLaw, guesswork_distribution
-from guesslab.ldp import ALPHA_BRACKET, scgf_limit
 from guesslab.model import PairSource, make_source
 
 DENOM_BITS = 10
@@ -86,11 +85,16 @@ def numerators(source: PairSource) -> np.ndarray:
 
 
 def sequence_keys(source: PairSource, y_seq: list[int]) -> np.ndarray:
-    """Joint numerator of every x-sequence given y_seq, lexicographic order."""
+    """Joint numerator of every x-sequence given y_seq, lexicographic order.
+
+    Keys are int64 while the largest product fits, and Python integers
+    (object dtype) past 2^63, where int64 products would wrap silently.
+    """
     nums = numerators(source)
-    keys = np.ones(1, dtype=np.int64)
+    largest = math.prod(int(nums[:, y].max()) for y in y_seq)
+    keys = np.ones(1, dtype=np.int64 if largest < 2**63 else object)
     for y in y_seq:
-        keys = (keys[:, None] * nums[:, y][None, :]).ravel()
+        keys = (keys[:, None] * nums[:, y].astype(keys.dtype)[None, :]).ravel()
     return keys
 
 
@@ -200,33 +204,98 @@ GOLDEN_TOL = 1e-9
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_max(fn, lo: float, hi: float, tol: float = GOLDEN_TOL) -> float:
-    """Maximum of a concave fn on [lo, hi] by golden-section search."""
+def golden_max_array(fn, lo: np.ndarray, hi: np.ndarray, tol: float = GOLDEN_TOL) -> np.ndarray:
+    """Maxima of a concave fn on many brackets [lo, hi] at once by golden-section search;
+    fn maps an array of points to their values."""
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1, f2 = fn(x1), fn(x2)
-    while hi - lo > tol:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = fn(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = fn(x2)
+    while np.any(hi - lo > tol):
+        left = f1 >= f2
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        keep, f_keep = np.where(left, x1, x2), np.where(left, f1, f2)
+        new = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
+        f_new = fn(new)
+        x1, f1 = np.where(left, new, keep), np.where(left, f_new, f_keep)
+        x2, f2 = np.where(left, keep, new), np.where(left, f_keep, f_new)
     return fn(0.5 * (lo + hi))
 
 
-def rate_golden(source: PairSource, x: float) -> float:
-    """Lambda*(x): h_inf - x up to gamma, +inf past the attainable slopes,
-    and sup over alpha in [-1, ALPHA_BRACKET] of x*alpha - Lambda(alpha)
-    in between, maximised by golden section on ``scgf_limit``."""
-    max_support = int((source.joint > 0.0).sum(axis=0).max())
-    if x > source.log_x_size or x > math.log(max_support) + 1e-12:
-        return math.inf
-    if x <= gamma_closed_form(source):
-        return conditional_min_entropy(source) - x
-    return golden_max(lambda a: x * a - scgf_limit(source, a), -1.0, ALPHA_BRACKET)
+def golden_max(fn, lo: float, hi: float, tol: float = GOLDEN_TOL) -> float:
+    """Maximum of a concave scalar fn on [lo, hi] by golden-section search."""
+    points = golden_max_array(lambda xs: np.array([fn(float(x)) for x in xs]), np.array([lo]), np.array([hi]), tol)
+    return float(points[0])
+
+
+def rate_endpoint(source: PairSource) -> float:
+    """Lambda*(x_sup) as the beta -> 0 limit of alpha x_sup - Lambda(alpha), in 40-digit mpmath:
+    -log sum over the columns y of largest support N of N (prod_x p(x, y))^(1/N)."""
+    supports = [[mpmath.mpf(float(v)) for v in col if v > 0.0] for col in source.joint.T]
+    widest = max(len(cells) for cells in supports)
+    with mpmath.workdps(40):
+        total = mpmath.fsum(widest * mpmath.fprod(cells) ** (mpmath.mpf(1) / widest)
+                            for cells in supports if len(cells) == widest)
+        return float(-mpmath.log(total))
+
+
+def rate_golden(source: PairSource, x):
+    """Lambda*(x) for a scalar or an array of x: h_inf - x up to gamma, +inf
+    past the attainable slopes, ``rate_endpoint`` at x_sup, and in between
+    the sup over orders of x*alpha - Lambda(alpha), maximised by golden
+    section on Lambda's values alone, for all points at once: over alpha in
+    [-1, 0] up to H(X|Y) and over beta = 1/(1+alpha) in (0, 1] above it."""
+    xs = np.asarray(x, dtype=np.float64)
+    flat = xs.ravel()
+    g, h = gamma_closed_form(source), conditional_shannon(source)
+    x_sup = math.log(int(np.count_nonzero(source.joint, axis=0).max()))
+    out = np.where(flat <= g, conditional_min_entropy(source) - flat, math.inf)
+    out[(flat > g) & (flat >= x_sup) & (flat <= min(x_sup + 1e-12, source.log_x_size))] = rate_endpoint(source)
+    cols = source.columns
+    # (points, the bracket's ends, beta and alpha at an order of the bracket)
+    ranges = [((flat > g) & (flat <= h), (-1.0, 0.0), lambda a: (1.0 / (1.0 + a), a)),
+              ((flat > max(g, h)) & (flat < x_sup), (0.0, 1.0), lambda b: (b, (1.0 - b) / b))]
+    for inside, (lo, hi), orders in ranges:
+        at = flat[inside]
+        if at.size:
+            def gain(point, at=at, orders=orders):
+                beta, alpha = orders(point)
+                return alpha * at - alpha * _arimoto(cols, beta, alpha)
+            out[inside] = golden_max_array(gain, np.full(at.shape, lo), np.full(at.shape, hi))
+    values = out.reshape(xs.shape)
+    return float(values) if xs.ndim == 0 else values
+
+
+def exact_columns(source: PairSource) -> list[list[mpmath.mpf]]:
+    """The columns of the joint, exact in mpmath and normalised to mass exactly 1: every
+    reference below then has Lambda(0) = 0, which the library's kernel asserts."""
+    cells = [[mpmath.mpf(float(v)) for v in col if v > 0.0] for col in source.joint.T]
+    total = mpmath.fsum(c for col in cells for c in col)
+    return [[c / total for c in col] for col in cells]
+
+
+def mp_scgf(cols, alpha) -> mpmath.mpf:
+    """Lambda(alpha) = log sum_y (sum_x p(x, y)^beta)^(1 + alpha), beta = 1/(1 + alpha)."""
+    beta = 1 / (1 + alpha)
+    return mpmath.log(mpmath.fsum(mpmath.fsum(p**beta for p in col) ** (1 + alpha) for col in cols))
+
+
+def mp_arimoto(cols, beta) -> mpmath.mpf:
+    """H_beta(X|Y) = (beta/(1 - beta)) log sum_y (sum_x p(x, y)^beta)^(1/beta)."""
+    return beta / (1 - beta) * mpmath.log(mpmath.fsum(mpmath.fsum(p**beta for p in col) ** (1 / beta) for col in cols))
+
+
+def mp_rate(cols, x, alpha0: float) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(Lambda*(x), alpha*) on the strictly convex branch: the root of Lambda'(alpha) = x,
+    from the tilted columns' entropies, by mpmath's secant method from alpha0."""
+    def slope(alpha):
+        beta = 1 / (1 + alpha)
+        sums = [mpmath.fsum(p**beta for p in col) for col in cols]
+        weights = [s ** (1 + alpha) for s in sums]
+        ents = [-mpmath.fsum(p**beta / s * mpmath.log(p**beta / s) for p in col) for col, s in zip(cols, sums)]
+        return mpmath.fsum(w * h for w, h in zip(weights, ents)) / mpmath.fsum(weights)
+
+    alpha = mpmath.findroot(lambda a: slope(a) - x, mpmath.mpf(alpha0))
+    return alpha * x - mp_scgf(cols, alpha), alpha
 
 
 def dyadic_group_levels(source: PairSource, y_index: int, size: int) -> dict[Dyadic, int]:

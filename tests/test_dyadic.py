@@ -3,10 +3,13 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from guesslab.dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic
+from guesslab.dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic, LevelCode
 
 from _oracle import divide_exact
 
@@ -105,7 +108,7 @@ def test_log_accuracy_far_below_float_range():
     assert d.to_float() == 0.0
     assert d.log() == pytest.approx(-10000 * math.log(2.0), rel=1e-15)
     e = Dyadic.from_float(0.45) ** 3000
-    assert e.log() == pytest.approx(3000 * math.log(0.45), rel=1e-13)
+    assert e.log() == pytest.approx(3000 * math.log(0.45), rel=1e-13, abs=0)
 
 
 def test_to_float_is_correctly_rounded():
@@ -124,3 +127,82 @@ def test_from_int_matches_value():
         assert Dyadic.from_int(n).as_fraction() == Fraction(n)
     with pytest.raises(ValueError):
         Dyadic.from_int(-2)
+
+
+# Property tests against Fraction, built from (m, e) pairs so that the
+# ground truth never goes through Dyadic arithmetic.  Exponents reach the
+# subnormal and overflowing ends of the float range as well as 1.
+EXPONENTS = st.one_of(st.integers(-80, 80), st.integers(-1160, -1000), st.integers(900, 960))
+PAIRS = st.tuples(st.integers(0, 2**80), EXPONENTS)
+# m 2**e within a relative 2**-8 of 1, where a log must not cancel
+NEAR_ONE = st.integers(9, 200).flatmap(lambda k: st.tuples(st.integers(2**k - 2 ** (k - 8), 2**k + 2 ** (k - 8)), st.just(-k)))
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def dyadic_and_fraction(pair) -> tuple[Dyadic, Fraction]:
+    m, e = pair
+    return Dyadic.from_int(m) * Dyadic(1, e), Fraction(m) * Fraction(2) ** e
+
+
+def canonical(d: Dyadic) -> bool:
+    return (d.m == 0 and d.e == 0) or d.m % 2 == 1
+
+
+@PROPERTY
+@given(PAIRS, PAIRS, st.integers(0, 6))
+def test_arithmetic_matches_fraction(p, q, k):
+    a, fa = dyadic_and_fraction(p)
+    b, fb = dyadic_and_fraction(q)
+    for got, want in ((a * b, fa * fb), (a + b, fa + fb), (a**k, fa**k)):
+        assert canonical(got)
+        assert got.as_fraction() == want
+
+
+@PROPERTY
+@given(PAIRS, PAIRS, st.integers(0, 8))
+def test_comparisons_match_fraction(p, q, shift):
+    a, fa = dyadic_and_fraction(p)
+    b, fb = dyadic_and_fraction(q)
+    # the same value as a, from another (m, e) pair
+    same, _ = dyadic_and_fraction((p[0] << shift, p[1] - shift))
+    for c, fc in ((b, fb), (same, fa)):
+        assert (a == c) == (fa == fc)
+        assert hash(a) == hash(c) or fa != fc
+        assert (a < c, a <= c, a > c, a >= c) == (fa < fc, fa <= fc, fa > fc, fa >= fc)
+
+
+@PROPERTY
+@given(st.one_of(PAIRS, NEAR_ONE))
+def test_to_float_and_log_match_fraction(p):
+    a, fa = dyadic_and_fraction(p)
+    # float(Fraction) rounds correctly
+    assert a.to_float() == (float(fa) if fa < 2**1024 else math.inf)
+    if fa == 0:
+        assert a.log() == -math.inf
+        return
+    with mpmath.workdps(40):
+        log = float(mpmath.log(mpmath.mpf(fa.numerator) / fa.denominator))
+    assert abs(a.log() - log) <= 2.0 * math.ulp(log)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(1, 2**20), st.integers(-60, 0)), min_size=1, max_size=5),
+       st.integers(1, 8), st.data())
+def test_level_packing_round_trip_matches_fraction(pairs, n, data):
+    # levels m * 2**e, e <= 0: the key of a product is the sum of the
+    # factors' keys, field by field with no carry, and dyadic() gives the
+    # product back
+    levels = [d for d in (dyadic_and_fraction(pair)[0] for pair in pairs) if d.e <= 0]
+    if not levels:
+        return
+    packing = LevelCode(levels).packing(n)
+    factors = data.draw(st.lists(st.sampled_from(levels), max_size=n))
+    key = sum(packing.key(f) for f in factors)
+    vectors = [packing.unpack(packing.key(f)) for f in factors]
+    assert packing.unpack(key) == [sum(v[i] for v in vectors) for i in range(len(packing.fields))]
+    want = Fraction(1)
+    for f in factors:
+        want *= f.as_fraction()
+    assert packing.dyadic(key).as_fraction() == want
+    for level in levels:
+        assert packing.dyadic(packing.key(level)) == level

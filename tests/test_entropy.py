@@ -15,7 +15,10 @@ from guesslab.entropy import (
     shannon_entropy,
 )
 from guesslab.guesswork import guesswork_distribution
+from guesslab.ldp import scgf_limit
 from guesslab.model import Distribution, make_source
+
+from _oracle import exact_columns, mp_arimoto, mp_scgf
 
 mpmath.mp.dps = 40
 
@@ -54,7 +57,7 @@ def test_renyi_half_skewed_pair():
     want = 2.0 * math.log(math.sqrt(0.75) + math.sqrt(0.25))
     assert renyi_entropy(d, 0.5) == pytest.approx(want, rel=1e-14)
     assert want == pytest.approx(0.623811, abs=5e-7)
-    assert renyi_entropy(d, 0.5) == pytest.approx(renyi_oracle([0.75, 0.25], 0.5), rel=1e-13)
+    assert renyi_entropy(d, 0.5) == pytest.approx(renyi_oracle([0.75, 0.25], 0.5), rel=1e-13, abs=0)
 
 
 def test_deterministic_distribution_zero_entropy():
@@ -87,7 +90,7 @@ def test_arimoto_bsc_half_is_log_1p6(bsc01):
     got = conditional_renyi_arimoto(bsc01, 0.5)
     assert got == pytest.approx(math.log(1.6), rel=1e-14)
     assert got == pytest.approx(0.470004, abs=5e-7)
-    assert got == pytest.approx(arimoto_oracle(bsc01, 0.5), rel=1e-13)
+    assert got == pytest.approx(arimoto_oracle(bsc01, 0.5), rel=1e-13, abs=0)
 
 
 def test_arimoto_generic_orders_match_oracle(bsc01, skew22, corpus):
@@ -180,3 +183,21 @@ def test_range_bounds_on_corpus(corpus):
         for alpha in (0.0, 0.5, 1.0, 2.0, math.inf):
             v = conditional_renyi_arimoto(src, alpha)
             assert 0.0 <= v <= bound
+
+
+def test_orders_near_one_and_near_zero_match_mpmath(bsc01, skew22, corpus):
+    # H_beta at beta = 1 +- 10^-k and Lambda(alpha) at alpha = +-10^-k, k = 1..12,
+    # to 1e-13 relative: the kernel takes the order's distance from 1 out
+    # analytically, so nothing cancels as it shrinks
+    lat22 = make_source(["0", "1"], ["0", "1"], [[0.5, 0.1], [0.15, 0.25]])
+    with mpmath.workdps(50):
+        for src in [bsc01, skew22, lat22] + corpus[:5]:
+            cols = exact_columns(src)
+            for k in range(1, 13):
+                for sign in (1.0, -1.0):
+                    beta = 1.0 + sign * 10.0**-k
+                    want = mp_arimoto(cols, mpmath.mpf(beta))
+                    assert abs(conditional_renyi_arimoto(src, beta) - want) <= 1e-13 * abs(want)
+                    alpha = sign * 10.0**-k
+                    want = mp_scgf(cols, mpmath.mpf(alpha))
+                    assert abs(scgf_limit(src, alpha) - want) <= 1e-13 * abs(want)

@@ -64,6 +64,14 @@ def test_guess_rank_uniform_ties_are_lexicographic():
     assert guess_rank(src, ["a", "b", "a"], ["y", "y", "y"]) == 3  # binary 010
 
 
+def test_naive_rank_past_int64_numerators():
+    # 384**8 ~ 4.7e20 passes 2**63: the oracle's keys must not wrap
+    src = make_source(["0", "1"], ["0", "1"], [[0.375, 0.125], [0.125, 0.375]])
+    xs, ys = [1, 0, 0, 1, 0, 0, 0, 0], [0] * 8
+    assert _oracle.naive_rank(src, xs, ys) == 35
+    assert guess_rank(src, [str(x) for x in xs], [str(y) for y in ys]) == 35
+
+
 def test_guess_rank_matches_naive_oracle(corpus):
     rng = np.random.default_rng(404)
     for src in corpus[:8]:

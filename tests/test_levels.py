@@ -276,9 +276,9 @@ def test_explicit_level_laws_read_like_keyed_laws(bsc01, corpus):
         assert explicit.laws == _oracle.split_laws(keyed).laws
         assert explicit.prob_eq_one_dyadic() == keyed.prob_eq_one_dyadic()
         for alpha in (-1.5, 0.5, 2.0):
-            assert explicit.log_moment(alpha) == pytest.approx(keyed.log_moment(alpha), rel=1e-13)
+            assert explicit.log_moment(alpha) == pytest.approx(keyed.log_moment(alpha), rel=1e-13, abs=0)
         lo, hi = 0.2 * src.log_x_size, 0.7 * src.log_x_size
-        assert explicit.log_prob_log_window(lo, hi) == pytest.approx(keyed.log_prob_log_window(lo, hi), rel=1e-13)
+        assert explicit.log_prob_log_window(lo, hi) == pytest.approx(keyed.log_prob_log_window(lo, hi), rel=1e-13, abs=0)
 
 
 def swapped(law, i: int, j: int):
@@ -537,7 +537,7 @@ def test_shared_law_reads_like_one_law_per_y_type(bsc01_n240):
     split = _oracle.split_laws(bsc01_n240)
     assert len(split.laws) == 241
     for alpha in (-1.5, -0.5, 1.5, 12.5):
-        assert bsc01_n240.log_moment(alpha) == pytest.approx(split.log_moment(alpha), rel=1e-13)
+        assert bsc01_n240.log_moment(alpha) == pytest.approx(split.log_moment(alpha), rel=1e-13, abs=0)
     # window probabilities, not their logs: the log of one near 1 is relatively ill-conditioned
     log_x = math.log(2.0)
     for lo, hi in ((0.0, 0.1 * log_x), (0.2 * log_x, 0.7 * log_x), (0.5 * log_x, 2.0 * log_x), (0.3, 0.3001)):
