@@ -17,7 +17,7 @@ from .entropy import (
     shannon_entropy,
 )
 from .guesswork import (
-    DEFAULT_MAX_TYPE_TUPLES,
+    BUDGET_CAP,
     BudgetExceededError,
     GuessOrder,
     GuessworkDistribution,
@@ -29,6 +29,7 @@ from .guesswork import (
     guess_rank,
     guesswork_distribution,
     log_moment_exact,
+    log_moment_bounds,
     moment_bounds,
     moment_exact,
     optimal_order,
@@ -101,7 +102,7 @@ __all__ = [
     "conditional_min_entropy",
     "power_sum",
     "power_sum_log",
-    "DEFAULT_MAX_TYPE_TUPLES",
+    "BUDGET_CAP",
     "GuessworkError",
     "SequenceError",
     "BudgetExceededError",
@@ -115,6 +116,7 @@ __all__ = [
     "guesswork_distribution",
     "moment_exact",
     "log_moment_exact",
+    "log_moment_bounds",
     "moment_bounds",
     "scgf_empirical",
     "plateau_window",

@@ -26,13 +26,12 @@ from .entropy import (
     renyi_entropy,
 )
 from .guesswork import (
-    DEFAULT_MAX_TYPE_TUPLES,
     BudgetExceededError,
     GuessworkError,
     SequenceError,
     exp_or_inf,
     guesswork_distribution,
-    moment_bounds,
+    log_moment_bounds,
 )
 from .ldp import (
     DomainError,
@@ -51,7 +50,6 @@ from .model import (
 )
 from .montecarlo import SampleError, estimate_log_guesswork_rate, estimate_moment
 from .parallel import (
-    DEFAULT_MAX_RANKS,
     EnsembleError,
     UserEnsemble,
     kmin_distribution,
@@ -191,12 +189,13 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_moments(args) -> int:
     source = load_source_file(args.source)
-    dist = guesswork_distribution(source, args.n, args.max_type_tuples)
+    dist = guesswork_distribution(source, args.n)
+    inside = [alpha for alpha in args.alphas if -1.0 < alpha < 0.0]  # the bounds' orders, in one kernel pass
+    logs = zip(inside, *(values.tolist() for values in log_moment_bounds(source, args.n, inside)))
+    bounds = {alpha: (math.exp(lo), math.exp(hi)) for alpha, lo, hi in logs}
     rows = []
     for alpha in args.alphas:
-        lower = upper = None
-        if -1.0 < alpha < 0.0:
-            lower, upper = moment_bounds(source, args.n, alpha)
+        lower, upper = bounds.get(alpha, (None, None))
         log_m = dist.log_moment(alpha)
         rows.append([args.n, alpha, exp_or_inf(log_m), lower, upper, _scaled(log_m / dist.n, args.bits)])
     header = ["n", "alpha", "exact", "lower", "upper", "scgf_empirical"]
@@ -206,7 +205,7 @@ def _cmd_moments(args) -> int:
 
 def _cmd_dist(args) -> int:
     source = load_source_file(args.source)
-    dist = guesswork_distribution(source, args.n, args.max_type_tuples)
+    dist = guesswork_distribution(source, args.n)
     lines = []
     last = None
     for y_counts, y_mass, start, count, level in dist.blocks:
@@ -222,16 +221,11 @@ def _cmd_dist(args) -> int:
 
 def _cmd_scgf(args) -> int:
     source = load_source_file(args.source)
-    rows = []
-    for alpha in args.alphas:
-        derivative = scgf_derivative(source, alpha) if alpha > -1.0 else None
-        rows.append(
-            [
-                alpha,
-                _scaled(scgf_limit(source, alpha), args.bits),
-                _scaled(derivative, args.bits),
-            ]
-        )
+    limits = scgf_limit(source, args.alphas).tolist()
+    # the derivative is defined above the plateau only, and left blank on it
+    derivatives = iter(scgf_derivative(source, [a for a in args.alphas if a > -1.0]).tolist())
+    rows = [[alpha, _scaled(limit, args.bits), _scaled(next(derivatives) if alpha > -1.0 else None, args.bits)]
+            for alpha, limit in zip(args.alphas, limits)]
     _emit_csv(args, ["alpha", "scgf_limit", "derivative"], rows, _manifest(args, "scgf", [args.source]))
     return 0
 
@@ -250,7 +244,7 @@ def _cmd_ldp(args) -> int:
     limit = rate(args.x)
     rows = []
     for n in range(1, args.nmax + 1):
-        dist = guesswork_distribution(source, n, args.max_type_tuples)
+        dist = guesswork_distribution(source, n)
         empirical = empirical_exponent(source, args.x, args.eps, n, dist=dist)
         gap = None
         if math.isfinite(empirical) and math.isfinite(limit):
@@ -287,7 +281,7 @@ def _cmd_parallel(args) -> int:
     ensemble = UserEnsemble(users, k)
     rows = []
     if args.alphas and args.n is not None:
-        dist = kmin_distribution(ensemble, args.n, args.max_type_tuples, args.max_ranks)
+        dist = kmin_distribution(ensemble, args.n)
         for alpha in args.alphas:
             log_m = dist.log_moment(alpha)
             rows.append(["kmin_moment", args.n, alpha, None, exp_or_inf(log_m)])
@@ -332,17 +326,10 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _add_common(sub, budget: bool = False) -> None:
+def _add_common(sub) -> None:
     sub.add_argument("--source", required=True, help="path to a JSON source config")
     sub.add_argument("--out", help="write CSV here plus a sibling manifest JSON")
     sub.add_argument("--bits", action="store_true", help="display log-scale values in bits")
-    if budget:
-        sub.add_argument(
-            "--max-type-tuples",
-            type=int,
-            default=DEFAULT_MAX_TYPE_TUPLES,
-            help="enumeration budget cap (type tuples)",
-        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -367,13 +354,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_entropy)
 
     p = subs.add_parser("moments", help="exact E G^alpha with provable bounds")
-    _add_common(p, budget=True)
+    _add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alphas", type=_csv_floats, required=True)
     p.set_defaults(handler=_cmd_moments)
 
     p = subs.add_parser("dist", help="exact rank law as probability-level blocks")
-    _add_common(p, budget=True)
+    _add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=_cmd_dist)
 
@@ -388,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_rate)
 
     p = subs.add_parser("ldp", help="finite-n exponents against the rate function")
-    _add_common(p, budget=True)
+    _add_common(p)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--nmax", type=int, required=True)
@@ -404,8 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--alphas", type=_csv_floats)
     p.add_argument("--xgrid", type=_grid)
-    p.add_argument("--max-type-tuples", type=int, default=DEFAULT_MAX_TYPE_TUPLES)
-    p.add_argument("--max-ranks", type=int, default=DEFAULT_MAX_RANKS)
     p.set_defaults(handler=_cmd_parallel)
 
     p = subs.add_parser("sample", help="seeded Monte Carlo estimates")

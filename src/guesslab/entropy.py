@@ -111,9 +111,15 @@ def _slope(cols: Columns, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return slope, (w * var).sum(axis=0) + spread / beta
 
 
-def _scgf(source: PairSource, alpha: float) -> float:
-    """Lambda(alpha) = alpha H_{1/(1+alpha)}(X|Y) for finite alpha > -1, with a = beta - 1 taken as -alpha beta."""
-    return alpha * float(_arimoto(source.columns, np.array([1.0 / (1.0 + alpha)]), np.array([alpha]))[0])
+def _scgf(source: PairSource, alpha: np.ndarray) -> np.ndarray:
+    """Lambda(alpha) = alpha H_{1/(1+alpha)}(X|Y) at an array of finite alpha > -1, a = beta - 1 as -alpha beta."""
+    return alpha * _arimoto(source.columns, 1.0 / (1.0 + alpha), alpha)
+
+
+def _shaped(xs: np.ndarray, values: np.ndarray):
+    """values in the shape of xs: a float for a scalar x."""
+    values = np.reshape(values, xs.shape)
+    return float(values) if xs.ndim == 0 else values
 
 
 def _entropies(cols: Columns, order, at_zero: float, at_inf: float):

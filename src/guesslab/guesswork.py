@@ -9,16 +9,14 @@ every comparison, tie, and count below is exact on the joint entries;
 float logs order levels only where they cannot be wrong.
 
 The law of the rank is built by the method of types, never by |X|**n
-enumeration: positions are grouped by column class, per-class x-type
-vectors carry exact multinomial counts, and the per-class level
-dictionaries are convolved, merging equal levels.  A column class is a
-set of y-symbols whose columns hold the same positive joint entries, up to
-a permutation of the rows; the positions observing any of them draw
-their levels from one multiset, so a y-type's law depends only on its
-signature, the number of positions in each class.  A law is built once
-per distinct signature and lists the y-types that share it: a symmetric
-channel such as the BSC has one law for all n + 1 y-types, while a source
-whose columns are all distinct has one per y-type.  Levels are keyed by
+enumeration, on ``PairSource.column_classes``.  A column class is a set
+of y-symbols whose columns are row permutations of each other, so a
+y-type's law depends only on its signature, the number of positions in
+each class.  The build enumerates the signatures, one law each, with its
+y-sequences counted by formula: the BSC has one law for all n + 1
+y-types.  Within a class, x-compositions run over the distinct values,
+weighted by their multiplicities, and the per-class level dictionaries
+are convolved, merging equal levels.  Levels are keyed by
 the source's level code (``dyadic.LevelCode``): a product of joint
 entries is a packed exponent vector over a coprime basis of their odd
 mantissas, so merging adds and hashes small ints.  The build makes no
@@ -26,8 +24,8 @@ level exact: the keys of every law are sorted by the float logs of
 their vectors, and only near ties are ordered by exact ``Dyadic``
 comparison.  A law keeps its counts and keys and rebuilds exact levels on
 demand (``YTypeLaw.blocks``); mass, moments and windows are read from one
-float view of the distinct laws' positive blocks, each weighted by the
-y-sequences of all its y-types, with power sums from the certified array
+float view of the laws' positive blocks, each weighted by its
+y-sequences, with power sums from the certified array
 kernel ``power_sums_log``.  All sequence counts are arbitrary-precision
 integers because they reach |X|**n.
 """
@@ -38,18 +36,18 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import mul
 
 import numpy as np
 
 from .dyadic import DYADIC_ONE, DYADIC_ZERO, NEAR_TIE, Dyadic, LevelPacking, NumeratorCode, descending
-from .entropy import _scgf
+from .entropy import _scgf, _shaped
 from .model import Alphabet, Distribution, PairSource
 from .powersum import log_ints, power_sums_log
 
 __all__ = [
-    "DEFAULT_MAX_TYPE_TUPLES",
+    "BUDGET_CAP",
     "MAX_RANK_TABLE_ENTRIES",
     "GuessworkError",
     "SequenceError",
@@ -66,12 +64,14 @@ __all__ = [
     "guesswork_distribution",
     "moment_exact",
     "log_moment_exact",
+    "log_moment_bounds",
     "moment_bounds",
     "scgf_empirical",
     "plateau_window",
 ]
 
-DEFAULT_MAX_TYPE_TUPLES = 10**8
+# Cap on ``enumeration_budget``, and on the rows of ``GuessworkDistribution.blocks``.
+BUDGET_CAP = 10**8
 # Bound on the cached entries of a RankTables: level keys of its suffix
 # tables plus memoised better-counts.  An entry took about 126 bytes (bsc
 # at n = 400, where keys and counts run to hundreds of bits), so the bound
@@ -90,12 +90,12 @@ class SequenceError(GuessworkError):
 
 
 class BudgetExceededError(GuessworkError):
-    """Type enumeration would exceed the configured tuple budget."""
+    """A law build, or its display rows, would exceed the budget cap."""
 
     def __init__(self, required: int, cap: int):
         self.required = required
         self.cap = cap
-        super().__init__(f"required budget {required} type tuples exceeds cap {cap}")
+        super().__init__(f"required budget {required} exceeds cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -136,12 +136,11 @@ class TypeBlock:
 
 @dataclass(frozen=True, eq=False)
 class YTypeLaw:
-    """Rank law conditional on a y-sequence, shared by every y-sequence of its y-types.
+    """Rank law conditional on a y-sequence, shared by every y-sequence of its class signature.
 
-    ``y_types`` pairs each y-type's symbol counts with its number of
-    y-sequences, in composition order: for a type law, the y-types of one
-    class signature, whose y-sequences all have probability ``py_product``;
-    for the k-min law, one empty y-type.  Columnar: ``counts`` are the
+    ``signature`` counts the positions in each class of ``members``, and
+    the ``y_sequences`` with it all have probability ``py_product``.  The
+    k-min law has no class: one empty y-type.  Columnar: ``counts`` are the
     block sizes in rank order, with any zero-level block last, so block
     starts are their running sums.  The positive blocks' levels are the
     ``keys`` of a ``code``, with their float ``logs`` and ``scales`` as
@@ -152,7 +151,9 @@ class YTypeLaw:
     blocks are.
     """
 
-    y_types: tuple[tuple[tuple[int, ...], int], ...]
+    signature: tuple[int, ...]
+    members: tuple[tuple[int, ...], ...] = field(repr=False)
+    y_sequences: int
     py_product: Dyadic
     counts: tuple[int, ...]
     keys: tuple[int, ...]
@@ -161,9 +162,17 @@ class YTypeLaw:
     scales: np.ndarray = field(repr=False)
 
     @property
-    def y_sequences(self) -> int:
-        """The y-sequences of all its y-types."""
-        return sum(count for _, count in self.y_types)
+    def y_types(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each y-type of the signature with its y-sequences, in composition order, for ``dist`` and checks."""
+        y_counts = [0] * sum(map(len, self.members))
+        base = self.y_sequences // math.prod(len(m) ** s for m, s in zip(self.members, self.signature))
+        y_types = []
+        for split in product(*(_counted_compositions(s, len(m)) for s, m in zip(self.signature, self.members))):
+            for members, (sizes, _) in zip(self.members, split):
+                for y, size in zip(members, sizes):
+                    y_counts[y] = size
+            y_types.append((tuple(y_counts), math.prod((ways for _, ways in split), start=base)))
+        return tuple(sorted(y_types))
 
     def level(self, i: int) -> Dyadic:
         """Exact level of block i."""
@@ -287,8 +296,13 @@ class GuessworkDistribution:
         come in composition order.  A level is its code's correctly rounded
         float over the y-sequence's probability as a float, computed once
         per law.  Only a level that underflows a double is made exact, and
-        divided in logs.
+        divided in logs.  The rows must number at most ``BUDGET_CAP``.
         """
+        # a class of w members splits its s positions C(s + w - 1, s) ways
+        required = sum(len(law.counts) * math.prod(math.comb(s + len(m) - 1, s)
+                                                   for s, m in zip(law.signature, law.members)) for law in self.laws)
+        if required > BUDGET_CAP:
+            raise BudgetExceededError(required, BUDGET_CAP)
         y_types = []
         for law in self.laws:
             py = law.py_product.to_float()
@@ -423,34 +437,35 @@ def _counted_compositions(total: int, parts: int):
 
 
 def enumeration_budget(source: PairSource, n: int) -> int:
-    """Bound on the type tuples visited: sum over y-compositions of prod_s C(n_s+|X|-1, |X|-1).
+    """The build's work in 64-bit words: C(n + R - 1, R - 1) compositions times the words of one count.
 
-    The build visits this many when every column is its own class; y-types
-    that share a class signature are built once, so it visits fewer.
+    R counts the distinct (column class, positive value) cells.  Summed over
+    the signatures, the compositions of each class's size over its distinct
+    values number C(n + R - 1, R - 1); a count, up to |X|**n, has n log2|X| bits.
     """
-    cells = source.x_alphabet.size * source.y_alphabet.size
-    return math.comb(n + cells - 1, cells - 1)
+    distinct = sum(len(cls.levels) for cls in source.column_classes)
+    words = max(1, math.ceil(n * math.log2(source.x_alphabet.size) / 64))
+    return math.comb(n + distinct - 1, distinct - 1) * words
 
 
-def _column_classes(source: PairSource, packing: LevelPacking) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The sorted positive level keys of each column class, and the class of each y-symbol.
+def _class_cells(source: PairSource, packing: LevelPacking) -> list[tuple[tuple[int, int], ...]]:
+    """(level key, multiplicity) of each distinct positive value, per column class."""
+    return [tuple(zip(map(packing.key, cls.levels), cls.multiplicities)) for cls in source.column_classes]
 
-    Two columns share a class exactly when they are permutations of each
-    other as exact dyadics, zero cells left out.
+
+def _group_levels(cells: tuple[tuple[int, int], ...], size: int) -> dict[int, int]:
+    """Positive level key -> count over x-assignments of `size` positions of one column class.
+
+    ``cells`` are the class's (key, multiplicity) pairs; a composition k
+    over them stands for multinomial(size; k) * prod multiplicity**k.
     """
-    classes: dict[tuple[int, ...], int] = {}
-    members = []
-    for column in zip(*source.joint_dyadic):
-        cells = tuple(sorted(key for key in map(packing.key, column) if key is not None))
-        members.append(classes.setdefault(cells, len(classes)))
-    return list(classes), members
-
-
-def _group_levels(cells: tuple[int, ...], size: int) -> dict[int, int]:
-    """Positive level key -> count over x-assignments of `size` positions whose column has these cells."""
+    keys = [key for key, _ in cells]
+    powers = [(i, [mult**k for k in range(size + 1)]) for i, (_, mult) in enumerate(cells) if mult > 1]
     counts: dict[int, int] = {}
     for x_counts, count in _counted_compositions(size, len(cells)):
-        key = sum(map(mul, x_counts, cells))
+        for i, power in powers:
+            count *= power[x_counts[i]]
+        key = sum(map(mul, x_counts, keys))
         counts[key] = counts.get(key, 0) + count
     return counts
 
@@ -464,13 +479,13 @@ def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _extend(table: dict[int, int], column: list[int]) -> dict[int, int]:
-    """The table one position longer: every key of the column added to every key of the table."""
+def _extend(table: dict[int, int], column: tuple[tuple[int, int], ...]) -> dict[int, int]:
+    """The table one position longer: every (key, multiplicity) of the column added to every key of the table."""
     out: dict[int, int] = {}
-    for w in column:
+    for w, mult in column:
         for key, count in table.items():
             key += w
-            out[key] = out.get(key, 0) + count
+            out[key] = out.get(key, 0) + count * mult
     return out
 
 
@@ -484,40 +499,30 @@ def _law_counts(columns, signature: tuple[int, ...]) -> dict[int, int]:
     return counts
 
 
-def guesswork_distribution(
-    source: PairSource,
-    n: int,
-    max_type_tuples: int = DEFAULT_MAX_TYPE_TUPLES,
-) -> GuessworkDistribution:
-    """Exact rank law at length n via per-y-type enumeration.
+def guesswork_distribution(source: PairSource, n: int) -> GuessworkDistribution:
+    """Exact rank law at length n, one law per class signature, within ``BUDGET_CAP``.
 
-    A y-type's law depends only on its signature, the positions in each
-    column class, so there is one law per distinct signature, listing the
-    y-types that have it.  The laws' keys are ordered in one pass: one
-    ``log_scales`` call, and exact levels only on near ties.
+    A signature, a composition of n over the classes, has multinomial(n;
+    signature) * prod |class|**size y-sequences.  The laws' keys are ordered
+    in one pass: one ``log_scales`` call, and exact levels only on near ties.
     """
     if n < 1:
         raise SequenceError(f"sequence length must be >= 1, got {n}")
     required = enumeration_budget(source, n)
-    if required > max_type_tuples:
-        raise BudgetExceededError(required, max_type_tuples)
+    if required > BUDGET_CAP:
+        raise BudgetExceededError(required, BUDGET_CAP)
     packing = source.level_code.packing(n)
-    classes, members = _column_classes(source, packing)
+    cells = _class_cells(source, packing)
     tables: dict[tuple[int, int], dict[int, int]] = {}
 
     def columns(c: int, size: int) -> dict[int, int]:
         table = tables.get((c, size))
         if table is None:
-            table = tables[c, size] = _group_levels(classes[c], size)
+            table = tables[c, size] = _group_levels(cells[c], size)
         return table
 
-    by_signature: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    for y_counts, y_sequences in _counted_compositions(n, source.y_alphabet.size):
-        signature = [0] * len(classes)
-        for c, size in zip(members, y_counts):
-            signature[c] += size
-        by_signature.setdefault(tuple(signature), []).append((y_counts, y_sequences))
-    merged = [_law_counts(columns, signature) for signature in by_signature]
+    signatures = list(_counted_compositions(n, len(cells)))
+    merged = [_law_counts(columns, signature) for signature, _ in signatures]
     keys = [key for counts in merged for key in counts]
     logs, scales = packing.log_scales(keys)
     groups = np.repeat(np.arange(len(merged)), [len(counts) for counts in merged])
@@ -525,20 +530,24 @@ def guesswork_distribution(
     logs, scales = logs[order], scales[order]
     ranked = [keys[i] for i in order.tolist()]
     total = source.x_alphabet.size**n
+    members = tuple(cls.members for cls in source.column_classes)
+    widths = [len(m) for m in members]
     # the columns of a class are permutations of each other, so they have one exact p(y)
-    class_py = dict(zip(members, source.py_dyadic))
+    class_py = [source.py_dyadic[m[0]] for m in members]
     laws = []
     stop = 0
-    for (signature, y_types), counts in zip(by_signature.items(), merged):
+    for (signature, multinomial), counts in zip(signatures, merged):
         start, stop = stop, stop + len(counts)
         law_keys = tuple(ranked[start:stop])
         law_counts = [counts[key] for key in law_keys]
         zero_count = total - sum(law_counts)
         if zero_count:
             law_counts.append(zero_count)
-        py_product = math.prod((class_py[c] ** size for c, size in enumerate(signature)), start=DYADIC_ONE)
-        laws.append(YTypeLaw(y_types=tuple(y_types), py_product=py_product, counts=tuple(law_counts),
-                             keys=law_keys, code=packing, logs=logs[start:stop], scales=scales[start:stop]))
+        y_sequences = math.prod((w**size for w, size in zip(widths, signature)), start=multinomial)
+        py_product = math.prod((py**size for py, size in zip(class_py, signature)), start=DYADIC_ONE)
+        laws.append(YTypeLaw(signature=signature, members=members, y_sequences=y_sequences, py_product=py_product,
+                             counts=tuple(law_counts), keys=law_keys, code=packing, logs=logs[start:stop],
+                             scales=scales[start:stop]))
     return GuessworkDistribution(n, source.x_alphabet.size, source.y_alphabet.symbols, tuple(laws))
 
 
@@ -601,7 +610,8 @@ class RankTables:
     (as for the laws of ``guesswork_distribution``), packed into one int
     code, not on its order.  A table is cached under its suffix length and
     signature code, and built along the ranked sequence's own y's: the
-    column of y_j convolved with the table of positions j+1..n-1.  The
+    distinct values of y_j's column, each with its multiplicity, convolved
+    with the table of positions j+1..n-1.  The
     count of strictly better sequences depends only on the full signature
     and the target key, and is memoised under both.  After a rank, the memo
     and then the longest suffix tables are dropped until at most
@@ -616,9 +626,10 @@ class RankTables:
         self.n = n
         self.packing = packing = source.level_code.packing(n)
         self.cells = [[packing.key(d) for d in row] for row in source.joint_dyadic]
-        self.columns = [[key for key in column if key is not None] for column in zip(*self.cells)]
-        width = n.bit_length()
-        self.steps = [1 << (c * width) for c in _column_classes(source, packing)[1]]
+        class_of = sorted((y, c) for c, cls in enumerate(source.column_classes) for y in cls.members)
+        cells = _class_cells(source, packing)
+        self.columns = [cells[c] for _, c in class_of]  # per y, its class's (key, multiplicity) pairs
+        self.steps = [1 << (c * n.bit_length()) for _, c in class_of]
         self.tables: list[dict[int, dict[int, int]]] = [{} for _ in range(n + 1)]
         self.above: dict[tuple[int, int], int] = {}
         self.entries = 0
@@ -689,7 +700,7 @@ class RankTables:
         n = self.n
         positive = [1] * (n + 1)
         for j in range(n - 1, -1, -1):
-            positive[j] = positive[j + 1] * len(self.columns[ys[j]])
+            positive[j] = positive[j + 1] * sum(mult for _, mult in self.columns[ys[j]])
         x_size = len(self.cells)
         before = 0
         prefix_zero = False
@@ -705,44 +716,44 @@ class RankTables:
         return positive[0] + before + 1
 
 
-def log_moment_exact(
-    source: PairSource,
-    n: int,
-    alpha: float,
-    max_type_tuples: int = DEFAULT_MAX_TYPE_TUPLES,
-) -> float:
-    return guesswork_distribution(source, n, max_type_tuples).log_moment(alpha)
+def log_moment_exact(source: PairSource, n: int, alpha: float) -> float:
+    return guesswork_distribution(source, n).log_moment(alpha)
 
 
-def moment_exact(
-    source: PairSource,
-    n: int,
-    alpha: float,
-    max_type_tuples: int = DEFAULT_MAX_TYPE_TUPLES,
-) -> float:
+def moment_exact(source: PairSource, n: int, alpha: float) -> float:
     """E G(X1n|Y1n)^alpha, exactly enumerated."""
-    return guesswork_distribution(source, n, max_type_tuples).moment(alpha)
+    return guesswork_distribution(source, n).moment(alpha)
 
 
-def scgf_empirical(
-    source: PairSource,
-    n: int,
-    alpha: float,
-    max_type_tuples: int = DEFAULT_MAX_TYPE_TUPLES,
-) -> float:
+def scgf_empirical(source: PairSource, n: int, alpha: float) -> float:
     """n^-1 log E G^alpha at finite n."""
-    return log_moment_exact(source, n, alpha, max_type_tuples) / n
+    return log_moment_exact(source, n, alpha) / n
 
 
-def plateau_window(source: PairSource, n: int, max_type_tuples: int = DEFAULT_MAX_TYPE_TUPLES) -> tuple[float, float]:
+def plateau_window(source: PairSource, n: int) -> tuple[float, float]:
     """Sandwich endpoints for n^-1 log E G^alpha valid for every alpha <= -1.
 
     P(G=1) <= E G^alpha <= P(G=1) (1 + log|X|^n); both ends exact.
     """
-    dist = guesswork_distribution(source, n, max_type_tuples)
+    dist = guesswork_distribution(source, n)
     lo = dist.log_prob_eq_one() / n
     width = math.log1p(n * math.log(source.x_alphabet.size)) / n
     return lo, lo + width
+
+
+def log_moment_bounds(source: PairSource, n: int, alpha):
+    """(log lower, log upper) of ``moment_bounds``, for a scalar or an array of orders in (-1, 0).
+
+    At large n the bounds underflow a double; their logs do not.
+    """
+    alphas = np.asarray(alpha, dtype=np.float64)
+    inside = (-1.0 < alphas) & (alphas < 0.0)
+    if not inside.all():
+        raise GuessworkError(f"bounds require alpha in (-1, 0), got {float(alphas[~inside].flat[0])}")
+    flat = alphas.ravel()
+    log_lower = n * _scgf(source, flat)
+    log_upper = log_lower - flat * math.log1p(n * math.log(source.x_alphabet.size))
+    return _shaped(alphas, log_lower), _shaped(alphas, log_upper)
 
 
 def moment_bounds(source: PairSource, n: int, alpha: float) -> tuple[float, float]:
@@ -752,10 +763,5 @@ def moment_bounds(source: PairSource, n: int, alpha: float) -> tuple[float, floa
     with beta = 1/(1+alpha); the upper bound multiplies it by
     (1 + log|X|^n)^(-alpha).  Contract: lower <= moment_exact <= upper.
     """
-    alpha = float(alpha)
-    if not -1.0 < alpha < 0.0:
-        raise GuessworkError(f"bounds require alpha in (-1, 0), got {alpha}")
-    log_base = n * _scgf(source, alpha)
-    lower = math.exp(log_base)
-    upper = math.exp(log_base - alpha * math.log1p(n * math.log(source.x_alphabet.size)))
-    return lower, upper
+    log_lower, log_upper = log_moment_bounds(source, n, float(alpha))
+    return math.exp(log_lower), math.exp(log_upper)

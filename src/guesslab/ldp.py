@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import Columns, _arimoto, _scgf, _slope, conditional_min_entropy
-from .guesswork import DEFAULT_MAX_TYPE_TUPLES, GuessworkDistribution, guesswork_distribution
+from .entropy import Columns, _arimoto, _scgf, _shaped, _slope, conditional_min_entropy
+from .guesswork import GuessworkDistribution, guesswork_distribution
 from .model import PairSource
 
 __all__ = [
@@ -46,19 +46,20 @@ class DomainError(ValueError):
     """Argument outside the operation's domain."""
 
 
-def _finite_order(alpha) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise DomainError(f"order must be finite, got {alpha}")
-    return alpha
+def _finite_orders(alpha) -> np.ndarray:
+    alphas = np.asarray(alpha, dtype=np.float64)
+    if not np.isfinite(alphas).all():
+        raise DomainError(f"order must be finite, got {float(alphas[~np.isfinite(alphas)].flat[0])}")
+    return alphas
 
 
-def scgf_limit(source: PairSource, alpha: float) -> float:
-    """Lambda(alpha) = lim n^-1 log E G^alpha in nats."""
-    alpha = _finite_order(alpha)
-    if alpha <= -1.0:
-        return -conditional_min_entropy(source)
-    return _scgf(source, alpha)
+def scgf_limit(source: PairSource, alpha):
+    """Lambda(alpha) = lim n^-1 log E G^alpha in nats, for a scalar or an array of orders, in one kernel pass."""
+    alphas = _finite_orders(alpha)
+    flat = alphas.ravel()
+    above = flat > -1.0  # -H_inf(X|Y) on the plateau, where the kernel sees order 0 instead
+    value = np.where(above, _scgf(source, np.where(above, flat, 0.0)), -conditional_min_entropy(source))
+    return _shaped(alphas, value)
 
 
 def _orders(cols: Columns, x: np.ndarray, v: np.ndarray):
@@ -96,12 +97,12 @@ def _orders(cols: Columns, x: np.ndarray, v: np.ndarray):
     return alpha * (x - _arimoto(cols, beta, alpha)), alpha, v, pace, rise
 
 
-def scgf_derivative(source: PairSource, alpha: float) -> float:
-    """Lambda'(alpha) for alpha > -1; Lambda'(0) = H(X|Y)."""
-    alpha = _finite_order(alpha)
-    if alpha <= -1.0:
-        raise DomainError(f"derivative undefined at alpha <= -1, got {alpha}")
-    return float(_slope(source.columns, np.array([1.0 / (1.0 + alpha)]))[0][0])
+def scgf_derivative(source: PairSource, alpha):
+    """Lambda'(alpha) for alpha > -1, a scalar or an array of orders; Lambda'(0) = H(X|Y)."""
+    alphas = _finite_orders(alpha)
+    if np.any(alphas <= -1.0):
+        raise DomainError(f"derivative undefined at alpha <= -1, got {float(alphas[alphas <= -1.0].flat[0])}")
+    return _shaped(alphas, _slope(source.columns, 1.0 / (1.0 + alphas.ravel()))[0])
 
 
 def gamma(source: PairSource) -> float:
@@ -117,12 +118,6 @@ def _domain(x) -> np.ndarray:
     if not np.all(xs >= 0.0):
         raise DomainError(f"rate function domain is x >= 0, got {float(xs.min())}")
     return xs
-
-
-def _shaped(xs: np.ndarray, values: np.ndarray):
-    """values in the shape of xs: a float for a scalar x."""
-    values = np.reshape(values, xs.shape)
-    return float(values) if xs.ndim == 0 else values
 
 
 @dataclass(frozen=True)
@@ -193,7 +188,6 @@ def empirical_exponent(
     x: float,
     eps: float,
     n: int,
-    max_type_tuples: int = DEFAULT_MAX_TYPE_TUPLES,
     dist: GuessworkDistribution | None = None,
 ) -> float:
     """-n^-1 log P(n^-1 log G in [x-eps, x+eps]); +inf for zero-mass events."""
@@ -202,7 +196,7 @@ def empirical_exponent(
     if not 0.0 < eps < math.inf:
         raise DomainError(f"eps must be finite and > 0, got {eps}")
     if dist is None:
-        dist = guesswork_distribution(source, n, max_type_tuples)
+        dist = guesswork_distribution(source, n)
     log_p = dist.log_prob_log_window(x - eps, x + eps)
     if log_p == -math.inf:
         return math.inf

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "ValidationError",
     "Alphabet",
     "Distribution",
+    "ColumnClass",
     "PairSource",
     "load_source",
     "load_source_file",
@@ -114,6 +115,14 @@ class Distribution:
         return int(np.count_nonzero(self.pmf))
 
 
+class ColumnClass(NamedTuple):
+    """y-indices whose columns are row permutations of each other; their distinct positive entries and counts."""
+
+    members: tuple[int, ...]
+    levels: tuple[Dyadic, ...]
+    multiplicities: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class PairSource:
     """Joint pmf p(x, y) on X x Y defining a memoryless pair sequence.
@@ -188,12 +197,24 @@ class PairSource:
 
         return columns(self.joint)
 
+    @cached_property
+    def column_classes(self) -> tuple[ColumnClass, ...]:
+        """The columns as classes of exact row permutations, zero cells left out, built on first use.
+
+        Classes are numbered by their last member, so signatures sort as the y-types they stand for.
+        """
+        classes: dict[tuple[Dyadic, ...], list[int]] = {}
+        for j, column in enumerate(zip(*self.joint_dyadic)):
+            classes.setdefault(tuple(sorted(d for d in column if d)), []).append(j)
+        out = []
+        for cells, members in sorted(classes.items(), key=lambda item: item[1][-1]):
+            levels = tuple(dict.fromkeys(cells))  # ascending, as the cells are
+            out.append(ColumnClass(tuple(members), levels, tuple(map(cells.count, levels))))
+        return tuple(out)
+
     @property
     def log_x_size(self) -> float:
         return math.log(self.x_alphabet.size)
-
-    def x_index(self, symbol: str) -> int:
-        return self.x_alphabet.index(symbol)
 
     def y_index(self, symbol: str) -> int:
         return self.y_alphabet.index(symbol)

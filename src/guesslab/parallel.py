@@ -42,17 +42,12 @@ import numpy as np
 
 from .dyadic import DYADIC_ONE, Dyadic, NumeratorCode
 from .entropy import conditional_shannon
-from .guesswork import (
-    DEFAULT_MAX_TYPE_TUPLES,
-    GuessworkDistribution,
-    YTypeLaw,
-    guesswork_distribution,
-)
-from .ldp import _MAX_STEPS, _V_COLD, RateFunction, _domain, _finite_order, _shaped, scgf_derivative, scgf_limit
+from .guesswork import GuessworkDistribution, YTypeLaw, guesswork_distribution
+from .ldp import _MAX_STEPS, _V_COLD, RateFunction, _domain, _finite_orders, _shaped, scgf_derivative, scgf_limit
 from .model import PairSource
 
 __all__ = [
-    "DEFAULT_MAX_RANKS",
+    "MAX_KMIN_RANKS",
     "MAX_KMIN_USERS",
     "EnsembleError",
     "UserEnsemble",
@@ -64,7 +59,8 @@ __all__ = [
     "scgf_parallel_iid",
 ]
 
-DEFAULT_MAX_RANKS = 1 << 20
+# k-min laws hold one pmf value per rank, |X|**n of them
+MAX_KMIN_RANKS = 1 << 20
 MAX_KMIN_USERS = 12
 # scgf_parallel's role assignments, m * C(m-1, k-1), at most as many as for 12 users, k = 6
 _MAX_ASSIGNMENTS = MAX_KMIN_USERS * math.comb(MAX_KMIN_USERS - 1, MAX_KMIN_USERS // 2 - 1)
@@ -125,25 +121,20 @@ class UserEnsemble:
         return np.array(rows)
 
 
-def kmin_distribution(
-    ensemble: UserEnsemble,
-    n: int,
-    max_type_tuples: int = DEFAULT_MAX_TYPE_TUPLES,
-    max_ranks: int = DEFAULT_MAX_RANKS,
-) -> GuessworkDistribution:
+def kmin_distribution(ensemble: UserEnsemble, n: int) -> GuessworkDistribution:
     """Exact law of the k-th smallest of the m independent guess ranks."""
     if ensemble.m == 1:
         # degenerate k-min: the single-user law itself, bit for bit
-        return guesswork_distribution(ensemble.users[0], n, max_type_tuples)
+        return guesswork_distribution(ensemble.users[0], n)
     if ensemble.m > MAX_KMIN_USERS:
         raise EnsembleError(f"k-min enumeration supports m <= {MAX_KMIN_USERS}, got {ensemble.m}")
     total = ensemble.x_size**n
-    if total > max_ranks:
+    if total > MAX_KMIN_RANKS:
         # |X|**n itself may be too long to print in decimal
-        raise EnsembleError(f"rank span {ensemble.x_size}**{n} exceeds max_ranks {max_ranks}")
+        raise EnsembleError(f"rank span {ensemble.x_size}**{n} exceeds {MAX_KMIN_RANKS} ranks")
 
     m = ensemble.m
-    dists = [guesswork_distribution(u, n, max_type_tuples) for u in ensemble.users]
+    dists = [guesswork_distribution(u, n) for u in ensemble.users]
     user_levels = [_distinct_levels(dist) for dist in dists]
     # every probability below is an integer numerator over 2**shift
     shift = max(-level.e for levels in user_levels for level in levels.values())
@@ -172,7 +163,7 @@ def kmin_distribution(
         keys.pop()
     code = NumeratorCode(shift * m)
     logs, scales = code.log_scales(keys)
-    law = YTypeLaw(y_types=(((), 1),), py_product=DYADIC_ONE, counts=tuple(counts),
+    law = YTypeLaw(signature=(), members=(), y_sequences=1, py_product=DYADIC_ONE, counts=tuple(counts),
                    keys=tuple(keys), code=code, logs=logs, scales=scales)
     return GuessworkDistribution(n=n, x_size=ensemble.x_size, y_symbols=(), laws=(law,), monotone=False)
 
@@ -239,13 +230,11 @@ def kmin_moment_exact(
     ensemble: UserEnsemble,
     n: int,
     alpha: float,
-    max_type_tuples: int = DEFAULT_MAX_TYPE_TUPLES,
-    max_ranks: int = DEFAULT_MAX_RANKS,
     dist: GuessworkDistribution | None = None,
 ) -> float:
     """E G_{k,m}^alpha over the exact k-min law."""
     if dist is None:
-        dist = kmin_distribution(ensemble, n, max_type_tuples, max_ranks)
+        dist = kmin_distribution(ensemble, n)
     return dist.moment(alpha)
 
 
@@ -321,7 +310,7 @@ def scgf_parallel(ensemble: UserEnsemble, alpha: float) -> float:
     k = 6, so k = 1 and k = m take any m.  A single user's SCGF is
     ``scgf_limit``, bit for bit.
     """
-    alpha = _finite_order(alpha)
+    alpha = float(_finite_orders(alpha))
     if ensemble.m == 1:
         return scgf_limit(ensemble.users[0], alpha)
     count = ensemble.m * math.comb(ensemble.m - 1, ensemble.k - 1)

@@ -18,6 +18,9 @@ library's earlier one: a Poisson-binomial at every rank, where the
 library extends each segment's pmf by differences.  ``split_laws`` gives
 a distribution one law per y-type, as these references build it, where the
 library shares one law among the y-types of a column-class signature.
+``percell_laws`` is the library's earlier packed-key build: it enumerates
+every y-type to group them by signature, and x-compositions over every
+cell of a column, equal or not.
 
 ``log_power_sum`` sums r**alpha over a rank block of any size in mpmath,
 by direct sums and an uncertified Euler-Maclaurin series taken to 40
@@ -35,9 +38,15 @@ import mpmath
 import numpy as np
 from hypothesis import strategies as st
 
-from guesslab.dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic, NumeratorCode
+from guesslab.dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic, NumeratorCode, descending
 from guesslab.entropy import _arimoto, conditional_min_entropy, conditional_shannon
-from guesslab.guesswork import GuessworkDistribution, YTypeLaw, guesswork_distribution
+from guesslab.guesswork import (
+    GuessworkDistribution,
+    YTypeLaw,
+    _convolve,
+    _counted_compositions,
+    guesswork_distribution,
+)
 from guesslab.model import PairSource, make_source
 
 DENOM_BITS = 10
@@ -54,6 +63,17 @@ def lattice_source(rng: np.random.Generator, x_size: int, y_size: int) -> PairSo
             counts[i, k] -= 1
             counts[0, j] += 1
     joint = counts / DENOM
+    xs = [f"x{i}" for i in range(x_size)]
+    ys = [f"y{j}" for j in range(y_size)]
+    return make_source(xs, ys, joint.tolist())
+
+
+def float_source(seed: int, x_size: int, y_size: int):
+    """Random joint pmf of arbitrary floats, every entry at least 0.03."""
+    rng = np.random.default_rng(seed)
+    weights = 0.03 + rng.random((x_size, y_size))
+    joint = weights / weights.sum()
+    joint[-1, -1] = 1.0 - (joint.sum() - joint[-1, -1])
     xs = [f"x{i}" for i in range(x_size)]
     ys = [f"y{j}" for j in range(y_size)]
     return make_source(xs, ys, joint.tolist())
@@ -341,7 +361,9 @@ def dyadic_law(source: PairSource, y_counts: tuple[int, ...]) -> YTypeLaw:
     keys = [lv.m << (bits + lv.e) for lv in ranked]
     logs, scales = code.log_scales(keys)
     return YTypeLaw(
-        y_types=((y_counts, multinomial(y_counts)),),
+        signature=y_counts,
+        members=singleton_classes(len(y_counts)),
+        y_sequences=multinomial(y_counts),
         py_product=py_product,
         counts=tuple(counts),
         keys=tuple(keys),
@@ -351,11 +373,71 @@ def dyadic_law(source: PairSource, y_counts: tuple[int, ...]) -> YTypeLaw:
     )
 
 
+def singleton_classes(y_size: int) -> tuple[tuple[int, ...], ...]:
+    """Every y-symbol its own column class: a signature is then a y-type."""
+    return tuple((y,) for y in range(y_size))
+
+
 def split_laws(dist: GuessworkDistribution) -> GuessworkDistribution:
     """The distribution with one law per y-type, in composition order: each law repeated for each of its y-types."""
-    laws = sorted((replace(law, y_types=(y_type,)) for law in dist.laws for y_type in law.y_types),
-                  key=lambda law: law.y_types[0][0])
+    singletons = singleton_classes(len(dist.y_symbols))
+    laws = sorted((replace(law, signature=y_counts, members=singletons, y_sequences=count)
+                   for law in dist.laws for y_counts, count in law.y_types),
+                  key=lambda law: law.signature)
     return GuessworkDistribution(dist.n, dist.x_size, dist.y_symbols, tuple(laws), dist.monotone)
+
+
+def percell_laws(source: PairSource, n: int) -> list[tuple]:
+    """(y_types, py_product, counts, keys) of each law, as the per-cell build made them, in its law order.
+
+    Columns share a class when their sorted positive keys agree, classes
+    are numbered by first member, and each y-type joins the law of its
+    signature, in the order the y-types first reach them.
+    """
+    packing = source.level_code.packing(n)
+    classes: dict[tuple[int, ...], int] = {}
+    members = []
+    for column in zip(*source.joint_dyadic):
+        cells = tuple(sorted(key for key in map(packing.key, column) if key is not None))
+        members.append(classes.setdefault(cells, len(classes)))
+    cells_of = list(classes)
+
+    def group(c: int, size: int) -> dict[int, int]:
+        counts: dict[int, int] = {}
+        for x_counts, count in _counted_compositions(size, len(cells_of[c])):
+            key = sum(k * w for k, w in zip(x_counts, cells_of[c]))
+            counts[key] = counts.get(key, 0) + count
+        return counts
+
+    by_signature: dict[tuple[int, ...], list] = {}
+    for y_counts, y_sequences in _counted_compositions(n, source.y_alphabet.size):
+        signature = [0] * len(cells_of)
+        for c, size in zip(members, y_counts):
+            signature[c] += size
+        by_signature.setdefault(tuple(signature), []).append((y_counts, y_sequences))
+    merged = []
+    for signature in by_signature:
+        counts = None
+        for c, size in enumerate(signature):
+            if size:
+                counts = group(c, size) if counts is None else _convolve(counts, group(c, size))
+        merged.append(counts)
+    keys = [key for counts in merged for key in counts]
+    logs, scales = packing.log_scales(keys)
+    groups = np.repeat(np.arange(len(merged)), [len(counts) for counts in merged])
+    ranked = [keys[i] for i in descending(logs, scales, groups, lambda i: packing.dyadic(keys[i])).tolist()]
+    class_py = dict(zip(members, source.py_dyadic))
+    total = source.x_alphabet.size**n
+    laws, stop = [], 0
+    for (signature, y_types), counts in zip(by_signature.items(), merged):
+        start, stop = stop, stop + len(counts)
+        law_keys = tuple(ranked[start:stop])
+        law_counts = [counts[key] for key in law_keys]
+        if total > sum(law_counts):
+            law_counts.append(total - sum(law_counts))
+        py_product = math.prod((class_py[c] ** size for c, size in enumerate(signature)), start=DYADIC_ONE)
+        laws.append((tuple(y_types), py_product, tuple(law_counts), law_keys))
+    return laws
 
 
 def divide_exact(a: Dyadic, b: Dyadic) -> "Dyadic | None":

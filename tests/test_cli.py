@@ -8,14 +8,18 @@ round-trips, not approximations.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +28,7 @@ from guesslab import cli
 from guesslab.cli import dispatch
 from guesslab.entropy import conditional_renyi_arimoto, renyi_entropy
 from guesslab.guesswork import (
-    DEFAULT_MAX_TYPE_TUPLES,
+    BUDGET_CAP,
     guesswork_distribution,
     moment_bounds,
 )
@@ -38,6 +42,8 @@ from guesslab.parallel import (
     scgf_parallel,
     scgf_parallel_iid,
 )
+
+import _oracle
 
 LN2 = math.log(2.0)
 
@@ -65,6 +71,14 @@ def uniform_path(tmp_path):
     path = tmp_path / "uniform.json"
     path.write_text(json.dumps(UNIFORM_CONFIG))
     return str(path)
+
+
+def q_ary_symmetric_config(q: int, eps: float) -> dict:
+    """Uniform q-ary input through a q-ary symmetric channel that errs with probability eps."""
+    hit, miss = (1.0 - eps) / q, eps / (q - 1) / q
+    symbols = [str(i) for i in range(q)]
+    return {"x_symbols": symbols, "y_symbols": symbols,
+            "joint": [[hit if x == y else miss for y in range(q)] for x in range(q)]}
 
 
 def run_cli(capsys, argv):
@@ -191,18 +205,26 @@ def test_moments_bits_scales_only_the_log_scale_column(capsys, bsc_path):
         assert bits[:5] == nats[:5]  # moments and their bounds are not logs
 
 
-def test_budget_exceeded_reports_json_error(capsys, bsc_path):
-    code, out, err = run_cli(
-        capsys, ["moments", "--source", bsc_path, "--n", "999", "--alphas", "1"]
-    )
-    assert code == 1
-    assert out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "budget_exceeded"
-    assert payload["cap"] == DEFAULT_MAX_TYPE_TUPLES
-    assert isinstance(payload["required"], int)
-    assert payload["required"] > payload["cap"]
-    assert "message" in payload
+def test_budget_exceeded_reports_json_error(capsys, bsc_path, tmp_path):
+    float33 = tmp_path / "float33.json"
+    float33.write_text(json.dumps({"x_symbols": ["a", "b", "c"], "y_symbols": ["u", "v", "w"],
+                                   "joint": _oracle.float_source(7, 3, 3).joint.tolist()}))
+    q8 = tmp_path / "q8.json"
+    q8.write_text(json.dumps(q_ary_symmetric_config(8, 0.125)))
+    # bsc01 past 10**8 words; nine distinct cells, C(48, 8); dist's rows: C(107, 7) y-types of 101 blocks
+    for argv, required in ((["moments", "--source", bsc_path, "--n", "100000", "--alphas", "1"], 100_001 * 1563),
+                           (["moments", "--source", str(float33), "--n", "40", "--alphas", "1"], math.comb(48, 8)),
+                           (["dist", "--source", str(q8), "--n", "100"], math.comb(107, 7) * 101)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "budget_exceeded"
+        assert payload["cap"] == BUDGET_CAP == 10**8
+        assert payload["required"] == required
+        assert "message" in payload
 
 
 # ---------------------------------------------------------------------------
@@ -672,3 +694,15 @@ def test_console_script_entry_point(bsc_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "order,conditional,unconditional"
+
+
+def test_readme_command_line_section_names_every_option():
+    """Every option of the parser is named in the README's "Command line" section, and no other."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    (subparsers,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {option for sub in subparsers.choices.values() for action in sub._actions
+               for option in action.option_strings if option.startswith("--") and option != "--help"}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert sorted(options - named) == []
+    assert sorted(named - options) == []

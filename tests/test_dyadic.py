@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guesslab.dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic, LevelCode
+from guesslab.dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic, LevelCode, descending
 
 from _oracle import divide_exact
 
@@ -206,3 +206,30 @@ def test_level_packing_round_trip_matches_fraction(pairs, n, data):
     assert packing.dyadic(key).as_fraction() == want
     for level in levels:
         assert packing.dyadic(packing.key(level)) == level
+
+
+# 0.01 * 0.09 and 0.03 * 0.03 are distinct dyadics with equal float logs, so a
+# composition over these entries and its twin, one 0.01 and one 0.09 traded
+# for two 0.03s, are near ties that only an exact comparison orders.
+NEAR_TIE_ENTRIES = (0.01, 0.09, 0.03, 0.87)
+COMPOSITIONS = st.tuples(*[st.integers(0, 3)] * 4)
+
+
+@PROPERTY
+@given(st.lists(st.lists(COMPOSITIONS, min_size=1, max_size=6), min_size=1, max_size=4), st.data())
+def test_descending_matches_fraction_sort_on_near_ties(groups, data):
+    entries = [Dyadic.from_float(p) for p in NEAR_TIE_ENTRIES]
+    packing = LevelCode(entries).packing(16)
+    keys, group_of = [], []
+    for g, compositions in enumerate(groups):
+        group = set()
+        for a, b, c, d in compositions:
+            twins = [(a, b, c, d)] + ([(a - 1, b - 1, c + 2, d)] if a and b else [])
+            group |= {sum(k * packing.key(e) for k, e in zip(twin, entries)) for twin in twins}
+        group = data.draw(st.permutations(sorted(group)))  # any order in, one order out
+        keys += group
+        group_of += [g] * len(group)
+    logs, scales = packing.log_scales(keys)
+    order = descending(logs, scales, np.array(group_of), lambda i: packing.dyadic(keys[i]))
+    exact = [packing.dyadic(key).as_fraction() for key in keys]
+    assert order.tolist() == sorted(range(len(keys)), key=lambda i: (group_of[i], -exact[i]))

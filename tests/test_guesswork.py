@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 import warnings
 from bisect import bisect_right
 from fractions import Fraction
@@ -23,6 +24,7 @@ from guesslab.guesswork import (
     guess_rank,
     guess_rank_indices,
     guesswork_distribution,
+    log_moment_bounds,
     log_moment_exact,
     moment_bounds,
     moment_exact,
@@ -32,6 +34,7 @@ from guesslab.guesswork import (
     _counted_compositions,
 )
 from guesslab.entropy import conditional_min_entropy, conditional_renyi_arimoto
+from guesslab.ldp import scgf_limit
 from guesslab.model import Distribution, make_source
 
 import _oracle
@@ -399,14 +402,25 @@ def test_mass_conservation_on_corpus(corpus):
 
 
 def test_budget_formula_and_error(bsc01):
-    assert enumeration_budget(bsc01, 999) == math.comb(1002, 3)
-    with pytest.raises(BudgetExceededError) as err:
-        guesswork_distribution(bsc01, 999)
-    assert err.value.required == math.comb(1002, 3)
-    assert err.value.cap == 10**8
-    assert "required budget 167167000" in str(err.value)
-    # raising the cap makes the same n legal (not executed to completion here)
-    assert enumeration_budget(bsc01, 999) <= 2 * 10**8
+    # C(n + R - 1, R - 1) compositions over the R distinct (class, value) cells, times
+    # the 64-bit words of a count up to |X|**n: bsc01 has one class of two values
+    assert enumeration_budget(bsc01, 999) == 1000 * 16
+    assert enumeration_budget(bsc01, 100_000) == 100_001 * 1563
+    float33 = _oracle.float_source(7, 3, 3)  # nine distinct cells, every column its own class
+    assert enumeration_budget(float33, 40) == math.comb(48, 8)
+    for source, n, required in ((bsc01, 100_000, 100_001 * 1563), (float33, 40, math.comb(48, 8))):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as err:
+            guesswork_distribution(source, n)
+        assert time.perf_counter() - start < 1.0
+        assert (err.value.required, err.value.cap) == (required, 10**8)
+        assert f"required budget {required} exceeds cap 100000000" in str(err.value)
+    # bsc01 at n = 999, refused by a count of every cell, is built and checked
+    dist = guesswork_distribution(bsc01, 999)
+    assert len(dist.laws) == 1 and dist.laws[0].y_sequences == 2**999
+    assert dist.total_mass == pytest.approx(1.0, abs=1e-10)
+    log_m = dist.log_moment(1.0) / 999
+    assert scgf_limit(bsc01, 1.0) - math.log1p(999 * math.log(2.0)) / 999 <= log_m <= scgf_limit(bsc01, 1.0)
 
 
 def test_scgf_empirical_uniform_closed_form(uniform_binary):
@@ -474,3 +488,46 @@ def test_log_window_past_float_exp_range():
             want = float(mpmath.log(count) - n * mpmath.log(2))
         # n*hi / ln 2 ~ 1154 bits carries about 2.3e-13 of float rounding
         assert dist.log_prob_log_window(lo, hi) == pytest.approx(want, abs=1e-12)
+
+
+def q_ary_symmetric(q: int, eps: float):
+    """Uniform q-ary input through a q-ary symmetric channel that errs with probability eps."""
+    hit, miss = (1.0 - eps) / q, eps / (q - 1) / q
+    symbols = [str(i) for i in range(q)]
+    return make_source(symbols, symbols, [[hit if x == y else miss for y in range(q)] for x in range(q)])
+
+
+def test_large_n_laws_build_fast_and_keep_their_finite_n_bounds(bsc01):
+    """bsc01 at n = 4,000 and the 8-ary symmetric channel at n = 1,000, past a count of every cell.
+
+    n^-1 log E G lies in Arikan's envelope [Lambda(1) - log(1 + n ln|X|)/n,
+    Lambda(1)], and the bounds of E G^alpha bracket it, compared in logs,
+    which stay in the float range at any n.
+    """
+    for source, n in ((bsc01, 4000), (q_ary_symmetric(8, 0.125), 1000)):
+        start = time.perf_counter()
+        dist = guesswork_distribution(source, n)
+        assert time.perf_counter() - start < 1.0
+        (law,) = dist.laws  # one class: one law for every y-type
+        assert law.y_sequences == source.y_alphabet.size**n
+        limit = scgf_limit(source, 1.0)
+        envelope = math.log1p(n * source.log_x_size) / n
+        assert limit - envelope <= dist.log_moment(1.0) / n <= limit
+        for alpha in (-0.75, -0.5, -0.25):
+            log_lower, log_upper = log_moment_bounds(source, n, alpha)
+            assert log_lower <= dist.log_moment(alpha) <= log_upper
+
+
+def test_q_ary_law_merges_equal_cells(monkeypatch):
+    """A q-ary symmetric column has two distinct values: size + 1 compositions, not C(size + q - 1, q - 1)."""
+    source = q_ary_symmetric(8, 0.125)
+    (cls,) = source.column_classes
+    assert cls.members == tuple(range(8)) and cls.multiplicities == (7, 1)
+    compositions = []
+    counted = guesswork_module._counted_compositions
+    monkeypatch.setattr(guesswork_module, "_counted_compositions",
+                        lambda total, parts: compositions.append(parts) or counted(total, parts))
+    (law,) = guesswork_distribution(source, 12).laws
+    assert compositions == [1, 2]  # the one signature, and one group table over two values
+    assert law.y_sequences == 8**12 and len(law.y_types) == math.comb(19, 7)
+    assert sum(law.counts) == 8**12

@@ -80,6 +80,26 @@ def test_scgf_derivative_monotone(bsc01):
         assert hi >= lo - 1e-9
 
 
+def test_scgf_takes_an_array_of_orders_in_one_pass(bsc01, skew22, corpus):
+    """An array of orders gives each order's scalar value bit for bit; a scalar gives a float."""
+    alphas = np.array([-3.0, -1.0, -0.999, -0.5, -1e-9, 0.0, 1e-9, 0.5, 1.0, 7.5, 1e6])
+    for src in (bsc01, skew22, *corpus[:6]):
+        limits = scgf_limit(src, alphas)
+        assert limits.tolist() == [scgf_limit(src, a) for a in alphas.tolist()]
+        for alpha, limit in zip(alphas.tolist(), limits.tolist()):
+            want = alpha * conditional_renyi_arimoto(src, 1.0 / (1.0 + alpha)) if alpha > -1.0 else -conditional_min_entropy(src)
+            assert limit == pytest.approx(want, rel=1e-12, abs=1e-15)
+        above = alphas[alphas > -1.0]
+        assert scgf_derivative(src, above).tolist() == [scgf_derivative(src, a) for a in above.tolist()]
+        assert scgf_limit(src, alphas.reshape(1, -1)).shape == (1, alphas.size)
+    assert isinstance(scgf_limit(bsc01, 0.5), float) and isinstance(scgf_derivative(bsc01, 0.5), float)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="order must be finite"):
+            scgf_limit(bsc01, [0.5, bad])
+    with pytest.raises(DomainError, match="derivative undefined"):
+        scgf_derivative(bsc01, [0.5, -1.0])
+
+
 def test_gamma_fixture_values(uniform_binary, noiseless, bsc01, skew22):
     assert gamma(uniform_binary) == pytest.approx(math.log(2.0), abs=1e-5)
     assert gamma(noiseless) == pytest.approx(0.0, abs=1e-5)

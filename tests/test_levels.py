@@ -44,17 +44,7 @@ from guesslab.parallel import UserEnsemble, kmin_distribution
 from guesslab.model import load_source_file, make_source
 
 import _oracle
-
-
-def float_source(seed: int, x_size: int, y_size: int):
-    """Random joint pmf of arbitrary floats, every entry at least 0.03."""
-    rng = np.random.default_rng(seed)
-    weights = 0.03 + rng.random((x_size, y_size))
-    joint = weights / weights.sum()
-    joint[-1, -1] = 1.0 - (joint.sum() - joint[-1, -1])
-    xs = [f"x{i}" for i in range(x_size)]
-    ys = [f"y{j}" for j in range(y_size)]
-    return make_source(xs, ys, joint.tolist())
+from _oracle import float_source
 
 
 def assert_matches_reference(source, n: int) -> None:
@@ -166,6 +156,49 @@ def sources_with_a_permuted_column(draw):
 @given(source=sources_with_a_permuted_column(), n=st.integers(1, 5))
 def test_law_matches_dyadic_reference_with_a_permuted_column(source, n):
     assert_matches_reference(source, n)
+
+
+@st.composite
+def sources_with_repeats(draw):
+    """Lattice sources whose columns repeat cell values and repeat as row permutations of each other.
+
+    Each base column draws its cells from at most three numerators and
+    appears once or twice, permuted; a last column takes the rest of the
+    mass, so the joint stays on the 1/1024 lattice.
+    """
+    x_size = draw(st.integers(2, 4))
+    values = draw(st.lists(st.integers(0, 32), min_size=1, max_size=3))
+    columns = []
+    for _ in range(draw(st.integers(1, 2))):
+        base = draw(st.lists(st.sampled_from(values), min_size=x_size, max_size=x_size))
+        base[0] = base[0] if any(base) else 1
+        columns += [draw(st.permutations(base)) for _ in range(draw(st.integers(1, 2)))]
+    columns.append([_oracle.DENOM - sum(map(sum, columns))] + [0] * (x_size - 1))
+    joint = (np.array(columns).T / _oracle.DENOM).tolist()
+    return make_source([f"x{i}" for i in range(x_size)], [f"y{j}" for j in range(len(columns))], joint)
+
+
+def assert_matches_per_cell_build(source, n: int) -> None:
+    dist = guesswork_distribution(source, n)
+    reference = _oracle.percell_laws(source, n)
+    assert len(dist.laws) == len(reference)
+    for law, (y_types, py_product, counts, keys) in zip(dist.laws, reference):
+        assert (law.keys, law.counts, law.y_types) == (keys, counts, y_types)
+        assert (law.py_product.m, law.py_product.e) == (py_product.m, py_product.e)
+        assert law.y_sequences == sum(count for _, count in law.y_types)
+    assert sum(law.y_sequences for law in dist.laws) == source.y_alphabet.size**n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(source=sources_with_repeats(), n=st.integers(1, 5))
+def test_laws_match_per_cell_build_with_repeated_cells_and_columns(source, n):
+    assert_matches_per_cell_build(source, n)
+
+
+def test_laws_match_per_cell_build_on_fixtures(bsc01, skew22, noiseless, independent, uniform_binary, corpus):
+    for source in (bsc01, skew22, noiseless, independent, uniform_binary, erasure_source(),
+                   ternary_symmetric_source(), permuted_zero_source(), near_tie_source(), *corpus):
+        assert_matches_per_cell_build(source, 6)
 
 
 def zero_cell_source():
@@ -314,8 +347,7 @@ def test_distribution_rejects_malformed_laws(bsc01, fault, message):
         assert abs(law.logs[6] - law.logs[7]) <= NEAR_TIE and law.level(6) > law.level(7)
         laws[0] = swapped(law, 6, 7)
     else:
-        (y_counts, y_sequences), *rest = law.y_types
-        laws[0] = replace(law, y_types=((y_counts, 2 * y_sequences), *rest))
+        laws[0] = replace(law, y_sequences=law.y_sequences + 1)  # one y-sequence too many
     with pytest.raises(GuessworkError, match=message):
         GuessworkDistribution(n, src.x_alphabet.size, src.y_alphabet.symbols, tuple(laws))
 

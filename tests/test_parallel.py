@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guesslab import parallel as parallel_module
 from guesslab import (
     DomainError,
     Dyadic,
@@ -326,15 +327,17 @@ def test_ensemble_validation(bsc01, noiseless):
         UserEnsemble(users=(bsc01, ternary), k=1)
 
 
-def test_kmin_size_limits(bsc01, uniform_binary):
+def test_kmin_size_limits(monkeypatch, bsc01, uniform_binary):
     with pytest.raises(EnsembleError):
         kmin_distribution(UserEnsemble(users=(bsc01,) * 13, k=1), 1)
     ens = UserEnsemble(users=(uniform_binary, uniform_binary), k=1)
+    assert parallel_module.MAX_KMIN_RANKS == 2**20
     with pytest.raises(EnsembleError):
-        kmin_distribution(ens, 21)  # 2^21 ranks > default max_ranks
-    # raising the cap is allowed in principle; a tiny cap trips immediately
-    with pytest.raises(EnsembleError):
-        kmin_distribution(ens, 3, max_ranks=4)
+        kmin_distribution(ens, 21)  # 2^21 ranks > MAX_KMIN_RANKS
+    # the cap is read at each call: a tiny one trips immediately
+    monkeypatch.setattr(parallel_module, "MAX_KMIN_RANKS", 4)
+    with pytest.raises(EnsembleError, match="exceeds 4 ranks"):
+        kmin_distribution(ens, 3)
 
 
 # ---------------------------------------------------------------------------
