@@ -388,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--iid", action="store_true", help="replicate one source m times")
     p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, help="exact k-min moments at this length")
     p.add_argument("--alphas", type=_csv_floats)
     p.add_argument("--xgrid", type=_grid)
     p.set_defaults(handler=_cmd_parallel)

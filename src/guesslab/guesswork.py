@@ -353,14 +353,10 @@ class GuessworkDistribution:
         holding its end ranks are clipped, in exact integers.  Ends past
         log|X| are settled before any rank is built from them.
         """
-        log_x = math.log(self.x_size)
-        if hi < lo or lo > log_x:
+        ends = _window_ranks(self.n, self.x_size, lo, hi)
+        if ends is None:
             return -math.inf
-        r_lo = max(1, _int_exp(self.n * lo, math.ceil))
-        total = self.total_sequences
-        r_hi = total if hi > log_x else min(total, _int_exp(self.n * hi, math.floor))
-        if r_hi < r_lo:
-            return -math.inf
+        r_lo, r_hi = ends
         view = self._view
         starts, counts = view.exact_starts, view.exact_counts
         inside = np.zeros(view.log_starts.size, dtype=bool)
@@ -381,6 +377,17 @@ class GuessworkDistribution:
     def prob_log_window(self, lo: float, hi: float) -> float:
         log_p = self.log_prob_log_window(lo, hi)
         return 0.0 if log_p == -math.inf else math.exp(log_p)
+
+
+def _window_ranks(n: int, x_size: int, lo: float, hi: float) -> tuple[int, int] | None:
+    """The ranks r with log(r)/n in [lo, hi], as (first, last); None when there are none."""
+    log_x = math.log(x_size)
+    if hi < lo or lo > log_x:
+        return None
+    r_lo = max(1, _int_exp(n * lo, math.ceil))
+    total = x_size**n
+    r_hi = total if hi > log_x else min(total, _int_exp(n * hi, math.floor))
+    return None if r_hi < r_lo else (r_lo, r_hi)
 
 
 def _logsumexp(values: np.ndarray) -> float:

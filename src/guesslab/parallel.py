@@ -1,18 +1,23 @@
 """Parallel k-of-m conditional guesswork: exact order statistics and asymptotics.
 
 G_{k,m} is the k-th smallest of m independent users' guess ranks.  Its
-exact finite-n law is built from the users' rank laws.  Every
-probability is an integer numerator over one denominator 2**K, K the
-largest -e of the users' block levels m * 2**e.  Each user's per-rank
-probability is constant on each segment between the union of all
-users' block boundaries, so there P(G_i > t) is linear in t and
-P(k-min > t), a Poisson-binomial over users, is a polynomial of degree
-<= m in t.  The first min(m, length) ranks of a segment take the
-Poisson-binomial recursion on those integers; the rest of the segment
-extends the pmf from its m - 1 backward differences by integer
-additions, exactly.  The survival differences telescope, so the pmf is
-exactly nonnegative; each run of equal pmf values becomes one block,
-keyed by its numerator (``dyadic.NumeratorCode``).
+exact finite-n law is held as segments between consecutive points of the
+union of the users' block boundaries.  User i's probabilities are
+integer numerators over its own 2**K_i, K_i the largest -e of its block
+levels m * 2**e, so a k-min probability, one factor per user, is a
+numerator over 2**(K_1 + ... + K_m).  On a segment every user pmf p_i is
+constant, so P(G_i > t) is linear in t and the survival P(k-min > t), a
+Poisson-binomial over users, is exact at any rank: windows, P(G = 1) and
+the mass are survival differences.  The pmf there is a polynomial of
+degree <= m - 1 in t with nonnegative coefficients in (t - a, b - 1 - t),
+one sum over the (below, tied, above) splits of the users; moments sum it
+against t**alpha by the certified ``poly_power_sums_log``, so a segment
+costs the same at any length.  Segments of at most 32 ranks keep exact
+per-rank numerators: their first min(m, length) ranks take the
+Poisson-binomial, the rest extend the pmf from its m - 1 backward
+differences by integer additions.  The law rank by rank, one block per
+run of equal numerators (``dyadic.NumeratorCode``), is expanded only on
+demand, up to ``MAX_KMIN_RANKS`` ranks.
 
 The asymptotic layer evaluates the rate function of G_{k,m} ~ e^(nx):
 one user i lands at e^(nx) at cost Lambda*_i(x), k-1 others finish
@@ -34,22 +39,34 @@ T-IT 61(12), 2015).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
-from .dyadic import DYADIC_ONE, Dyadic, NumeratorCode
+from .dyadic import _LN2, DYADIC_ONE, DYADIC_ZERO, Dyadic, NumeratorCode
 from .entropy import conditional_shannon
-from .guesswork import GuessworkDistribution, YTypeLaw, guesswork_distribution
+from .guesswork import (
+    GuessworkDistribution,
+    GuessworkError,
+    YTypeLaw,
+    _logsumexp,
+    _window_ranks,
+    exp_or_inf,
+    guesswork_distribution,
+)
 from .ldp import _MAX_STEPS, _V_COLD, RateFunction, _domain, _finite_orders, _shaped, scgf_derivative, scgf_limit
 from .model import PairSource
+from .powersum import _log_weights, log_ints, poly_power_sums_log
 
 __all__ = [
     "MAX_KMIN_RANKS",
     "MAX_KMIN_USERS",
+    "MAX_KMIN_WORDS",
     "EnsembleError",
+    "KminDistribution",
     "UserEnsemble",
     "kmin_distribution",
     "kmin_moment_exact",
@@ -59,9 +76,13 @@ __all__ = [
     "scgf_parallel_iid",
 ]
 
-# k-min laws hold one pmf value per rank, |X|**n of them
+# ``KminDistribution.laws`` expands one pmf value per rank, |X|**n of them, up to this many
 MAX_KMIN_RANKS = 1 << 20
+# 64-bit words of the k-min segment table, two m-user rows of exact numerators per segment: 32 MiB each
+MAX_KMIN_WORDS = 1 << 22
 MAX_KMIN_USERS = 12
+# segments of at most this many ranks keep exact per-rank numerators on the moment path
+_SHORT = 32
 # scgf_parallel's role assignments, m * C(m-1, k-1), at most as many as for 12 users, k = 6
 _MAX_ASSIGNMENTS = MAX_KMIN_USERS * math.comb(MAX_KMIN_USERS - 1, MAX_KMIN_USERS // 2 - 1)
 # scgf_parallel's Newton stops where its predicted gain g**2 / (2 dF/dx) is below this
@@ -121,51 +142,37 @@ class UserEnsemble:
         return np.array(rows)
 
 
-def kmin_distribution(ensemble: UserEnsemble, n: int) -> GuessworkDistribution:
-    """Exact law of the k-th smallest of the m independent guess ranks."""
+def kmin_distribution(ensemble: UserEnsemble, n: int) -> "KminDistribution | GuessworkDistribution":
+    """Exact law of the k-th smallest of the m independent guess ranks, segment by segment.
+
+    Each distinct user source is built once, and its pmf changes become
+    one step column that every user of that source reuses.  The rest is
+    lazy: ``KminDistribution`` reads moments, windows and P(G = 1) from
+    its segments at any n the users' builds admit, within
+    ``MAX_KMIN_WORDS`` words of exact numerators, and expands rank by rank
+    only for ``laws``, up to ``MAX_KMIN_RANKS`` ranks.  One user is the
+    single-user law itself.
+    """
     if ensemble.m == 1:
         # degenerate k-min: the single-user law itself, bit for bit
         return guesswork_distribution(ensemble.users[0], n)
     if ensemble.m > MAX_KMIN_USERS:
         raise EnsembleError(f"k-min enumeration supports m <= {MAX_KMIN_USERS}, got {ensemble.m}")
-    total = ensemble.x_size**n
-    if total > MAX_KMIN_RANKS:
-        # |X|**n itself may be too long to print in decimal
-        raise EnsembleError(f"rank span {ensemble.x_size}**{n} exceeds {MAX_KMIN_RANKS} ranks")
-
-    m = ensemble.m
-    dists = [guesswork_distribution(u, n) for u in ensemble.users]
-    user_levels = [_distinct_levels(dist) for dist in dists]
-    # every probability below is an integer numerator over 2**shift
-    shift = max(-level.e for levels in user_levels for level in levels.values())
-    steps = {1: [0] * m, total + 1: [0] * m}  # per-user pmf changes, keyed by rank
-    pending = [0] * m                         # T_i(t) = P(G_i > t)
-    for i, (dist, exact) in enumerate(zip(dists, user_levels)):
-        for law in dist.laws:
-            start = 1
-            for key, count in zip(law.keys, law.counts):  # the zero block has no key
-                level = exact[key]
-                q = (law.y_sequences * level.m) << (shift + level.e)
-                steps.setdefault(start, [0] * m)[i] += q
-                start += count
-                steps.setdefault(start, [0] * m)[i] -= q
-                pending[i] += q * count
-
-    counts, keys = [], []
-    for num in _kmin_pmf(steps, pending, ensemble.k):
-        if keys and num == keys[-1]:
-            counts[-1] += 1
-        else:
-            counts.append(1)
-            keys.append(num)
-    # user pmfs are positive on prefixes of the ranks, so the k-min pmf is too
-    if not keys[-1]:
-        keys.pop()
-    code = NumeratorCode(shift * m)
-    logs, scales = code.log_scales(keys)
-    law = YTypeLaw(signature=(), members=(), y_sequences=1, py_product=DYADIC_ONE, counts=tuple(counts),
-                   keys=tuple(keys), code=code, logs=logs, scales=scales)
-    return GuessworkDistribution(n=n, x_size=ensemble.x_size, y_symbols=(), laws=(law,), monotone=False)
+    builds = {}
+    for user in ensemble.users:
+        if id(user) not in builds:
+            builds[id(user)] = guesswork_distribution(user, n)
+    # the segment table holds m numerators of at most K bits per segment, K
+    # at most n times the largest -e of an entry, and its segments are at
+    # most the users' block boundaries; its size is checked before any is made
+    bits = n * max(-d.e for user in ensemble.users for row in user.joint_dyadic for d in row if d.m)
+    segments = 1 + sum(len(law.keys) + 1 for dist in builds.values() for law in dist.laws)
+    words = segments * ensemble.m * -(-bits // 64)
+    if words > MAX_KMIN_WORDS:
+        raise EnsembleError(f"k-min segments at rank span {ensemble.x_size}**{n} need about {words} words, "
+                            f"more than {MAX_KMIN_WORDS}")
+    columns = {key: _step_column(dist) for key, dist in builds.items()}
+    return KminDistribution(n, ensemble.x_size, ensemble.k, [columns[id(user)] for user in ensemble.users])
 
 
 def _distinct_levels(dist: GuessworkDistribution) -> dict[int, Dyadic]:
@@ -174,63 +181,330 @@ def _distinct_levels(dist: GuessworkDistribution) -> dict[int, Dyadic]:
     return {key: code.dyadic(key) for key in {key for law in dist.laws for key in law.keys}}
 
 
+def _step_column(dist: GuessworkDistribution) -> tuple[dict[int, int], int, int]:
+    """One user's pmf changes keyed by rank as numerators over 2**shift, its mass, and shift.
+
+    The shift is the largest -e of the user's levels, so each user keeps its own denominator.
+    """
+    exact = _distinct_levels(dist)
+    shift = max(-level.e for level in exact.values())
+    scaled = {key: level.m << (shift + level.e) for key, level in exact.items()}
+    steps: dict[int, int] = {}
+    mass = 0
+    for law in dist.laws:
+        start = 1
+        for key, count in zip(law.keys, law.counts):  # the zero block has no key
+            q = law.y_sequences * scaled[key]
+            steps[start] = steps.get(start, 0) + q
+            start += count
+            steps[start] = steps.get(start, 0) - q
+            mass += q * count
+    return steps, mass, shift
+
+
 def _survival(done: list[int], pending: list[int], k: int) -> int:
     """P(fewer than k users have finished), a Poisson-binomial over users."""
     coef = [1] + [0] * (k - 1)
     for f, r in zip(done, pending):
-        coef = [coef[0] * r] + [coef[j] * r + coef[j - 1] * f for j in range(1, k)]
+        for j in range(k - 1, 0, -1):
+            coef[j] = coef[j] * r + coef[j - 1] * f
+        coef[0] *= r
     return sum(coef)
 
 
-def _kmin_pmf(steps: dict[int, list[int]], pending: list[int], k: int):
-    """The numerator of P(k-min = t) for t = 1, 2, ..., segment by segment.
+def _log_bernstein(log_below: np.ndarray, log_probs: np.ndarray, log_above: np.ndarray, k: int) -> np.ndarray:
+    """log c_ij of P(k-min = t) = sum c_ij u**i v**j on segments [a, b), u = t - a, v = b - 1 - t.
 
-    ``steps`` maps each user block boundary to the users' pmf changes there
-    and ``pending`` holds P(G_i > 0).  On a segment between boundaries every
-    user pmf p_i is constant, so P(G_i > t) is linear in t, the survival
-    P(k-min > t) a polynomial of degree <= m and the k-min pmf, its
-    difference, one of degree <= m - 1.  The first m ranks take the
-    Poisson-binomial; the rest extend their backward differences by m - 1
-    integer additions per rank, exactly.
+    The inputs are (users, segments) logs of F_i = P(G_i < a), p_i and
+    T_i = P(G_i > b - 1).  User i is below t with P(G_i < t) = F_i + p_i u,
+    tied with p_i and above with P(G_i > t) = T_i + p_i v, and the k-min
+    is at t when fewer than k users are below and at least k are below or
+    tied.  One pass over the users carries, per (users below, users tied
+    capped at k), the sum over those splits as a polynomial in (u, v) of
+    u-degree < k and v-degree < m, for every segment at once.  Each
+    coefficient is a sum of products of nonnegative terms (an integer over
+    2**(K_1 + ... + K_m)), so the pass runs in float logs and nothing cancels.
+    Returns (segments, k, m) logs, -inf where a coefficient is 0.
     """
-    m = len(pending)
-    done = [0] * m                      # F_i(t) = P(G_i <= t)
-    probs = [0] * m                     # P(G_i = t)
-    survival_prev = _survival(done, pending, k)
-    boundaries = sorted(steps)
-    for b, b_next in zip(boundaries, boundaries[1:]):
-        probs = [p + d for p, d in zip(probs, steps[b])]
+    m, count = log_below.shape
+    start = np.full((count, k, m), -np.inf)
+    start[:, 0, 0] = 0.0
+    states = {(0, 0): start}
+    for f, p, r in zip(log_below, log_probs, log_above):
+        f, p, r = f[:, None, None], p[:, None, None], r[:, None, None]
+        out: dict[tuple[int, int], np.ndarray] = {}
+
+        def add(state, terms):
+            out[state] = np.logaddexp(out[state], terms) if state in out else terms
+
+        for (nb, nt), poly in states.items():
+            grown = np.full(poly.shape, -np.inf)
+            grown[:, :, 1:] = poly[:, :, :-1] + p
+            add((nb, nt), np.logaddexp(poly + r, grown))                 # above: T + p v
+            if nb + 1 < k:
+                grown = np.full(poly.shape, -np.inf)
+                grown[:, 1:, :] = poly[:, :-1, :] + p
+                add((nb + 1, nt), np.logaddexp(poly + f, grown))         # below: F + p u
+            add((nb, min(nt + 1, k)), poly + p)                          # tied: p
+        states = out
+    done = [poly for (nb, nt), poly in states.items() if nb + nt >= k]
+    return np.logaddexp.reduce(done, axis=0) if len(done) > 1 else done[0]
+
+
+def _log_numerators(code: NumeratorCode, nums: list[int]) -> np.ndarray:
+    """log(num / 2**bits) for every num, -inf for 0."""
+    out = np.full(len(nums), -np.inf)
+    positive = [i for i, num in enumerate(nums) if num]
+    if positive:
+        out[positive] = code.log_scales([nums[i] for i in positive])[0]
+    return out
+
+
+class KminDistribution:
+    """Exact law of the k-th smallest of m independent ranks, held as segments.
+
+    A segment [a, b) runs between consecutive points of the union of the
+    users' block boundaries, so every user pmf p_i is constant on it.  It
+    keeps each user's F_i(a - 1) = P(G_i < a) and p_i, integers over
+    2**K_i; T_i(b - 1) = mass_i - F_i(a - 1) - p_i (b - a).  The survival
+    S(t) = P(k-min > t) is one Poisson-binomial over users at any t, so
+    windows, P(G = 1) and the mass are exact differences S(r_lo - 1) -
+    S(r_hi) over 2**(K_1 + ... + K_m).  Moments sum the pmf against
+    t**alpha: a segment of at most ``_SHORT`` ranks takes exact per-rank
+    numerators, a longer one its coefficients in (t - a, b - 1 - t)
+    (``_log_bernstein``) and the certified kernel ``poly_power_sums_log``,
+    whatever its length.  ``laws`` expands every segment rank by rank into
+    runs of equal numerators (one block each), up to ``MAX_KMIN_RANKS``
+    ranks.
+    """
+
+    monotone = False
+    y_symbols: tuple[str, ...] = ()
+
+    def __init__(self, n: int, x_size: int, k: int, columns: list[tuple[dict[int, int], int, int]]):
+        self.n = n
+        self.x_size = x_size
+        self.k = k
+        self.m = len(columns)
+        self.masses = [mass for _, mass, _ in columns]
+        self.shifts = [shift for _, _, shift in columns]
+        # a k-min probability takes one factor per user, so its numerator is over 2**sum(shifts)
+        self.code = NumeratorCode(sum(self.shifts))
+        total = self.total_sequences
+        bounds = sorted({1, total + 1}.union(*(steps for steps, _, _ in columns)))
+        self.starts = bounds  # segment s is [starts[s], starts[s + 1])
+        self.probs: list[list[int]] = []
+        self.below: list[list[int]] = []
+        probs, done = [0] * self.m, [0] * self.m
+        for a, b in zip(bounds, bounds[1:]):
+            probs = [p + steps.get(a, 0) for p, (steps, _, _) in zip(probs, columns)]
+            self.probs.append(probs)
+            self.below.append(done)
+            done = [f + p * (b - a) for f, p in zip(done, probs)]
+
+    @cached_property
+    def total_sequences(self) -> int:
+        return self.x_size**self.n
+
+    def _state(self, t: int) -> tuple[list[int], list[int]]:
+        """(P(G_i <= t), P(G_i > t)) per user, for 0 <= t <= |X|**n."""
+        if t == 0:
+            return [0] * self.m, list(self.masses)
+        s = bisect_right(self.starts, t) - 1
+        a = self.starts[s]
+        done = [f + p * (t - a + 1) for f, p in zip(self.below[s], self.probs[s])]
+        return done, [mass - f for mass, f in zip(self.masses, done)]
+
+    def _survival_at(self, t: int) -> int:
+        return _survival(*self._state(t), self.k)
+
+    def _segment_pmf(self, s: int, survival: int) -> tuple[list[int], int]:
+        """Numerators of P(k-min = t) over segment s, from S(a - 1), and S(b - 1).
+
+        The first min(m, length) ranks take the Poisson-binomial; the rest
+        extend the pmf, a polynomial of degree <= m - 1, from its backward
+        differences by m - 1 integer additions per rank, exactly, and take
+        their sum off the survival.
+        """
+        m, k = self.m, self.k
+        a, b = self.starts[s], self.starts[s + 1]
+        probs = self.probs[s]
+        done = list(self.below[s])
+        pending = [mass - f for mass, f in zip(self.masses, done)]
         head = []
-        for _ in range(min(b_next - b, m)):
+        for _ in range(min(b - a, m)):
             for i in range(m):
                 done[i] += probs[i]
                 pending[i] -= probs[i]
-            survival = _survival(done, pending, k)
-            head.append(survival_prev - survival)
-            survival_prev = survival
-            yield head[-1]
-        left = b_next - b - m
+            now = _survival(done, pending, k)
+            head.append(survival - now)
+            survival = now
+        left = b - a - m
         if left <= 0:
-            continue
-        diffs = [head[-1]]              # backward differences at the last head rank
+            return head, survival
+        out = list(head)
+        diffs = [head[-1]]  # backward differences at the last head rank
         for _ in range(m - 1):
             head = [hi - lo for lo, hi in zip(head, head[1:])]
             diffs.append(head[-1])
         for _ in range(left):
             for j in range(m - 2, -1, -1):
                 diffs[j] += diffs[j + 1]
-            yield diffs[0]
-        for i in range(m):
-            done[i] += probs[i] * left
-            pending[i] -= probs[i] * left
-        survival_prev = _survival(done, pending, k)
+            out.append(diffs[0])
+        return out, survival - sum(out[m:])
+
+    def _rank_pmfs(self, segments):
+        """(segment, per-rank numerators) for each of the given segments, in rank order.
+
+        The survival at a segment's end carries to the next one when it follows directly.
+        """
+        survival, last = None, None
+        for s in segments:
+            if last != s - 1:
+                survival = self._survival_at(self.starts[s] - 1)
+            nums, survival = self._segment_pmf(s, survival)
+            last = s
+            yield s, nums
+
+    @cached_property
+    def _moment_terms(self):
+        """Per-rank terms of the short segments and polynomial rows of the long ones, for the power sums."""
+        lengths = np.diff(self.starts)
+        short = np.flatnonzero(lengths <= _SHORT).tolist()
+        ranks, nums = [], []
+        for s, values in self._rank_pmfs(short):
+            for t, num in enumerate(values, start=self.starts[s]):
+                if num:
+                    ranks.append(t)
+                    nums.append(num)
+        rank_logs = (log_ints(ranks, self.total_sequences), self.code.log_scales(nums)[0]) if nums else None
+        rows = np.flatnonzero(lengths > _SHORT).tolist()
+        if not rows:
+            return rank_logs, None
+        below = [self.below[s] for s in rows]
+        probs = [self.probs[s] for s in rows]
+        above = [[mass - f - p * int(lengths[s]) for mass, f, p in zip(self.masses, fs, ps)]
+                 for s, fs, ps in zip(rows, below, probs)]
+        codes = [NumeratorCode(shift) for shift in self.shifts]
+        logs = [np.array([_log_numerators(code, list(values)) for code, values in zip(codes, zip(*table))])
+                for table in (below, probs, above)]
+        log_coefs = _log_bernstein(*logs, self.k).reshape(len(rows), -1)
+        degrees = [(i, j) for i in range(self.k) for j in range(self.m)]
+        live = np.flatnonzero(np.isfinite(log_coefs).any(axis=0))
+        keep = np.isfinite(log_coefs[:, live]).any(axis=1)
+        rows = [s for s, kept in zip(rows, keep.tolist()) if kept]
+        if not rows:
+            return rank_logs, None
+        starts = [self.starts[s] for s in rows]
+        lasts = [self.starts[s + 1] - 1 for s in rows]
+        return rank_logs, (starts, lasts, [degrees[c] for c in live.tolist()], log_coefs[keep][:, live])
+
+    def _log_sum(self, alpha: float, minus_one: bool) -> float:
+        """log|sum_t P(k-min = t) w(t)|, w(t) = t**alpha - 1 (minus_one) or t**alpha."""
+        rank_logs, polys = self._moment_terms
+        parts = []
+        if rank_logs is not None:
+            log_ranks, log_levels = rank_logs
+            parts.append(log_levels + _log_weights(alpha * log_ranks, minus_one))
+        if polys is not None:
+            parts.append(poly_power_sums_log(*polys, alpha, minus_one))
+        return _logsumexp(np.concatenate(parts))
+
+    @cached_property
+    def _mass(self) -> Dyadic:
+        return self.code.dyadic(math.prod(self.masses))
+
+    @cached_property
+    def total_mass(self) -> float:
+        return self._mass.to_float()
+
+    def log_moment(self, alpha: float) -> float:
+        """log E G^alpha, as log M + log1p(E/M) with E = sum_t P(t) (t**alpha - 1) and M the mass.
+
+        Every term of E has alpha's sign, so E keeps its relative precision
+        as alpha nears 0.  Where E/M < -1/2 the plain sum of P(t) t**alpha
+        is the better conditioned.
+        """
+        alpha = float(alpha)
+        if not math.isfinite(alpha):
+            raise GuessworkError(f"moment order must be finite, got {alpha}")
+        log_mass = self._mass.log()
+        if alpha == 0.0:
+            return log_mass
+        ratio = self._log_sum(alpha, True) - log_mass  # log|E/M|
+        if alpha > 0.0:
+            return log_mass + float(np.logaddexp(0.0, ratio))
+        if ratio < -_LN2:
+            return log_mass + math.log1p(-math.exp(ratio))
+        return self._log_sum(alpha, False)
+
+    def moment(self, alpha: float) -> float:
+        return exp_or_inf(self.log_moment(alpha))
+
+    def scgf_empirical(self, alpha: float) -> float:
+        return self.log_moment(alpha) / self.n
+
+    def _level(self, num: int) -> Dyadic:
+        return self.code.dyadic(num) if num else DYADIC_ZERO
+
+    def prob_eq_one_dyadic(self) -> Dyadic:
+        return self._level(self._survival_at(0) - self._survival_at(1))
+
+    def prob_eq_one(self) -> float:
+        return self.prob_eq_one_dyadic().to_float()
+
+    def log_prob_eq_one(self) -> float:
+        return self.prob_eq_one_dyadic().log()
+
+    def log_prob_log_window(self, lo: float, hi: float) -> float:
+        """log P(log(G)/n in [lo, hi]) from S(r_lo - 1) - S(r_hi); -inf when the event has zero mass."""
+        ends = _window_ranks(self.n, self.x_size, lo, hi)
+        if ends is None:
+            return -math.inf
+        r_lo, r_hi = ends
+        return self._level(self._survival_at(r_lo - 1) - self._survival_at(r_hi)).log()
+
+    def prob_log_window(self, lo: float, hi: float) -> float:
+        log_p = self.log_prob_log_window(lo, hi)
+        return 0.0 if log_p == -math.inf else math.exp(log_p)
+
+    @cached_property
+    def _expanded(self) -> GuessworkDistribution:
+        total = self.total_sequences
+        if total > MAX_KMIN_RANKS:
+            # |X|**n itself may be too long to print in decimal
+            raise EnsembleError(f"rank span {self.x_size}**{self.n} exceeds {MAX_KMIN_RANKS} ranks")
+        counts, keys = [], []
+        for _, nums in self._rank_pmfs(range(len(self.starts) - 1)):
+            for num in nums:
+                if keys and num == keys[-1]:
+                    counts[-1] += 1
+                else:
+                    counts.append(1)
+                    keys.append(num)
+        # user pmfs are positive on prefixes of the ranks, so the k-min pmf is too
+        if not keys[-1]:
+            keys.pop()
+        logs, scales = self.code.log_scales(keys)
+        law = YTypeLaw(signature=(), members=(), y_sequences=1, py_product=DYADIC_ONE, counts=tuple(counts),
+                       keys=tuple(keys), code=self.code, logs=logs, scales=scales)
+        return GuessworkDistribution(n=self.n, x_size=self.x_size, y_symbols=(), laws=(law,), monotone=False)
+
+    @property
+    def laws(self) -> tuple[YTypeLaw, ...]:
+        """The law rank by rank, one block per run of equal numerators; at most ``MAX_KMIN_RANKS`` ranks."""
+        return self._expanded.laws
+
+    @property
+    def blocks(self):
+        return self._expanded.blocks
 
 
 def kmin_moment_exact(
     ensemble: UserEnsemble,
     n: int,
     alpha: float,
-    dist: GuessworkDistribution | None = None,
+    dist: "KminDistribution | GuessworkDistribution | None" = None,
 ) -> float:
     """E G_{k,m}^alpha over the exact k-min law."""
     if dist is None:

@@ -23,20 +23,39 @@ the blocks.
 
 ``power_sum_log`` is the kernel on one block, and ``power_sum`` keeps
 exact integer Faulhaber sums for its integer orders.
+
+``poly_power_sums_log`` sums t**alpha (or t**alpha - 1) against a
+polynomial P(t) = sum_l c_l (t - a)**i_l (b - t)**j_l with c_l >= 0 on
+each row's ranks [a, b]: the k-min law's pmf on one segment.  Every term
+is positive, so it is summed in logs: an exact head of H terms, then
+Euler-Maclaurin through the B_2p term on the tail [a + H, b], whose
+derivatives come from Leibniz's rule.  They change sign, so the
+remainder is bounded by 2 zeta(2p) / (2 pi)**(2p) * integral |f^(2p)|
+(DLMF 2.10.1, 24.17), with |f^(2p)| bounded term by term on integer
+pieces [c, c + c // 4].  The integral is Gauss-Legendre on the same
+pieces, its error bounded by the same derivative bound at order 2N
+(Abramowitz & Stegun 25.4.30).  H and N double until both bounds are
+within 1e-14 of the tail.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["power_sum_log", "power_sums_log", "power_sum", "log_ints"]
+__all__ = ["power_sum_log", "power_sums_log", "poly_power_sums_log", "power_sum", "log_ints"]
 
 _RTOL = 1e-12
 # Euler-Maclaurin terms B_2j / (2j)! * (f^(k)(b) - f^(k)(c)), k = 2j - 1, j = 1..4
 _EM_TERMS = ((1.0 / 12.0, 1), (-1.0 / 720.0, 3), (1.0 / 30240.0, 5), (-1.0 / 1209600.0, 7))
 _B10_TERM = 1.0 / 47900160.0  # |B_10| / 10!
+# B_2q / (2q)! for q = 1..6, and zeta(2p) <= zeta(10) for the p >= 5 of poly_power_sums_log
+_BERNOULLI = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0, 1.0 / 47900160.0,
+              -691.0 / 2730.0 / 479001600.0)
+_ZETA_10 = 1.0009945751278180
+_POLY_RTOL = 1e-14
 
 
 def _faulhaber(b: int, k: int) -> int:
@@ -209,6 +228,224 @@ def power_sums_log(log_starts: np.ndarray, log_counts: np.ndarray, alpha: float)
         out[todo[ok]] = np.logaddexp(first, tail_logs[ok])
         todo = todo[~ok]
         head *= 2
+    return out
+
+
+def _log_weights(y: np.ndarray, minus_one: bool) -> np.ndarray:
+    """log|t**alpha - 1| (minus_one) or log t**alpha, given y = alpha log t."""
+    if not minus_one:
+        return y
+    out = np.empty_like(y)
+    up = y > 0.0
+    with np.errstate(divide="ignore"):
+        out[up] = y[up] + np.log(-np.expm1(-y[up]))
+        out[~up] = np.log(-np.expm1(y[~up]))
+    return out
+
+
+# The helpers below run inside poly_power_sums_log's errstate: logs of 0 are -inf, and a
+# non-finite tail or bound fails its certificate.
+
+
+def _times_log(power: np.ndarray, log_base: np.ndarray) -> np.ndarray:
+    """power * log_base, broadcast, with 0 * log 0 = 0."""
+    return np.where(power > 0, power * log_base, 0.0)
+
+
+def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
+    top = values.max(axis=axis, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    return np.squeeze(top, axis) + np.log(np.exp(values - top).sum(axis=axis))
+
+
+def _group_logsumexp(values: np.ndarray, groups: np.ndarray, size: int) -> np.ndarray:
+    top = np.full(size, -np.inf)
+    np.maximum.at(top, groups, values)
+    top = np.where(np.isfinite(top), top, 0.0)
+    return top + np.log(np.bincount(groups, weights=np.exp(values - top[groups]), minlength=size))
+
+
+@lru_cache(maxsize=None)
+def _legendre(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log s, log(1 - s) and log weight of the Gauss-Legendre nodes s on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return np.log(0.5 * (1.0 + x)), np.log(0.5 * (1.0 - x)), np.log(0.5 * w)
+
+
+@lru_cache(maxsize=None)
+def _leibniz(degrees: tuple[tuple[int, int], ...]) -> list:
+    """Per r = 0..top, the terms of D^r[u**i v**j] over the basis, with v falling as u rises.
+
+    D^r[u**i v**j] = sum_s C(r, s) (i)_s (j)_(r-s) (-1)**(r-s) u**(i-s) v**(j-r+s);
+    each term is (log|coefficient|, sign, power of u, power of v), arrays over the basis.
+    """
+    i, j = np.array(degrees).T
+    table = []
+    for r in range(int((i + j).max()) + 1):
+        terms = []
+        for s in range(r + 1):
+            coef = np.array([math.comb(r, s) * math.perm(a, s) * math.perm(b, r - s) for a, b in degrees], dtype=float)
+            live = coef > 0.0
+            if live.any():
+                log_coef = np.where(live, np.log(np.where(live, coef, 1.0)), -np.inf)
+                terms.append((log_coef, (-1.0) ** (r - s), np.where(live, i - s, 0), np.where(live, j - r + s, 0)))
+        table.append(terms)
+    return table
+
+
+def _poly_derivatives(log_coefs, table, log_u, log_v, absolute: bool = False):
+    """(P^(r) * exp(-shift) for r = 0..top, shift) at one point per row, u and v given in logs.
+
+    With ``absolute`` every term counts positive: a bound on |P^(r)| where u and v are upper bounds.
+    """
+    log_u, log_v = log_u[:, None], log_v[:, None]
+    parts = [[(1.0 if absolute else sign, log_coefs + lc + _times_log(eu, log_u) + _times_log(ev, log_v))
+              for lc, sign, eu, ev in terms] for terms in table]
+    shift = np.max([q.max(axis=1) for terms in parts for _, q in terms], axis=0)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    out = np.zeros((log_coefs.shape[0], len(table)))
+    for r, terms in enumerate(parts):
+        for sign, q in terms:
+            out[:, r] += sign * np.exp(q - shift[:, None]).sum(axis=1)
+    return out, shift
+
+
+def _falling(alpha: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """log|(alpha)_k| and the sign of (alpha)_k for k = 0..count - 1."""
+    factors = alpha - np.arange(count - 1)
+    with np.errstate(divide="ignore"):
+        logs = np.concatenate([[0.0], np.cumsum(np.log(np.abs(factors)))])
+    return logs, np.concatenate([[1.0], np.cumprod(np.sign(factors))])
+
+
+def _log_derivative_bounds(k, falling, bounds, shift, log_lo, log_hi, alpha):
+    """log of sum_r C(k, r) |(alpha)_(k-r)| max x**(alpha-k+r) |P^(r)| per piece, a bound on |f^(k)|."""
+    terms = []
+    for r in range(bounds.shape[1]):
+        power = alpha - k + r
+        terms.append(math.log(math.comb(k, r)) + falling[k - r] + power * (log_lo if power < 0 else log_hi)
+                     + shift + np.log(bounds[:, r]))
+    return _logsumexp(np.array(terms), 0)
+
+
+def _poly_head_logs(starts, widths, log_coefs, degrees, count, alpha, minus_one):
+    """log|sum w(a + u) P(a + u)| over u = 0..min(count - 1, W) per row, W = b - a."""
+    u = np.arange(count, dtype=np.float64)
+    log_u = np.log(u)
+    log_a = log_ints(starts, max(starts))
+    log_w = np.array([math.log(w) if w else -math.inf for w in widths])
+    small = np.array([float(min(w, 1 << 53)) for w in widths])
+    # v = W - u exactly below 2**53, and from u / W < 2**-40 above
+    log_v = np.where((small < 2.0**53)[:, None], np.log(np.maximum(small[:, None] - u, 0.0)),
+                     log_w[:, None] + np.log1p(-np.exp(log_u - log_w[:, None])))
+    i, j = degrees[:, 0], degrees[:, 1]
+    q = (log_coefs[:, :, None] + _times_log(i[None, :, None], log_u[None, None, :])
+         + _times_log(j[None, :, None], log_v[:, None, :]))
+    terms = _logsumexp(q, 1) + _log_weights(alpha * np.logaddexp(log_a[:, None], log_u), minus_one)
+    return _logsumexp(np.where(u <= small[:, None], terms, -np.inf), 1)
+
+
+def _poly_tail_logs(starts, stops, log_coefs, degrees, table, head, nodes, p, alpha, minus_one):
+    """log of the Euler-Maclaurin tail on [a + head, b] per row, and whether its two bounds hold."""
+    rows = len(starts)
+    # integer pieces [c, c + c // 4] cover each tail; c >= head >= 32
+    owner, ints = [], []
+    for row, (a, b) in enumerate(zip(starts, stops)):
+        c = a + head
+        while c < b:
+            c2 = min(b, c + (c >> 2))
+            owner.append(row)
+            ints += (c, c2 - c, c - a, b - c2)
+            c = c2
+    owner = np.array(owner)
+    log_c, log_d, log_e, log_g = np.array([math.log(x) if x else -math.inf for x in ints]).reshape(-1, 4).T
+    log_s, log_1s, log_w = _legendre(nodes)
+    log_x = np.logaddexp(log_c[:, None], log_d[:, None] + log_s)
+    log_u = np.logaddexp(log_e[:, None], log_d[:, None] + log_s)
+    log_v = np.logaddexp(log_g[:, None], log_d[:, None] + log_1s)
+    i, j = degrees[:, 0], degrees[:, 1]
+    q = log_coefs[owner][:, :, None] + i[None, :, None] * log_u[:, None, :] + j[None, :, None] * log_v[:, None, :]
+    integrand = log_d[:, None] + log_w + _log_weights(alpha * log_x, minus_one) + _logsumexp(q, 1)
+    lam = _group_logsumexp(integrand.ravel(), np.repeat(owner, nodes), rows)
+
+    # f = w P, f^(k) = sum_r C(k, r) w^(k-r) P^(r), with w^(0) = w and w^(k) = (alpha)_k x**(alpha-k)
+    sigma = -1.0 if minus_one and alpha < 0.0 else 1.0
+    falling, signs = _falling(alpha, 2 * max(p, nodes) + 1)
+    a_arr = np.array([math.log(a + head) for a in starts])
+    b_arr = np.array([math.log(b) for b in stops])
+    orders = [0] + [2 * q - 1 for q in range(1, p + 1)]
+    kappa = np.arange(2 * p)
+    picks = np.array([[max(k - r, 0) for r in range(len(table))] for k in orders])
+    binom = np.array([[math.comb(k, r) for r in range(len(table))] for k in orders], dtype=float)
+    ends = []
+    for log_end, log_u_end, log_v_end in ((a_arr, np.full(rows, math.log(head)),
+                                           np.array([math.log(b - a - head) for a, b in zip(starts, stops)])),
+                                          (b_arr, np.array([math.log(b - a) for a, b in zip(starts, stops)]),
+                                           np.full(rows, -np.inf))):
+        derivs, shift = _poly_derivatives(log_coefs, table, log_u_end, log_v_end)
+        scale = (shift - lam)[:, None]
+        weights = signs[kappa] * np.exp(falling[kappa] + (alpha - kappa) * log_end[:, None] + scale)
+        weights[:, 0] = sigma * np.exp(_log_weights(alpha * log_end, minus_one) + scale[:, 0])
+        ends.append(np.einsum("kr,nkr,nr->nk", binom, weights[:, picks], derivs))
+    fa, fb = ends
+    correction = 0.5 * (fa[:, 0] + fb[:, 0]) + (fb[:, 1:] - fa[:, 1:]) @ np.array(_BERNOULLI[:p])
+    tail = lam + np.log1p(sigma * correction)
+
+    # bounds on |f^(k)| on each piece, from u <= e + d and v <= g + d there
+    bounds, shift = _poly_derivatives(log_coefs[owner], table, np.logaddexp(log_e, log_d),
+                                      np.logaddexp(log_g, log_d), absolute=True)
+    log_hi = np.logaddexp(log_c, log_d)
+    em = _log_derivative_bounds(2 * p, falling, bounds, shift, log_c, log_hi, alpha)
+    em = math.log(2.0 * _ZETA_10) - 2 * p * math.log(2.0 * math.pi) + _group_logsumexp(log_d + em, owner, rows)
+    gl = _log_derivative_bounds(2 * nodes, falling, bounds, shift, log_c, log_hi, alpha)
+    log_kn = 4.0 * math.lgamma(nodes + 1) - math.log(2 * nodes + 1) - 3.0 * math.lgamma(2 * nodes + 1)
+    gl = log_kn + _group_logsumexp((2 * nodes + 1) * log_d + gl, owner, rows)
+    limit = tail + math.log(0.5 * _POLY_RTOL)
+    return tail, em <= limit, gl <= limit
+
+
+def poly_power_sums_log(starts, stops, degrees, log_coefs, alpha: float, minus_one: bool = False) -> np.ndarray:
+    """log|sum_{t=a}^{b} w(t) P(t)| per row (a, b), w(t) = t**alpha - 1 (minus_one) or t**alpha.
+
+    P(t) = sum_l c_l (t - a)**i_l (b - t)**j_l with every c_l >= 0, the
+    basis (i_l, j_l) given by ``degrees`` and log c_l (-inf for none) by
+    the rows of ``log_coefs``; starts and stops are ints of any size.  A
+    row's head covers it where b - a <= H; the rest take the certified tail
+    of the module docstring, with H and N doubling where a bound fails.
+    """
+    alpha = _finite_order(alpha)
+    degrees = np.asarray(degrees, dtype=np.int64).reshape(-1, 2)
+    log_coefs = np.asarray(log_coefs, dtype=np.float64)
+    table = _leibniz(tuple(map(tuple, degrees.tolist())))
+    p = max(5, len(table) // 2 + 1)  # 2p > the degree, so f^(2p) has no w^(0) term
+    widths = [b - a for a, b in zip(starts, stops)]
+    out = np.full(len(starts), -np.inf)
+    if minus_one and alpha == 0.0:
+        return out
+    head, nodes = max(32, 4 * (int(abs(alpha)) + 1)), 12 + int(abs(alpha))
+    todo = np.arange(len(starts))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while todo.size:
+            covered = np.array([widths[r] <= head for r in todo.tolist()])
+            done = todo[covered]
+            if done.size:
+                out[done] = _poly_head_logs([starts[r] for r in done.tolist()], [widths[r] for r in done.tolist()],
+                                            log_coefs[done], degrees, head + 1, alpha, minus_one)
+            todo = todo[~covered]
+            if not todo.size:
+                break
+            rows_a = [starts[r] for r in todo.tolist()]
+            rows_b = [stops[r] for r in todo.tolist()]
+            tail, em_ok, gl_ok = _poly_tail_logs(rows_a, rows_b, log_coefs[todo], degrees, table, head, nodes, p,
+                                                 alpha, minus_one)
+            first = _poly_head_logs(rows_a, [widths[r] for r in todo.tolist()], log_coefs[todo], degrees, head,
+                                    alpha, minus_one)
+            ok = em_ok & gl_ok
+            out[todo[ok]] = np.logaddexp(first[ok], tail[ok])
+            if not gl_ok.all():
+                nodes = min(2 * nodes, 192)
+            todo = todo[~ok]
+            head *= 2
     return out
 
 

@@ -468,6 +468,18 @@ def test_parallel_flag_misuse_is_an_ensemble_error(capsys, bsc_path):
     assert json.loads(err)["error"] == "ensemble_error"
 
 
+def test_parallel_kmin_moment_past_the_rank_expansion_cap(capsys, bsc_path):
+    # 2**80 ranks: the moment takes the k-min law's segments, never a per-rank law
+    code, out, err = run_cli(
+        capsys, ["parallel", "--sources", bsc_path, "--iid", "--m", "2", "--k", "1", "--n", "80", "--alphas", "1"]
+    )
+    assert code == 0
+    header, rows = csv_rows(out)
+    dist = kmin_distribution(UserEnsemble((load_source_file(bsc_path),) * 2, 1), 80)
+    assert [row[0] for row in rows] == ["kmin_moment", "kmin_scgf_empirical", "scgf_parallel"]
+    assert float(rows[1][4]) == dist.scgf_empirical(1.0)
+
+
 def test_parallel_huge_rank_span_is_an_ensemble_error(capsys, bsc_path):
     # 2**15000 has more decimal digits than an int may print by default
     code, out, err = run_cli(

@@ -9,6 +9,7 @@ block boundaries run far longer than m ranks.
 """
 
 import math
+import time
 from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations, product
@@ -327,17 +328,73 @@ def test_ensemble_validation(bsc01, noiseless):
         UserEnsemble(users=(bsc01, ternary), k=1)
 
 
-def test_kmin_size_limits(monkeypatch, bsc01, uniform_binary):
+def test_kmin_size_limits(bsc01, uniform_binary):
+    """Moments take the segments at any n the users' builds admit; only the rank-by-rank expansion is capped."""
     with pytest.raises(EnsembleError):
         kmin_distribution(UserEnsemble(users=(bsc01,) * 13, k=1), 1)
-    ens = UserEnsemble(users=(uniform_binary, uniform_binary), k=1)
-    assert parallel_module.MAX_KMIN_RANKS == 2**20
-    with pytest.raises(EnsembleError):
-        kmin_distribution(ens, 21)  # 2^21 ranks > MAX_KMIN_RANKS
-    # the cap is read at each call: a tiny one trips immediately
-    monkeypatch.setattr(parallel_module, "MAX_KMIN_RANKS", 4)
-    with pytest.raises(EnsembleError, match="exceeds 4 ranks"):
-        kmin_distribution(ens, 3)
+    ens = UserEnsemble(users=(bsc01, bsc01), k=1)
+    for n in (20, 40, 80):
+        got = kmin_distribution(ens, n).scgf_empirical(1.0)
+        assert got == pytest.approx(_min_of_two_exponent(bsc01, n), rel=1e-12, abs=0)
+    wide = kmin_distribution(UserEnsemble(users=(uniform_binary, uniform_binary), k=1), 21)
+    start = time.perf_counter()
+    with pytest.raises(EnsembleError, match="exceeds"):
+        wide.laws  # 2^21 ranks > MAX_KMIN_RANKS
+    assert time.perf_counter() - start < 0.5
+
+
+def log_moment_reference(counts, levels, alpha: float) -> float:
+    """log E G^alpha of an exact per-rank law at 40 digits, as log M + log1p(E/M), E = sum P(t) (t**alpha - 1)."""
+    with mpmath.workdps(40):
+        mass, excess = Fraction(0), mpmath.mpf(0)
+        start = 1
+        for count, level in zip(counts, levels):
+            q = level.as_fraction()
+            if q:
+                mass += q * count
+                excess += mpmath.mpf(q.numerator) / q.denominator * mpmath.fsum(
+                    mpmath.expm1(alpha * mpmath.log(r)) for r in range(start, start + count))
+            start += count
+        mass = mpmath.mpf(mass.numerator) / mass.denominator
+        return float(mpmath.log(mass) + mpmath.log1p(excess / mass))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_kmin_segment_moments_and_windows_match_per_rank_oracle(data):
+    """Segment moments (per-rank heads and the certified polynomial tails), windows and P(G = 1), m <= 3, n <= 8."""
+    x_size = data.draw(st.integers(2, 3))
+    m = data.draw(st.integers(2, 3))
+    k = data.draw(st.integers(1, m))
+    n = data.draw(st.integers(1, 8))
+    users = tuple(data.draw(lattice_sources(x_size)) for _ in range(m))
+    counts, levels = kmin_law_per_rank(users, k, n)
+    alphas = data.draw(st.lists(st.floats(-1.5, 4.0, allow_subnormal=False), min_size=1, max_size=2))
+    wants = [log_moment_reference(counts, levels, alpha) for alpha in alphas]
+    # segments this short keep per-rank numerators; with no such segments every
+    # pmf comes from its (below, tied, above) coefficients
+    for short in (parallel_module._SHORT, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel_module, "_SHORT", short)
+            dist = kmin_distribution(UserEnsemble(users=users, k=k), n)
+            for alpha, want in zip(alphas, wants):
+                assert dist.log_moment(alpha) == pytest.approx(want, rel=1e-13, abs=0)
+    assert dist.prob_eq_one_dyadic() == levels[0]
+    log_x = math.log(x_size)
+    lo, hi = sorted(data.draw(st.lists(st.floats(0.0, 1.05 * log_x), min_size=2, max_size=2)))
+    r_lo = max(1, math.ceil(math.exp(n * lo)))
+    r_hi = x_size**n if hi > log_x else math.floor(math.exp(n * hi))
+    window, start = Fraction(0), 1
+    for count, level in zip(counts, levels):
+        window += level.as_fraction() * max(0, min(start + count - 1, r_hi) - max(start, r_lo) + 1)
+        start += count
+    got = dist.log_prob_log_window(lo, hi)
+    if not window:
+        assert got == -math.inf
+    else:
+        with mpmath.workdps(40):
+            want = float(mpmath.log(mpmath.mpf(window.numerator) / window.denominator))
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +482,14 @@ def test_bsc_min_of_two_limit_reached_at_large_n(bsc01):
     assert gaps[1] == pytest.approx(0.091476, abs=1e-3)
     assert gaps[2] == pytest.approx(0.053253, abs=1e-3)
     assert gaps[2] < gaps[1] < gaps[0]
+
+
+def test_min_of_two_gap_falls_below_005_at_n87(bsc01):
+    """Criterion 7c's limit gap H_{2/3}(X|Y) - n^-1 log E min(G1, G2), from the library's own k-min law."""
+    ens = UserEnsemble(users=(bsc01, bsc01), k=1)
+    gaps = [H_TWO_THIRDS_BSC - kmin_distribution(ens, n).scgf_empirical(1.0) for n in (86, 87)]
+    assert gaps[0] > 0.05 > gaps[1]
+    assert gaps == pytest.approx([0.050294, 0.049836], abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -222,3 +222,53 @@ def test_head_of_terms_rounding_to_one_is_bit_identical(bsc01_n240_view, monkeyp
     assert sum(args[0].size for args in heads) > 40000
     for args in heads:
         assert np.array_equal(head_logs(*args), _head_logs_every_term(*args))
+
+
+def poly_sum_reference(a: int, b: int, degrees, coefs, alpha: float, minus_one: bool) -> float:
+    """log|sum_{t=a}^{b} (t**alpha [- 1]) sum_l c_l (t - a)**i_l (b - t)**j_l| term by term at 40 digits."""
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        for t in range(a, b + 1):
+            weight = mpmath.expm1(alpha * mpmath.log(t)) if minus_one else mpmath.mpf(t) ** alpha
+            total += weight * mpmath.fsum(mpmath.mpf(c) * (t - a) ** i * (b - t) ** j
+                                          for (i, j), c in zip(degrees, coefs))
+        return float(mpmath.log(abs(total)))
+
+
+@st.composite
+def polynomial_rows(draw):
+    degrees = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.tuples(st.integers(1, 10**6), st.integers(0, 300)), min_size=1, max_size=3))
+    coefs = [[draw(st.sampled_from([0.0, 1.0])) * draw(st.floats(1e-3, 1.0)) for _ in degrees] for _ in rows]
+    for row in coefs:
+        row[0] = max(row[0], 0.5)
+    alpha = draw(st.floats(-1.5, 4.0, allow_subnormal=False))
+    return degrees, [(a, a + length) for a, length in rows], coefs, alpha, draw(st.booleans())
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(case=polynomial_rows())
+def test_poly_power_sums_log_matches_mpmath_term_by_term(case):
+    degrees, rows, coefs, alpha, minus_one = case
+    with np.errstate(divide="ignore"):
+        log_coefs = np.log(np.array(coefs))
+    got = powersum.poly_power_sums_log([a for a, _ in rows], [b for _, b in rows], degrees, log_coefs, alpha,
+                                       minus_one)
+    for value, (a, b), row in zip(got.tolist(), rows, coefs):
+        if minus_one and (alpha == 0.0 or b == 1):
+            assert value == -math.inf
+        else:
+            assert value == pytest.approx(poly_sum_reference(a, b, degrees, row, alpha, minus_one), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("alpha", [-1.5, -0.5, 0.5, 1.0, 2.5, 4.0])
+@pytest.mark.parametrize("a, b", [(1, 10**9), (3, 2**60), (10**12, 10**12 + 10**9), (2**70, 2**80)])
+def test_poly_power_sums_log_on_huge_segments(alpha, a, b):
+    """1, t - a and b - t against t**alpha over huge ranges: power sums of the oracle, at 40 digits."""
+    got = powersum.poly_power_sums_log([a] * 3, [b] * 3, [(0, 0), (1, 0), (0, 1)],
+                                       np.array([[0.0, -np.inf, -np.inf], [-np.inf, 0.0, -np.inf],
+                                                 [-np.inf, -np.inf, 0.0]]), alpha)
+    with mpmath.workdps(40):
+        s0, s1 = mpmath.exp(log_power_sum(a, b, alpha)), mpmath.exp(log_power_sum(a, b, alpha + 1))
+        want = [float(mpmath.log(s)) for s in (s0, s1 - a * s0, b * s0 - s1)]
+    assert got.tolist() == pytest.approx(want, rel=1e-13, abs=0)
