@@ -12,7 +12,8 @@ the mass are survival differences.  The pmf there is a polynomial of
 degree <= m - 1 in t with nonnegative coefficients in (t - a, b - 1 - t),
 one sum over the (below, tied, above) splits of the users; moments sum it
 against t**alpha by the certified ``poly_power_sums_log``, so a segment
-costs the same at any length.  Segments of at most 32 ranks keep exact
+costs the same at any length; orders past its ``POLY_MAX_ORDER`` take the
+law rank by rank.  Segments of at most 32 ranks keep exact
 per-rank numerators: their first min(m, length) ranks take the
 Poisson-binomial, the rest extend the pmf from its m - 1 backward
 differences by integer additions.  The law rank by rank, one block per
@@ -59,7 +60,7 @@ from .guesswork import (
 )
 from .ldp import _MAX_STEPS, _V_COLD, RateFunction, _domain, _finite_orders, _shaped, scgf_derivative, scgf_limit
 from .model import PairSource
-from .powersum import _log_weights, log_ints, poly_power_sums_log
+from .powersum import POLY_MAX_ORDER, _log_weights, log_ints, poly_power_sums_log
 
 __all__ = [
     "MAX_KMIN_RANKS",
@@ -81,7 +82,8 @@ MAX_KMIN_RANKS = 1 << 20
 # 64-bit words of the k-min segment table, two m-user rows of exact numerators per segment: 32 MiB each
 MAX_KMIN_WORDS = 1 << 22
 MAX_KMIN_USERS = 12
-# segments of at most this many ranks keep exact per-rank numerators on the moment path
+# segments of at most this many ranks keep exact per-rank numerators on the moment path: with
+# none, the bsc + lat22 + lat23 k = 2, n = 12 bench request takes about 30% longer (8 to 64 time alike)
 _SHORT = 32
 # scgf_parallel's role assignments, m * C(m-1, k-1), at most as many as for 12 users, k = 6
 _MAX_ASSIGNMENTS = MAX_KMIN_USERS * math.comb(MAX_KMIN_USERS - 1, MAX_KMIN_USERS // 2 - 1)
@@ -149,30 +151,38 @@ def kmin_distribution(ensemble: UserEnsemble, n: int) -> "KminDistribution | Gue
     one step column that every user of that source reuses.  The rest is
     lazy: ``KminDistribution`` reads moments, windows and P(G = 1) from
     its segments at any n the users' builds admit, within
-    ``MAX_KMIN_WORDS`` words of exact numerators, and expands rank by rank
-    only for ``laws``, up to ``MAX_KMIN_RANKS`` ranks.  One user is the
-    single-user law itself.
+    ``MAX_KMIN_WORDS`` words of exact numerators (checked from a lower
+    bound before any build and again after), and expands rank by rank only
+    for ``laws`` and moment orders past ``POLY_MAX_ORDER``, up to
+    ``MAX_KMIN_RANKS`` ranks.  One user is the single-user law itself.
     """
     if ensemble.m == 1:
         # degenerate k-min: the single-user law itself, bit for bit
         return guesswork_distribution(ensemble.users[0], n)
     if ensemble.m > MAX_KMIN_USERS:
         raise EnsembleError(f"k-min enumeration supports m <= {MAX_KMIN_USERS}, got {ensemble.m}")
+    # the segment table holds m numerators of at most K bits per segment, K at
+    # most n times the largest -e of an entry, and its segments are at most the
+    # users' block boundaries.  A law has at least n (R - 1) + 1 keys, R the
+    # most distinct values in a column class (n copies of R integer keys sum to
+    # that many), so too many words show before any build as well as after
+    bits = n * max(-d.e for user in ensemble.users for row in user.joint_dyadic for d in row if d.m)
+    fewest = n * (max(len(cls.levels) for user in ensemble.users for cls in user.column_classes) - 1) + 2
+    _check_words(ensemble, n, fewest * ensemble.m * -(-bits // 64))
     builds = {}
     for user in ensemble.users:
         if id(user) not in builds:
             builds[id(user)] = guesswork_distribution(user, n)
-    # the segment table holds m numerators of at most K bits per segment, K
-    # at most n times the largest -e of an entry, and its segments are at
-    # most the users' block boundaries; its size is checked before any is made
-    bits = n * max(-d.e for user in ensemble.users for row in user.joint_dyadic for d in row if d.m)
     segments = 1 + sum(len(law.keys) + 1 for dist in builds.values() for law in dist.laws)
-    words = segments * ensemble.m * -(-bits // 64)
+    _check_words(ensemble, n, segments * ensemble.m * -(-bits // 64))
+    columns = {key: _step_column(dist) for key, dist in builds.items()}
+    return KminDistribution(n, ensemble.x_size, ensemble.k, [columns[id(user)] for user in ensemble.users])
+
+
+def _check_words(ensemble: UserEnsemble, n: int, words: int) -> None:
     if words > MAX_KMIN_WORDS:
         raise EnsembleError(f"k-min segments at rank span {ensemble.x_size}**{n} need about {words} words, "
                             f"more than {MAX_KMIN_WORDS}")
-    columns = {key: _step_column(dist) for key, dist in builds.items()}
-    return KminDistribution(n, ensemble.x_size, ensemble.k, [columns[id(user)] for user in ensemble.users])
 
 
 def _distinct_levels(dist: GuessworkDistribution) -> dict[int, Dyadic]:
@@ -273,7 +283,8 @@ class KminDistribution:
     t**alpha: a segment of at most ``_SHORT`` ranks takes exact per-rank
     numerators, a longer one its coefficients in (t - a, b - 1 - t)
     (``_log_bernstein``) and the certified kernel ``poly_power_sums_log``,
-    whatever its length.  ``laws`` expands every segment rank by rank into
+    whatever its length, for orders up to ``POLY_MAX_ORDER`` in size.
+    ``laws`` expands every segment rank by rank into
     runs of equal numerators (one block each), up to ``MAX_KMIN_RANKS``
     ranks.
     """
@@ -428,6 +439,9 @@ class KminDistribution:
         alpha = float(alpha)
         if not math.isfinite(alpha):
             raise GuessworkError(f"moment order must be finite, got {alpha}")
+        if abs(alpha) > POLY_MAX_ORDER:
+            # past the orders whose polynomial sums certify: the law rank by rank, within MAX_KMIN_RANKS
+            return self._expanded.log_moment(alpha)
         log_mass = self._mass.log()
         if alpha == 0.0:
             return log_mass

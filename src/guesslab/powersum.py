@@ -34,8 +34,11 @@ remainder is bounded by 2 zeta(2p) / (2 pi)**(2p) * integral |f^(2p)|
 (DLMF 2.10.1, 24.17), with |f^(2p)| bounded term by term on integer
 pieces [c, c + c // 4].  The integral is Gauss-Legendre on the same
 pieces, its error bounded by the same derivative bound at order 2N
-(Abramowitz & Stegun 25.4.30).  H and N double until both bounds are
-within 1e-14 of the tail.
+(Abramowitz & Stegun 25.4.30).  H doubles until the first bound is within
+1e-14 of the tail, and N until the second is, up to 192 nodes; orders up
+to ``POLY_MAX_ORDER`` in size certify there, and larger ones are refused.
+Rows go in chunks of at most 2**20 values per array, so memory does not
+grow with the number of rows or the order.
 """
 
 from __future__ import annotations
@@ -45,17 +48,23 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["power_sum_log", "power_sums_log", "poly_power_sums_log", "power_sum", "log_ints"]
+__all__ = ["POLY_MAX_ORDER", "power_sum_log", "power_sums_log", "poly_power_sums_log", "power_sum", "log_ints"]
 
 _RTOL = 1e-12
 # Euler-Maclaurin terms B_2j / (2j)! * (f^(k)(b) - f^(k)(c)), k = 2j - 1, j = 1..4
 _EM_TERMS = ((1.0 / 12.0, 1), (-1.0 / 720.0, 3), (1.0 / 30240.0, 5), (-1.0 / 1209600.0, 7))
 _B10_TERM = 1.0 / 47900160.0  # |B_10| / 10!
-# B_2q / (2q)! for q = 1..6, and zeta(2p) <= zeta(10) for the p >= 5 of poly_power_sums_log
+# B_2q / (2q)! for q = 1..7, and zeta(2p) <= zeta(10) for the p >= 5 of poly_power_sums_log
 _BERNOULLI = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0, 1.0 / 47900160.0,
-              -691.0 / 2730.0 / 479001600.0)
+              -691.0 / 2730.0 / 479001600.0, 7.0 / 6.0 / 87178291200.0)
 _ZETA_10 = 1.0009945751278180
 _POLY_RTOL = 1e-14
+_MAX_NODES = 192
+# poly_power_sums_log's largest order in size; _MAX_NODES nodes certified its integral up to
+# about twice this on degree-11 polynomials over ranges up to 2**60
+POLY_MAX_ORDER = 500
+_LOG_PIECE = math.log(1.25)  # a tail piece [c, c + c // 4] spans at most this in log
+_CELLS = 1 << 20  # values in one chunk's largest array of poly_power_sums_log
 
 
 def _faulhaber(b: int, k: int) -> int:
@@ -328,8 +337,39 @@ def _log_derivative_bounds(k, falling, bounds, shift, log_lo, log_hi, alpha):
     return _logsumexp(np.array(terms), 0)
 
 
+def _chunks(costs: list[int]) -> list[slice]:
+    """Consecutive runs of rows whose costs sum to at most ``_CELLS``, each run at least one row."""
+    out, lo, total = [], 0, 0
+    for row, cost in enumerate(costs):
+        if row > lo and total + cost > _CELLS:
+            out.append(slice(lo, row))
+            lo, total = row, 0
+        total += cost
+    return out + [slice(lo, len(costs))]
+
+
 def _poly_head_logs(starts, widths, log_coefs, degrees, count, alpha, minus_one):
-    """log|sum w(a + u) P(a + u)| over u = 0..min(count - 1, W) per row, W = b - a."""
+    """log|sum w(a + u) P(a + u)| over u = 0..min(count - 1, W) per row, W = b - a.
+
+    Rows go in groups whose term counts share a bit length, each group over
+    its longest row's terms, in chunks of at most ``_CELLS`` values.
+    """
+    terms = [min(w, count - 1) + 1 for w in widths]
+    groups: dict[int, list[int]] = {}
+    for row, size in enumerate(terms):
+        groups.setdefault(size.bit_length(), []).append(row)
+    out = np.empty(len(terms))
+    for rows in groups.values():
+        size = max(terms[r] for r in rows)
+        for part in _chunks([size * len(degrees)] * len(rows)):
+            part = rows[part]
+            out[part] = _poly_head_chunk([starts[r] for r in part], [widths[r] for r in part], log_coefs[part],
+                                         degrees, size, alpha, minus_one)
+    return out
+
+
+def _poly_head_chunk(starts, widths, log_coefs, degrees, count, alpha, minus_one):
+    """``_poly_head_logs`` on rows that all sum over u = 0..count - 1 or to their end."""
     u = np.arange(count, dtype=np.float64)
     log_u = np.log(u)
     log_a = log_ints(starts, max(starts))
@@ -412,17 +452,23 @@ def poly_power_sums_log(starts, stops, degrees, log_coefs, alpha: float, minus_o
     the rows of ``log_coefs``; starts and stops are ints of any size.  A
     row's head covers it where b - a <= H; the rest take the certified tail
     of the module docstring, with H and N doubling where a bound fails.
+    Orders past ``POLY_MAX_ORDER`` in size raise ``ValueError``.
     """
     alpha = _finite_order(alpha)
+    if abs(alpha) > POLY_MAX_ORDER:
+        raise ValueError(f"polynomial power sums take orders up to {POLY_MAX_ORDER} in size, got {alpha}")
     degrees = np.asarray(degrees, dtype=np.int64).reshape(-1, 2)
     log_coefs = np.asarray(log_coefs, dtype=np.float64)
     table = _leibniz(tuple(map(tuple, degrees.tolist())))
     p = max(5, len(table) // 2 + 1)  # 2p > the degree, so f^(2p) has no w^(0) term
+    if p > len(_BERNOULLI):
+        raise ValueError(f"polynomial degree {len(table) - 1} is above {2 * len(_BERNOULLI) - 2}")
     widths = [b - a for a, b in zip(starts, stops)]
     out = np.full(len(starts), -np.inf)
     if minus_one and alpha == 0.0:
         return out
-    head, nodes = max(32, 4 * (int(abs(alpha)) + 1)), 12 + int(abs(alpha))
+    head, nodes = max(32, 4 * (int(abs(alpha)) + 1)), min(12 + int(abs(alpha)), _MAX_NODES)
+    leibniz_terms = sum(len(terms) for terms in table)
     todo = np.arange(len(starts))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while todo.size:
@@ -436,16 +482,24 @@ def poly_power_sums_log(starts, stops, degrees, log_coefs, alpha: float, minus_o
                 break
             rows_a = [starts[r] for r in todo.tolist()]
             rows_b = [stops[r] for r in todo.tolist()]
-            tail, em_ok, gl_ok = _poly_tail_logs(rows_a, rows_b, log_coefs[todo], degrees, table, head, nodes, p,
-                                                 alpha, minus_one)
+            # a tail row's largest arrays hold basis * max(nodes, Leibniz terms) values per piece and end
+            cells = len(degrees) * max(nodes, leibniz_terms)
+            costs = [cells * (3 + int((math.log(b) - math.log(a + head)) / _LOG_PIECE))
+                     for a, b in zip(rows_a, rows_b)]
+            tail, em_ok, gl_ok = (np.concatenate(parts) for parts in zip(*(
+                _poly_tail_logs(rows_a[part], rows_b[part], log_coefs[todo[part]], degrees, table, head, nodes, p,
+                                alpha, minus_one) for part in _chunks(costs))))
             first = _poly_head_logs(rows_a, [widths[r] for r in todo.tolist()], log_coefs[todo], degrees, head,
                                     alpha, minus_one)
             ok = em_ok & gl_ok
             out[todo[ok]] = np.logaddexp(first[ok], tail[ok])
             if not gl_ok.all():
-                nodes = min(2 * nodes, 192)
+                if nodes == _MAX_NODES:
+                    raise ValueError(f"order {alpha} polynomial sums are not certified with {nodes} nodes")
+                nodes = min(2 * nodes, _MAX_NODES)
+            if not em_ok.all():
+                head *= 2
             todo = todo[~ok]
-            head *= 2
     return out
 
 

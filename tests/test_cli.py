@@ -480,6 +480,26 @@ def test_parallel_kmin_moment_past_the_rank_expansion_cap(capsys, bsc_path):
     assert float(rows[1][4]) == dist.scgf_empirical(1.0)
 
 
+@pytest.mark.parametrize("args", [["--n", "60000", "--alphas", "1"], ["--n", "40", "--alphas", "100000"]])
+def test_parallel_kmin_past_its_limits_fails_fast(capsys, bsc_path, args):
+    # a word count past MAX_KMIN_WORDS shows before any user law is built, and an
+    # order past the polynomial sums' takes the capped rank-by-rank law
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["parallel", "--sources", bsc_path, "--iid", "--m", "2", "--k", "1", *args])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert json.loads(err)["error"] == "ensemble_error"
+
+
+def test_parallel_kmin_moment_of_twelve_users(capsys, bsc_path):
+    code, out, err = run_cli(
+        capsys, ["parallel", "--sources", bsc_path, "--iid", "--m", "12", "--k", "6", "--n", "10", "--alphas", "1"]
+    )
+    assert code == 0
+    dist = kmin_distribution(UserEnsemble((load_source_file(bsc_path),) * 12, 6), 10)
+    assert float(csv_rows(out)[1][1][4]) == dist.scgf_empirical(1.0)
+
+
 def test_parallel_huge_rank_span_is_an_ensemble_error(capsys, bsc_path):
     # 2**15000 has more decimal digits than an int may print by default
     code, out, err = run_cli(

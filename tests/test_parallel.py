@@ -359,6 +359,42 @@ def log_moment_reference(counts, levels, alpha: float) -> float:
         return float(mpmath.log(mass) + mpmath.log1p(excess / mass))
 
 
+@pytest.mark.parametrize("k", [1, 6, 12])
+def test_kmin_twelve_users_on_long_segments(bsc01, k):
+    """Twelve users give basis terms of degree 11 on segments of up to C(10, 5) = 252 ranks."""
+    users = (bsc01,) * 12
+    counts, levels = kmin_law_per_rank(users, k, 10)
+    dist = kmin_distribution(UserEnsemble(users=users, k=k), 10)
+    for alpha in (-0.5, 1.0, 2.5):
+        assert dist.log_moment(alpha) == pytest.approx(log_moment_reference(counts, levels, alpha), rel=1e-13, abs=0)
+
+
+def test_kmin_large_orders_end_quickly(bsc01):
+    """Orders up to POLY_MAX_ORDER take the segments; larger ones the rank-by-rank law, within its cap."""
+    ensemble = UserEnsemble(users=(bsc01, bsc01), k=1)
+    counts, levels = kmin_law_per_rank(ensemble.users, 1, 12)
+    dist = kmin_distribution(ensemble, 12)
+    for alpha in (-500.0, 500.0, -1e5, 1e5):
+        assert dist.log_moment(alpha) == pytest.approx(log_moment_reference(counts, levels, alpha), rel=1e-13, abs=0)
+    start = time.perf_counter()
+    wide = kmin_distribution(ensemble, 80)
+    assert wide.log_moment(-500.0) < 0.0 < wide.log_moment(1.0) < wide.log_moment(500.0) < math.inf
+    with pytest.raises(EnsembleError, match="exceeds"):
+        kmin_distribution(ensemble, 40).log_moment(1e5)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_kmin_table_past_its_words_fails_before_any_build(monkeypatch, bsc01):
+    def build(source, n):
+        raise AssertionError("no user law should be built")
+
+    monkeypatch.setattr(parallel_module, "guesswork_distribution", build)
+    start = time.perf_counter()
+    with pytest.raises(EnsembleError, match="words"):
+        kmin_distribution(UserEnsemble(users=(bsc01, bsc01), k=1), 60000)
+    assert time.perf_counter() - start < 0.5
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_kmin_segment_moments_and_windows_match_per_rank_oracle(data):

@@ -272,3 +272,19 @@ def test_poly_power_sums_log_on_huge_segments(alpha, a, b):
         s0, s1 = mpmath.exp(log_power_sum(a, b, alpha)), mpmath.exp(log_power_sum(a, b, alpha + 1))
         want = [float(mpmath.log(s)) for s in (s0, s1 - a * s0, b * s0 - s1)]
     assert got.tolist() == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("alpha", [-float(powersum.POLY_MAX_ORDER), -37.5, 123.25, float(powersum.POLY_MAX_ORDER)])
+@pytest.mark.parametrize("a, b", [(1, 10**9), (2**70, 2**80)])
+def test_poly_power_sums_log_at_large_orders(alpha, a, b):
+    """1 against power_sums_log, and (t - a) + (b - t) = b - a against b - a times it, each sum to 1e-13."""
+    got = powersum.poly_power_sums_log([a] * 3, [b] * 3, [(0, 0), (1, 0), (0, 1)],
+                                       np.array([[0.0, -np.inf, -np.inf], [-np.inf, 0.0, -np.inf],
+                                                 [-np.inf, -np.inf, 0.0]]), alpha)
+    plain = power_sums_log(np.array([math.log(a)]), np.array([math.log(b - a + 1)]), alpha)[0]
+    # a log error of e is a relative error of about e in the sum, so logs near 0 compare absolutely
+    assert abs(got[0] - plain) <= 1e-13 * max(1.0, abs(plain))
+    both = math.log(b - a) + plain
+    assert abs(np.logaddexp(got[1], got[2]) - both) <= 1e-13 * max(1.0, abs(both))
+    with pytest.raises(ValueError, match="orders up to"):
+        powersum.poly_power_sums_log([a], [b], [(0, 0)], np.zeros((1, 1)), math.copysign(1000.5, alpha))
