@@ -20,6 +20,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from functools import cache
 
+from .dyadic import _LN2
 from .entropy import (
     OrderError,
     conditional_renyi_arimoto,
@@ -61,7 +62,6 @@ from .parallel import (
 
 __all__ = ["RunManifest", "dispatch", "main"]
 
-_LN2 = math.log(2.0)
 # an --xgrid list is built before any handler runs
 _MAX_GRID_POINTS = 10**6
 

@@ -41,7 +41,7 @@ from operator import mul
 
 import numpy as np
 
-from .dyadic import DYADIC_ONE, DYADIC_ZERO, NEAR_TIE, Dyadic, LevelPacking, NumeratorCode, descending
+from .dyadic import _LN2, DYADIC_ONE, DYADIC_ZERO, NEAR_TIE, Dyadic, LevelPacking, NumeratorCode, descending
 from .entropy import _scgf, _shaped
 from .model import Alphabet, Distribution, PairSource
 from .powersum import log_ints, power_sums_log
@@ -77,8 +77,6 @@ BUDGET_CAP = 10**8
 # at n = 400, where keys and counts run to hundreds of bits), so the bound
 # is about 32 MiB.
 MAX_RANK_TABLE_ENTRIES = 1 << 18
-
-_LN2 = math.log(2.0)
 
 
 class GuessworkError(ValueError):
@@ -455,19 +453,19 @@ def enumeration_budget(source: PairSource, n: int) -> int:
     return math.comb(n + distinct - 1, distinct - 1) * words
 
 
-def _class_cells(source: PairSource, packing: LevelPacking) -> list[tuple[tuple[int, int], ...]]:
-    """(level key, multiplicity) of each distinct positive value, per column class."""
-    return [tuple(zip(map(packing.key, cls.levels), cls.multiplicities)) for cls in source.column_classes]
+def _class_cells(source: PairSource, packing: LevelPacking) -> list[dict[int, int]]:
+    """Level key -> multiplicity of each distinct positive value, per column class."""
+    return [dict(zip(map(packing.key, cls.levels), cls.multiplicities)) for cls in source.column_classes]
 
 
-def _group_levels(cells: tuple[tuple[int, int], ...], size: int) -> dict[int, int]:
+def _group_levels(cells: dict[int, int], size: int) -> dict[int, int]:
     """Positive level key -> count over x-assignments of `size` positions of one column class.
 
-    ``cells`` are the class's (key, multiplicity) pairs; a composition k
+    ``cells`` maps the class's keys to their multiplicities; a composition k
     over them stands for multinomial(size; k) * prod multiplicity**k.
     """
-    keys = [key for key, _ in cells]
-    powers = [(i, [mult**k for k in range(size + 1)]) for i, (_, mult) in enumerate(cells) if mult > 1]
+    keys = list(cells)
+    powers = [(i, [mult**k for k in range(size + 1)]) for i, mult in enumerate(cells.values()) if mult > 1]
     counts: dict[int, int] = {}
     for x_counts, count in _counted_compositions(size, len(cells)):
         for i, power in powers:
@@ -483,16 +481,6 @@ def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
         for k2, c2 in b.items():
             key = k1 + k2
             out[key] = out.get(key, 0) + c1 * c2
-    return out
-
-
-def _extend(table: dict[int, int], column: tuple[tuple[int, int], ...]) -> dict[int, int]:
-    """The table one position longer: every (key, multiplicity) of the column added to every key of the table."""
-    out: dict[int, int] = {}
-    for w, mult in column:
-        for key, count in table.items():
-            key += w
-            out[key] = out.get(key, 0) + count * mult
     return out
 
 
@@ -635,7 +623,7 @@ class RankTables:
         self.cells = [[packing.key(d) for d in row] for row in source.joint_dyadic]
         class_of = sorted((y, c) for c, cls in enumerate(source.column_classes) for y in cls.members)
         cells = _class_cells(source, packing)
-        self.columns = [cells[c] for _, c in class_of]  # per y, its class's (key, multiplicity) pairs
+        self.columns = [cells[c] for _, c in class_of]  # per y, its class's key -> multiplicity
         self.steps = [1 << (c * n.bit_length()) for _, c in class_of]
         self.tables: list[dict[int, dict[int, int]]] = [{} for _ in range(n + 1)]
         self.above: dict[tuple[int, int], int] = {}
@@ -686,7 +674,7 @@ class RankTables:
             cached = self.tables[n - j]
             table = cached.get(code)
             if table is None:
-                table = cached[code] = _extend(suffix[j + 1], self.columns[y])
+                table = cached[code] = _convolve(self.columns[y], suffix[j + 1])
                 self.entries += len(table)
             suffix[j] = table
         return suffix, code
@@ -707,7 +695,7 @@ class RankTables:
         n = self.n
         positive = [1] * (n + 1)
         for j in range(n - 1, -1, -1):
-            positive[j] = positive[j + 1] * sum(mult for _, mult in self.columns[ys[j]])
+            positive[j] = positive[j + 1] * sum(self.columns[ys[j]].values())
         x_size = len(self.cells)
         before = 0
         prefix_zero = False

@@ -122,10 +122,6 @@ class UserEnsemble:
     def x_size(self) -> int:
         return self.users[0].x_alphabet.size
 
-    @property
-    def log_x_size(self) -> float:
-        return self.users[0].log_x_size
-
     @cached_property
     def rate_functions(self) -> tuple[RateFunction, ...]:
         return tuple(RateFunction.from_source(u) for u in self.users)
@@ -185,18 +181,13 @@ def _check_words(ensemble: UserEnsemble, n: int, words: int) -> None:
                             f"more than {MAX_KMIN_WORDS}")
 
 
-def _distinct_levels(dist: GuessworkDistribution) -> dict[int, Dyadic]:
-    """The exact level of each distinct key of a single-user distribution (one code for all its laws)."""
-    code = dist.laws[0].code
-    return {key: code.dyadic(key) for key in {key for law in dist.laws for key in law.keys}}
-
-
 def _step_column(dist: GuessworkDistribution) -> tuple[dict[int, int], int, int]:
     """One user's pmf changes keyed by rank as numerators over 2**shift, its mass, and shift.
 
     The shift is the largest -e of the user's levels, so each user keeps its own denominator.
     """
-    exact = _distinct_levels(dist)
+    code = dist.laws[0].code  # one code for all the laws, each distinct key made exact once
+    exact = {key: code.dyadic(key) for key in {key for law in dist.laws for key in law.keys}}
     shift = max(-level.e for level in exact.values())
     scaled = {key: level.m << (shift + level.e) for key, level in exact.items()}
     steps: dict[int, int] = {}
@@ -288,9 +279,6 @@ class KminDistribution:
     runs of equal numerators (one block each), up to ``MAX_KMIN_RANKS``
     ranks.
     """
-
-    monotone = False
-    y_symbols: tuple[str, ...] = ()
 
     def __init__(self, n: int, x_size: int, k: int, columns: list[tuple[dict[int, int], int, int]]):
         self.n = n
@@ -508,10 +496,6 @@ class KminDistribution:
     def laws(self) -> tuple[YTypeLaw, ...]:
         """The law rank by rank, one block per run of equal numerators; at most ``MAX_KMIN_RANKS`` ranks."""
         return self._expanded.laws
-
-    @property
-    def blocks(self):
-        return self._expanded.blocks
 
 
 def kmin_moment_exact(

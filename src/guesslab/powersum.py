@@ -1,14 +1,15 @@
 """Power sums sum_{r=a}^{b} r**alpha over integer rank ranges, in log space.
 
 Rank ranges reach |X|**n, so endpoints are arbitrary-precision integers
-and results are carried as natural logs.  ``power_sums_log`` is the one
-kernel: it takes every block (a, c), the c ranks from a, as log a and
-log c, and forms only ratios exp(log x - log y) <= 1 from them, never a
-or c, so a block of any size neither overflows nor warns.  Small
-nonnegative integer orders use Faulhaber closed forms, and blocks so
-narrow that the summand is constant to within 1e-13 use count *
-mid**alpha.  Every other block is one formula: an exact head of the first
-H = max(32, 4 * (|alpha| floor + 1)) terms, then the Euler-Maclaurin
+and results are carried as natural logs.  ``power_sums_log`` is the
+kernel on rank blocks: it takes every block (a, c), the c ranks from a,
+as log a and log c, and forms only ratios exp(log x - log y) <= 1 from
+them, never a or c, so a block of any size neither overflows nor warns.
+Small nonnegative integer orders use Faulhaber closed forms, and blocks
+so narrow that the summand is constant to within 1e-13 use count *
+mid**alpha.  Every other block, one rank or more, is one formula: an
+exact head of the first H = max(32, 4 * (|alpha| floor + 1)) terms (a
+block the head covers is summed term by term), then the Euler-Maclaurin
 expansion through the B_8 term on the tail [a + H, b].  Every derivative
 of f(x) = x**alpha keeps its sign on positive ranges, so the remainder
 after the B_8 term is at most the B_10 term, |B_10|/10! * |f^(9)(b) -
@@ -48,12 +49,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .dyadic import _LN2
+
 __all__ = ["POLY_MAX_ORDER", "power_sum_log", "power_sums_log", "poly_power_sums_log", "power_sum", "log_ints"]
 
 _RTOL = 1e-12
-# Euler-Maclaurin terms B_2j / (2j)! * (f^(k)(b) - f^(k)(c)), k = 2j - 1, j = 1..4
-_EM_TERMS = ((1.0 / 12.0, 1), (-1.0 / 720.0, 3), (1.0 / 30240.0, 5), (-1.0 / 1209600.0, 7))
-_B10_TERM = 1.0 / 47900160.0  # |B_10| / 10!
 # B_2q / (2q)! for q = 1..7, and zeta(2p) <= zeta(10) for the p >= 5 of poly_power_sums_log
 _BERNOULLI = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0, 1.0 / 47900160.0,
               -691.0 / 2730.0 / 479001600.0, 7.0 / 6.0 / 87178291200.0)
@@ -90,9 +90,9 @@ def log_ints(ints: list[int], bound: int) -> np.ndarray:
 
 
 def _log1mexp(u: np.ndarray) -> np.ndarray:
-    """log(1 - exp(u)) for u < 0, stable at both ends; each branch on its own elements."""
+    """log(1 - exp(u)) for u <= 0 (-inf at 0), stable at both ends; each branch on its own elements."""
     out = np.empty_like(u)
-    near = u > -0.6931471805599453
+    near = u > -_LN2
     out[near] = np.log(-np.expm1(u[near]))
     out[~near] = np.log1p(-np.exp(u[~near]))
     return out
@@ -121,13 +121,14 @@ def _tail_logs(log_lo: np.ndarray, span: np.ndarray, alpha: float) -> tuple[np.n
     step_lo, step_hi = np.exp(-log_lo), np.exp(-log_lo - span)
     p_lo, p_hi = f_lo * step_lo, f_hi * step_hi
     falling = alpha  # (alpha)_k = alpha (alpha - 1) ... (alpha - k + 1)
-    for coef, k in _EM_TERMS:
+    # B_2j / (2j)! * (f^(k)(hi) - f^(k)(lo)), k = 2j - 1, j = 1..4
+    for k, coef in zip((1, 3, 5, 7), _BERNOULLI):
         delta += (coef * falling) * (p_hi - p_lo)
         p_lo *= step_lo * step_lo
         p_hi *= step_hi * step_hi
         falling *= (alpha - k) * (alpha - k - 1)
     jump = falling * (p_hi - p_lo)  # f^(9)(hi) - f^(9)(lo), over the integral
-    bound = _B10_TERM * np.abs(jump) * (2.0 if 10.0 < alpha < 11.0 else 1.0)
+    bound = _BERNOULLI[4] * np.abs(jump) * (2.0 if 10.0 < alpha < 11.0 else 1.0)
     ok = (np.abs(delta) < 0.5) & (bound <= _RTOL * (1.0 + delta))
     return log_i + np.log1p(np.where(ok, delta, 0.0)), ok
 
@@ -206,9 +207,7 @@ def power_sums_log(log_starts: np.ndarray, log_counts: np.ndarray, alpha: float)
         return _faulhaber_logs(la, lc, int(alpha))
     out = np.empty(la.shape)
     scale = int(abs(alpha)) + 1
-    one = lc == 0.0
-    out[one] = alpha * la[one]
-    narrow = ~one & (lc + math.log(scale * 1e13) <= la)
+    narrow = lc + math.log(scale * 1e13) <= la
     # the summand is constant to within 1e-13 on these: c * mid**alpha, with
     # log mid = log a + (c - 1)/(2a) to first order, and (c - 1)/a below 1e-13
     log_a, log_c = la[narrow], lc[narrow]
@@ -216,7 +215,7 @@ def power_sums_log(log_starts: np.ndarray, log_counts: np.ndarray, alpha: float)
     # head plus certified tail, the head doubling where the certificate fails;
     # a block the head covers (c <= head + 1, so c is exact from its log) is
     # summed term by term
-    todo = np.flatnonzero(~one & ~narrow)
+    todo = np.flatnonzero(~narrow)
     head = max(32, 4 * scale)
     while todo.size:
         tail = lc[todo] > math.log(head + 1.5)
@@ -244,12 +243,8 @@ def _log_weights(y: np.ndarray, minus_one: bool) -> np.ndarray:
     """log|t**alpha - 1| (minus_one) or log t**alpha, given y = alpha log t."""
     if not minus_one:
         return y
-    out = np.empty_like(y)
-    up = y > 0.0
     with np.errstate(divide="ignore"):
-        out[up] = y[up] + np.log(-np.expm1(-y[up]))
-        out[~up] = np.log(-np.expm1(y[~up]))
-    return out
+        return np.maximum(y, 0.0) + _log1mexp(-np.abs(y))
 
 
 # The helpers below run inside poly_power_sums_log's errstate: logs of 0 are -inf, and a

@@ -39,6 +39,7 @@ from guesslab.parallel import (
     UserEnsemble,
     kmin_distribution,
     rate_parallel,
+    rate_parallel_iid,
     scgf_parallel,
     scgf_parallel_iid,
 )
@@ -443,6 +444,27 @@ def test_parallel_iid_uses_closed_form(capsys, bsc_path):
     assert float(rows[0][4]) == pytest.approx(0.41305297631942955, abs=1e-12)
 
 
+def test_parallel_iid_rate_rows_match_the_closed_form_and_the_general_path(capsys, bsc_path):
+    grid = cli._grid("0:0.69:0.01")
+    source = load_source_file(bsc_path)
+    # at m = 7, k = 2 the assignment path's sums of seven rates differ from the closed form in the last bit
+    for m, k in ((2, 1), (7, 2)):
+        code, out, _ = run_cli(capsys, ["parallel", "--sources", bsc_path, "--iid", "--m", str(m), "--k", str(k),
+                                        "--xgrid", "0:0.69:0.01"])
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert [row[0] for row in rows] == ["rate_parallel"] * len(grid)
+        assert [float(row[3]) for row in rows] == grid
+        iid = [float(row[4]) for row in rows]
+        assert iid == rate_parallel_iid(source, k, m, grid).tolist()
+        # the same source listed m times takes the assignment path
+        code, out, _ = run_cli(capsys, ["parallel", "--sources", ",".join([bsc_path] * m), "--k", str(k),
+                                        "--xgrid", "0:0.69:0.01"])
+        assert code == 0
+        general = [float(row[4]) for row in csv_rows(out)[1]]
+        assert general == pytest.approx(iid, abs=1e-12)
+
+
 def test_parallel_flag_misuse_is_an_ensemble_error(capsys, bsc_path):
     code, _, err = run_cli(
         capsys,
@@ -712,20 +734,31 @@ def test_non_finite_inputs_are_json_errors(capsys, bsc_path, uniform_path, argv,
 
 
 def test_console_script_entry_point(bsc_path):
+    """CSV and manifest on success, exit 2 on a usage error, 1 and the JSON error past the budget."""
     # without an installed console script, run the package as a module
     # from the directory the tests import it from
     exe = shutil.which("guesslab")
     command = [exe] if exe else [sys.executable, "-m", "guesslab"]
     src = os.path.dirname(os.path.dirname(guesslab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        command + ["entropy", "--source", bsc_path, "--orders", "1"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+
+    def run(*argv):
+        return subprocess.run(command + list(argv), capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+
+    proc = run("entropy", "--source", bsc_path, "--orders", "1")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "order,conditional,unconditional"
+    assert json.loads(proc.stderr)["subcommand"] == "entropy"
+    proc = run("entropy", "--source", bsc_path)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "--orders" in proc.stderr
+    proc = run("moments", "--source", bsc_path, "--n", "100000", "--alphas", "1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "budget_exceeded"
+    assert payload["required"] == 100_001 * 1563 and payload["cap"] == BUDGET_CAP
 
 
 def test_readme_command_line_section_names_every_option():

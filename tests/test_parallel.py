@@ -251,16 +251,22 @@ def exact_log_moment_and_window(counts, levels, n: int, alpha: float, lo: float,
     (("bsc01", "lat22"), 1, 12),
 ])
 def test_kmin_moments_and_windows_match_exact_reference(request, users, k, n):
-    """Float logs of the k-min levels come from their numerators without cancellation."""
+    """Float logs of the k-min levels come from their numerators without cancellation.
+
+    The float readers are the exps of the logs, and a window above log|X| is empty.
+    """
     lat22 = make_source(["0", "1"], ["0", "1"], [[0.5, 0.1], [0.15, 0.25]])
     users = tuple(lat22 if u == "lat22" else request.getfixturevalue(u) for u in users)
     dist = kmin_distribution(UserEnsemble(users=users, k=k), n)
     counts, levels = kmin_law_per_rank(users, k, n)
-    for alpha, lo, hi in ((1.5, 0.1, 0.4), (-0.5, 0.0, 0.3), (2.0, 0.35, 0.6)):
+    for alpha, lo, hi in ((1.5, 0.1, 0.4), (-0.5, 0.0, 0.3), (2.0, 0.35, 0.6), (1.0, 0.7, 1.5)):
         log_moment, log_window = exact_log_moment_and_window(counts, levels, n, alpha, lo, hi)
         assert abs(dist.log_moment(alpha) - log_moment) <= 1e-14
         got = dist.log_prob_log_window(lo, hi)
         assert got == log_window == -math.inf or abs(got - log_window) <= 1e-14
+        assert dist.prob_log_window(lo, hi) == math.exp(got)
+    assert dist.log_prob_log_window(0.7, 1.5) == -math.inf and dist.prob_log_window(0.7, 1.5) == 0.0
+    assert dist.prob_eq_one() == dist.prob_eq_one_dyadic().to_float() == levels[0].to_float()
 
 
 def test_kmin_law_makes_exact_levels_only_for_user_keys(monkeypatch, bsc01, skew22, noiseless):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guesslab import guesswork_distribution, powersum
+from guesslab.parallel import UserEnsemble, kmin_distribution
 from guesslab.powersum import _tail_logs, log_ints, power_sum, power_sum_log, power_sums_log
 
 from _oracle import log_power_sum, split_laws
@@ -288,3 +289,26 @@ def test_poly_power_sums_log_at_large_orders(alpha, a, b):
     assert abs(np.logaddexp(got[1], got[2]) - both) <= 1e-13 * max(1.0, abs(both))
     with pytest.raises(ValueError, match="orders up to"):
         powersum.poly_power_sums_log([a], [b], [(0, 0)], np.zeros((1, 1)), math.copysign(1000.5, alpha))
+
+
+@pytest.mark.parametrize("alpha", [-1.5, 0.5, 2.5])
+def test_poly_power_sums_log_in_small_chunks_is_bit_identical(monkeypatch, bsc01, alpha):
+    """Rows split into chunks of a few hundred values sum to the same bits as in one chunk."""
+    starts = [1, 7, 40, 3, 10**6, 2**70, 5]
+    stops = [9, 30, 41, 10**9, 10**6 + 10**4, 2**80, 5 + 10**5]  # three head-only rows, four with tails
+    degrees = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]
+    log_coefs = np.log(np.linspace(0.1, 1.0, len(starts) * len(degrees))).reshape(len(starts), -1)
+    log_coefs[1, 2] = log_coefs[4, 0] = -np.inf
+    dists = [kmin_distribution(UserEnsemble(users=(bsc01, bsc01), k=1), 80) for _ in range(2)]
+
+    def sums(dist):
+        rows = [powersum.poly_power_sums_log(starts, stops, degrees, log_coefs, alpha, minus_one).tolist()
+                for minus_one in (False, True)]
+        return rows, dist.log_moment(alpha)
+
+    want = sums(dists[0])
+    chunks, split = [], powersum._chunks
+    monkeypatch.setattr(powersum, "_chunks", lambda costs: chunks.append(split(costs)) or chunks[-1])
+    monkeypatch.setattr(powersum, "_CELLS", 300)
+    assert sums(dists[1]) == want
+    assert max(map(len, chunks)) > 2
