@@ -348,6 +348,15 @@ class LevelPacking:
         }
         self._powers: dict[tuple[int, int], int] = {}
         self._tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # each field's int64 word and shift in it, for _unpack_all; a field that runs on into the
+        # next word is in _spans as (field, word, bits taken from the first, mask of the rest)
+        places = [divmod(offset, _WORD) for offset, _ in self.fields]
+        self._words = np.array([word for word, _ in places])
+        self._shifts = np.array([[shift] for _, shift in places])
+        self._masks = np.array([[mask] for _, mask in self.fields])
+        self._spans = [(i, word, _WORD - shift, mask >> (_WORD - shift))
+                       for i, ((word, shift), (_, mask)) in enumerate(zip(places, self.fields))
+                       if mask >> (_WORD - shift)]
 
     def key(self, level: Dyadic) -> "int | None":
         """Key of one of the code's levels; None for zero."""
@@ -379,8 +388,8 @@ class LevelPacking:
         """Every key's vector, one row per field.
 
         The keys are split into int64 words of _WORD bits, the only per-key
-        big-int work, and none when the packing fits one word; each field is
-        then shifted and masked out of the words it spans.
+        big-int work, and none when the packing fits one word; the fields
+        are then shifted and masked out of the words they span, all at once.
         """
         if self.width <= _WORD:
             words = np.array(keys, dtype=np.int64).reshape(1, len(keys))
@@ -388,14 +397,11 @@ class LevelPacking:
             big = np.array(keys, dtype=object)
             words = np.array([(big >> shift) & _WORD_MASK for shift in range(0, self.width, _WORD)],
                              dtype=np.int64).reshape(-1, len(keys))
-        fields = np.empty((len(self.fields), len(keys)), dtype=np.int64)
-        for row, (offset, mask) in zip(fields, self.fields):
-            word, shift = divmod(offset, _WORD)
-            row[:] = words[word] >> shift
-            taken = _WORD - shift
-            if mask >> taken:  # the field runs on into the next word; int64 fields span at most two
-                row |= (words[word + 1] & (mask >> taken)) << taken
-            row &= mask
+        fields = words[self._words]
+        fields >>= self._shifts
+        for i, word, taken, rest in self._spans:  # int64 fields span at most two words
+            fields[i] |= (words[word + 1] & rest) << taken
+        fields &= self._masks
         return fields
 
     def floats(self, keys: "list[int]") -> np.ndarray:
@@ -472,6 +478,22 @@ class LevelPacking:
                     power = self._powers[i, k] = self.code.basis[i] ** k
                 m *= power
         return Dyadic(m, -minus_e)
+
+    def numerators(self, keys: "list[int]") -> "tuple[list[int], int]":
+        """Every key's level as an integer over one 2**shift, shift the largest -e.
+
+        The basis powers are cached as ``dyadic`` caches them, each made from the one below it.
+        """
+        *vectors, minus_es = self._unpack_all(keys).tolist()
+        shift = max(minus_es)
+        numerators = [1 << (shift - e) for e in minus_es]
+        for i, (b, exponents) in enumerate(zip(self.code.basis, vectors)):
+            power, below = 1, 0
+            for k in sorted(set(exponents) - {0}):
+                power = self._powers[i, k] = self._powers.get((i, k)) or power * b ** (k - below)
+                below = k
+            numerators = [m * self._powers[i, k] if k else m for m, k in zip(numerators, exponents)]
+        return numerators, shift
 
     def quotient(self, key: int, divisor: int) -> "int | None":
         """Key of level(key) / level(divisor) when its vector is nonnegative, else None.

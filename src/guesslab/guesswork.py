@@ -33,6 +33,7 @@ integers because they reach |X|**n.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -73,10 +74,11 @@ __all__ = [
 # Cap on ``enumeration_budget``, and on the rows of ``GuessworkDistribution.blocks``.
 BUDGET_CAP = 10**8
 # Bound on the cached entries of a RankTables: level keys of its suffix
-# tables plus memoised better-counts.  An entry took about 126 bytes (bsc
-# at n = 400, where keys and counts run to hundreds of bits), so the bound
-# is about 32 MiB.
+# tables, memoised transitions (each holding its next state) and memoised
+# better-counts.  An entry took 114 to 145 bytes, 141 on bsc at n = 400
+# where keys and counts run to hundreds of bits, so the bound is about 35 MiB.
 MAX_RANK_TABLE_ENTRIES = 1 << 18
+_MIN_NORMAL = sys.float_info.min  # the least positive normal double
 
 
 class GuessworkError(ValueError):
@@ -293,8 +295,10 @@ class GuessworkDistribution:
         Each y-type has its law's blocks, in rank order, and the y-types
         come in composition order.  A level is its code's correctly rounded
         float over the y-sequence's probability as a float, computed once
-        per law.  Only a level that underflows a double is made exact, and
-        divided in logs.  The rows must number at most ``BUDGET_CAP``.
+        per law.  Only a level below the normal range of a double is made
+        exact; it and p(y) are scaled by one power of two that puts p(y) in
+        [1/2, 1) before both are rounded, so its quotient is rounded as its
+        neighbours' are.  The rows must number at most ``BUDGET_CAP``.
         """
         # a class of w members splits its s positions C(s + w - 1, s) ways
         required = sum(len(law.counts) * math.prod(math.comb(s + len(m) - 1, s)
@@ -305,15 +309,18 @@ class GuessworkDistribution:
         for law in self.laws:
             py = law.py_product.to_float()
             log_py = law.py_product.log()
+            shift = -law.py_product.e - law.py_product.m.bit_length()
+            scaled_py = Dyadic(law.py_product.m, law.py_product.e + shift).to_float()
             levels = law.code.floats(law.keys).tolist()
             levels += [0.0] * (len(law.counts) - len(levels))  # the zero-level block
             starts = accumulate(law.counts, initial=1)
             rows = []
             for i, (start, count, level) in enumerate(zip(starts, law.counts, levels)):
-                if level > 0.0:  # then py >= level > 0
+                if level >= _MIN_NORMAL:  # then py >= level is normal too
                     level /= py
                 elif i < len(law.keys):
-                    level = math.exp(law.level(i).log() - log_py)
+                    exact = law.level(i)
+                    level = Dyadic(exact.m, exact.e + shift).to_float() / scaled_py
                 rows.append((start, count, level))
             for y_counts, y_sequences in law.y_types:
                 y_mass = y_sequences * py if py > 0.0 else math.exp(math.log(y_sequences) + log_py)
@@ -564,18 +571,12 @@ def _sequence_indices(source: PairSource, x_seq, y_seq) -> tuple[list[int], list
 def guess_rank(source: PairSource, x_seq, y_seq) -> int:
     """Exact optimal-order rank of x_seq given y_seq (1-based, exact integer).
 
-    Counts sequences beating the target by the suffix-level tables of a
-    ``RankTables``: the table of positions j..n-1 maps each positive joint
-    product over them, as a packed level-code key, to the number of
-    x-suffixes achieving it, and depends only on the class signature of
-    y_j..y_{n-1}, so it is keyed by that signature and shared by every rank
-    at the same n.
-    The count of strictly better sequences reads off the full table by
-    float log, with exact ``Dyadic`` comparison on near ties;
-    lexicographic tie offsets query the table of positions j+1..n-1 for
-    the key completing a tied prefix, which is the target's key minus the
-    prefix's.  A one-off rank builds one fresh object; the sampler keeps
-    one for a whole run, with at most ``MAX_RANK_TABLE_ENTRIES`` entries.
+    A walk over the suffix states of a fresh ``RankTables``: each position
+    adds the sequences that tie the target and first differ from it there,
+    and the final state the count of strictly better ones, read off the
+    full suffix table by float log with exact ``Dyadic`` comparison on near
+    ties.  The sampler keeps one ``RankTables`` for a whole run, with at
+    most ``MAX_RANK_TABLE_ENTRIES`` entries.
     """
     xs, ys = _sequence_indices(source, x_seq, y_seq)
     return guess_rank_indices(source, xs, ys)
@@ -598,20 +599,25 @@ def guess_rank_indices(
 
 
 class RankTables:
-    """Suffix-level tables of one (source, n), shared by every rank at length n.
+    """Memoised suffix states of one (source, n), shared by every rank at length n.
 
-    The x-suffixes over positions j..n-1 at each level key depend only on
-    the class signature of y_j..y_{n-1}, its positions in each column class
-    (as for the laws of ``guesswork_distribution``), packed into one int
-    code, not on its order.  A table is cached under its suffix length and
-    signature code, and built along the ranked sequence's own y's: the
-    distinct values of y_j's column, each with its multiplicity, convolved
-    with the table of positions j+1..n-1.  The
-    count of strictly better sequences depends only on the full signature
-    and the target key, and is memoised under both.  After a rank, the memo
-    and then the longest suffix tables are dropped until at most
-    ``MAX_RANK_TABLE_ENTRIES`` entries remain; short suffixes are the ones
-    shared most.
+    A rank walks the sequence right to left.  The state after position j
+    is the class signature code of y_{j+1}..y_{n-1} (its positions in each
+    column class, as for the laws) with the packed key S of x_{j+1}..x_{n-1}.
+    The sequences that tie the target and first differ from it at j put an
+    x < x_j there and complete S + key(x_j, y_j) - key(x, y_j) after it, so
+    their count depends only on the state and the pair (x_j, y_j): one memo
+    maps (state, pair) to the next state and these ties.  The rank is 1 +
+    the count of strictly better sequences, memoised per final state, + the
+    ties along the walk.  Both read the tables of x-suffix counts per key,
+    which depend only on the signature and are kept under (length, code);
+    the table before y_j is the state's convolved with y_j's column.
+
+    ``entries`` counts table keys, transitions (a state is held only in
+    those that reach it) and memoised counts.  Once a rank leaves more than
+    ``MAX_RANK_TABLE_ENTRIES``, the transitions and counts are dropped, then
+    the longest suffix tables until the bound holds: short suffixes are the
+    ones shared most.
     """
 
     def __init__(self, source: PairSource, n: int):
@@ -625,68 +631,76 @@ class RankTables:
         cells = _class_cells(source, packing)
         self.columns = [cells[c] for _, c in class_of]  # per y, its class's key -> multiplicity
         self.steps = [1 << (c * n.bit_length()) for _, c in class_of]
-        self.tables: list[dict[int, dict[int, int]]] = [{} for _ in range(n + 1)]
-        self.above: dict[tuple[int, int], int] = {}
-        self.entries = 0
+        self.tables: list[dict[int, dict[int, int]]] = [{0: {0: 1}}] + [{} for _ in range(n)]
+        # a state (key, code) is named by the int (key * code_span + code) * |X||Y|, and its
+        # transition on the pair (x, y) is memoised in slot state + x |Y| + y
+        self.code_span = 1 << (len(source.column_classes) * n.bit_length())
+        self.width = len(self.cells) * len(self.columns)
+        self.moves: dict[int, tuple[int, int, int, int]] = {}  # slot -> next state, ties, its key and code
+        self.above: dict[int, int] = {}  # final state -> count of strictly better sequences
+        self.entries = 1  # the empty suffix's table key
+        self.x_range = frozenset(range(len(self.cells)))
+        self.y_range = frozenset(range(len(self.columns)))
 
     def rank(self, xs: list[int], ys: list[int]) -> int:
         n = self.n
         if not len(xs) == len(ys) == n:
             raise SequenceError(f"rank tables are for length {n}, got {len(xs)} and {len(ys)}")
-        if min(xs) < 0 or max(xs) >= len(self.cells) or min(ys) < 0 or max(ys) >= len(self.columns):
+        if not (self.x_range.issuperset(xs) and self.y_range.issuperset(ys)):
             raise SequenceError(
-                f"alphabet indices must lie in [0, {len(self.cells)}) for x and [0, {len(self.columns)}) for y"
+                f"alphabet indices must lie in [0, {len(self.x_range)}) for x and [0, {len(self.y_range)}) for y"
             )
-        cells = self.cells
-        path = [cells[x][y] for x, y in zip(xs, ys)]
-        if None in path:
-            return self._zero_rank(xs, ys, path)
-        suffix, code = self._suffix(ys)
-        target = sum(path)
-        greater = self.above.get((code, target))
-        if greater is None:
-            greater = self.above[code, target] = self.packing.count_above(suffix[0], target)
-            self.entries += 1
-        ties_before = 0
-        prefix = 0
-        quotient = self.packing.quotient
-        for j in range(n):
-            for x in range(xs[j]):
-                w = cells[x][ys[j]]
+        moves = self.moves
+        y_size = len(self.y_range)
+        state = key = code = ties = 0
+        for length, (x, y) in enumerate(zip(reversed(xs), reversed(ys))):
+            slot = state + x * y_size + y
+            move = moves.get(slot)
+            if move is None:
+                # a new transition: the ties of (x, y) before this state, and the next state, whose
+                # table is built with it, so every state a memoised transition reaches has its table
+                w = self.cells[x][y]
                 if w is None:
-                    continue
-                q = quotient(target, prefix + w)
-                if q is not None:
-                    ties_before += suffix[j + 1].get(q, 0)
-            prefix += path[j]
+                    rank = self._zero_rank(xs, ys)
+                    break
+                table = self.tables[length][code]
+                key += w
+                tied = 0
+                for row in self.cells[:x]:
+                    if row[y] is not None:
+                        q = self.packing.quotient(key, row[y])
+                        if q is not None:
+                            tied += table.get(q, 0)
+                code += self.steps[y]
+                cached = self.tables[length + 1]
+                if code not in cached:
+                    cached[code] = _convolve(self.columns[y], table)
+                    self.entries += len(cached[code])
+                state = (key * self.code_span + code) * self.width
+                moves[slot] = (state, tied, key, code)
+                self.entries += 1
+            else:
+                state, tied, key, code = move
+            ties += tied
+        else:
+            greater = self.above.get(state)
+            if greater is None:
+                greater = self.above[state] = self.packing.count_above(self.tables[n][code], key)
+                self.entries += 1
+            rank = 1 + greater + ties
         if self.entries > MAX_RANK_TABLE_ENTRIES:
             self._evict()
-        return 1 + greater + ties_before
-
-    def _suffix(self, ys: list[int]) -> tuple[list[dict[int, int]], int]:
-        """The tables of positions j..n-1 for every j, and the code of the full y-type."""
-        n = self.n
-        suffix = [{0: 1}] * (n + 1)  # the empty suffix's table; entries below n are replaced
-        code = 0
-        for j in range(n - 1, -1, -1):
-            y = ys[j]
-            code += self.steps[y]
-            cached = self.tables[n - j]
-            table = cached.get(code)
-            if table is None:
-                table = cached[code] = _convolve(self.columns[y], suffix[j + 1])
-                self.entries += len(table)
-            suffix[j] = table
-        return suffix, code
+        return rank
 
     def _evict(self) -> None:
-        self.entries -= len(self.above)
+        self.entries -= len(self.moves) + len(self.above)
+        self.moves.clear()
         self.above.clear()
-        for cached in reversed(self.tables):
+        for cached in self.tables[:0:-1]:  # the empty suffix's table stays
             while cached and self.entries > MAX_RANK_TABLE_ENTRIES:
                 self.entries -= len(cached.popitem()[1])
 
-    def _zero_rank(self, xs: list[int], ys: list[int], path: list) -> int:
+    def _zero_rank(self, xs: list[int], ys: list[int]) -> int:
         """Zero-probability sequences rank after every positive one, lexicographically.
 
         The positive x-suffixes over positions j..n-1 number the product of
@@ -706,7 +720,7 @@ class RankTables:
                     before += completions
                 else:
                     before += completions - positive[j + 1]
-            if path[j] is None:
+            if self.cells[xs[j]][ys[j]] is None:
                 prefix_zero = True
         return positive[0] + before + 1
 

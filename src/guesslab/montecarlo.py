@@ -3,11 +3,12 @@
 Pair sequences are drawn from the memoryless law with a counter-based
 Philox generator keyed by the seed; sample i consumes row i of a fixed
 uniform matrix, so reports are bit-reproducible and independent of any
-evaluation schedule.  Every distinct sampled pair gets its rank from the
-exact rank oracle once, with suffix tables shared across the run; only
-the aggregation is statistical, and it uses numpy's deterministic
-pairwise summation.  A mean or standard error past the float range is
-an error, never an inf or NaN in a report.
+evaluation schedule.  Every distinct sampled pair gets its exact rank
+once, from one ``RankTables`` shared across the run: its memoised suffix
+states and transitions make a draw that revisits known states cost one
+lookup per position.  Only the aggregation is statistical, and it uses
+numpy's deterministic pairwise summation.  A mean or standard error past
+the float range is an error, never an inf or NaN in a report.
 
 Moment estimation is capped at |alpha| <= MAX_MOMENT_ORDER: guesswork
 moments are heavy-tailed and naive Monte Carlo loses all reliability
@@ -51,10 +52,10 @@ class SampleReport:
 
 
 def _sample_ranks(source: PairSource, n: int, samples: int, seed: int) -> tuple[list[int], np.ndarray]:
-    """Exact ranks of the distinct sampled pairs, and each sample's index into them.
+    """Exact ranks of the distinct sampled pairs, in order of first draw, and each sample's index into them.
 
-    One ``RankTables`` serves the whole run, so y-suffix types that recur
-    across samples are tabulated once.
+    One ``RankTables`` serves the whole run, so suffix states that recur
+    across samples are walked through once.
     """
     if n < 1:
         raise SampleError(f"sequence length must be >= 1, got {n}")
@@ -67,11 +68,13 @@ def _sample_ranks(source: PairSource, n: int, samples: int, seed: int) -> tuple[
     cumulative[-1] = 1.0
     y_size = source.y_alphabet.size
     rng = np.random.Generator(np.random.Philox(key=seed))
-    uniforms = rng.random((samples, n))
-    cells = np.searchsorted(cumulative, uniforms, side="right")
-    # distinct rows in order of first draw, keyed by their bytes
+    cells = np.searchsorted(cumulative, rng.random((samples, n)), side="right")
+    cells = cells.astype(np.min_scalar_type(atoms.size - 1))  # short rows hash fast
+    # distinct rows in order of first draw, keyed by their slices of one buffer
+    buffer = cells.tobytes()
+    width = len(buffer) // samples
     index: dict[bytes, int] = {}
-    inverse = np.array([index.setdefault(row.tobytes(), len(index)) for row in cells])
+    inverse = np.array([index.setdefault(buffer[i:i + width], len(index)) for i in range(0, len(buffer), width)])
     distinct = np.frombuffer(b"".join(index), dtype=cells.dtype).reshape(len(index), n)
     tables = RankTables(source, n)
     ranks = [

@@ -186,10 +186,9 @@ def _step_column(dist: GuessworkDistribution) -> tuple[dict[int, int], int, int]
 
     The shift is the largest -e of the user's levels, so each user keeps its own denominator.
     """
-    code = dist.laws[0].code  # one code for all the laws, each distinct key made exact once
-    exact = {key: code.dyadic(key) for key in {key for law in dist.laws for key in law.keys}}
-    shift = max(-level.e for level in exact.values())
-    scaled = {key: level.m << (shift + level.e) for key, level in exact.items()}
+    keys = list({key for law in dist.laws for key in law.keys})
+    numerators, shift = dist.laws[0].code.numerators(keys)  # one code for all the laws
+    scaled = dict(zip(keys, numerators))
     steps: dict[int, int] = {}
     mass = 0
     for law in dist.laws:

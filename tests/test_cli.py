@@ -565,6 +565,37 @@ def test_sample_log_rate_json_is_reproducible(capsys, uniform_path):
     assert out2 == out
 
 
+SHARP_CONFIG = {
+    "x_symbols": ["0", "1"],
+    "y_symbols": ["0", "1"],
+    "joint": [[0.4875, 0.0125], [0.0125, 0.4875]],
+}
+# Reports at the shapes of the benchmark's two sampling requests: a sharp channel whose draws
+# mostly repeat, and n = 32, where they are all distinct.  Every rank is exact, so these bytes
+# change only if the draws or the aggregation do.  "@" stands for the source's path.
+PINNED_SAMPLE_REPORTS = [
+    (SHARP_CONFIG, ["--n", "10", "--alpha", "0.7071", "--samples", "20000", "--seed", "1963"],
+     '{"alpha": 0.7071, "estimate": 1.8410970767802137, "manifest": {"outputs": [], "parameters": '
+     '{"alpha": 0.7071, "n": 10, "samples": 20000, "seed": 1963, "source": "@", "subcommand": "sample"}, '
+     '"sources": {"@": "3c0a1fac8db86157"}, "subcommand": "sample"}, "n": 10, "samples": 20000, '
+     '"seed": 1963, "statistic": "moment", "std_error": 0.016755876637163165}'),
+    (BSC_CONFIG, ["--n", "32", "--samples", "300", "--seed", "2718"],
+     '{"estimate": 0.2493421489662956, "manifest": {"outputs": [], "parameters": {"n": 32, "samples": 300, '
+     '"seed": 2718, "source": "@", "subcommand": "sample"}, "sources": {"@": "361ceb1b55069549"}, '
+     '"subcommand": "sample"}, "n": 32, "samples": 300, "seed": 2718, "statistic": "log_rate", '
+     '"std_error": 0.006645281547352427}'),
+]
+
+
+@pytest.mark.parametrize("config, argv, want", PINNED_SAMPLE_REPORTS)
+def test_sample_reports_are_pinned_byte_for_byte(capsys, tmp_path, config, argv, want):
+    path = tmp_path / "source.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, ["sample", "--source", str(path)] + argv)
+    assert (code, err) == (0, "")
+    assert out == want.replace('"@"', json.dumps(str(path))) + "\n"
+
+
 def test_sample_moment_includes_alpha(capsys, uniform_path):
     code, out, _ = run_cli(
         capsys,

@@ -203,6 +203,11 @@ def test_level_packing_round_trip_matches_fraction(pairs, n, data):
     want = Fraction(1)
     for f in factors:
         want *= f.as_fraction()
+    # numerators over one power of two, the largest -e of the keys, before dyadic() caches any power
+    keys = [key] + [packing.key(level) for level in levels]
+    numerators, shift = packing.numerators(keys)
+    assert shift == max(packing.unpack(k)[-1] for k in keys)
+    assert [Fraction(m, 2**shift) for m in numerators] == [want] + [level.as_fraction() for level in levels]
     assert packing.dyadic(key).as_fraction() == want
     for level in levels:
         assert packing.dyadic(packing.key(level)) == level

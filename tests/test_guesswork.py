@@ -131,8 +131,8 @@ def check_shared_tables_rank_like_naive(source, n, data):
     # the second pass meets tables cached, or evicted, by the first
     for xs, ys in draws + draws[::-1]:
         assert guess_rank_indices(source, xs, ys, tables) == _oracle.naive_rank(source, xs, ys)
-        cached = sum(len(table) for by_type in tables.tables for table in by_type.values())
-        assert tables.entries == cached + len(tables.above)
+        cached = sum(len(table) for by_code in tables.tables for table in by_code.values())
+        assert tables.entries == cached + len(tables.moves) + len(tables.above)
         assert tables.entries <= guesswork_module.MAX_RANK_TABLE_ENTRIES
 
 

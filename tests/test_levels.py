@@ -647,9 +647,9 @@ def test_dist_rows_match_exact_oracle_levels(tmp_path, capsys, bsc01, corpus):
 
 
 def test_dist_rows_whose_joint_level_underflows(tmp_path, capsys):
-    """A y-column of mass 2**-12 at n = 90: the joint levels underflow a double, their conditional levels do not.
+    """A y-column of mass 2**-12 at n = 90: joint levels below the normal doubles, conditional levels not.
 
-    Those rows divide in logs, and come within 1e-12 of the float of the exact quotient.
+    Every row, those included, is within 2 ulps of the float of the exact quotient.
     """
     small = 2.0**-13
     source = make_source(["0", "1"], ["u", "v"], [[0.5 - small, 1.5 * small], [0.5 - small, 0.5 * small]])
@@ -660,10 +660,10 @@ def test_dist_rows_whose_joint_level_underflows(tmp_path, capsys):
         law = _oracle.dyadic_law(source, y_counts)
         py = law.py_product.as_fraction()
         for block in law.blocks:
+            below_normal = block.joint_level.to_float() < sys.float_info.min
             want.append((f"u:{y_counts[0]};v:{y_counts[1]}", block.start, block.count,
-                         float(block.joint_level.as_fraction() / py), block.joint_level.to_float() == 0.0))
+                         float(block.joint_level.as_fraction() / py), below_normal))
     assert [(row[0], int(row[2]), int(row[3])) for row in rows] == [w[:3] for w in want]
-    for row, (*_, level, underflow) in zip(rows, want):
-        if underflow:
-            assert float(row[4]) == pytest.approx(level, rel=1e-12, abs=0)
-    assert sum(underflow for *_, underflow in want) > 100
+    for row, (*_, level, _) in zip(rows, want):
+        assert abs(float(row[4]) - level) <= 2 * math.ulp(level)
+    assert sum(below_normal for *_, below_normal in want) > 100

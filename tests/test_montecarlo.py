@@ -7,8 +7,12 @@ the sampler itself.
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from guesslab import guesswork as guesswork_module
 from guesslab import (
     SampleError,
     SampleReport,
@@ -17,6 +21,9 @@ from guesslab import (
     guesswork_distribution,
     moment_exact,
 )
+from guesslab.montecarlo import MIN_SAMPLES, _sample_ranks
+
+import _oracle
 
 # n^-1 E log R for R uniform on 1..2^32, i.e. lgamma(2^32 + 1) / 2^32 / 32
 UNIFORM_LOG_RATE_N32 = 0.6618971806473244
@@ -132,3 +139,32 @@ def test_two_sigma_calibration_coverage(uniform_binary):
         if abs(report.estimate - 512.5) <= 2 * report.std_error:
             covered += 1
     assert covered >= 43
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 3).flatmap(lambda x_size: _oracle.lattice_sources(x_size=x_size)), st.integers(1, 6),
+       st.integers(0, 2**32))
+def check_sample_ranks_like_naive(source, n, seed):
+    ranks, inverse = _sample_ranks(source, n, MIN_SAMPLES, seed)
+    # sample i is the pairs of row i of the seed's uniform matrix, each cell a flat (x, y) index
+    cumulative = np.cumsum(source.joint.ravel())
+    cumulative[-1] = 1.0
+    uniforms = np.random.Generator(np.random.Philox(key=seed)).random((MIN_SAMPLES, n))
+    y_size = source.y_alphabet.size
+    naive = {}
+    for row, i in zip(np.searchsorted(cumulative, uniforms, side="right").tolist(), inverse.tolist()):
+        pairs = tuple(row)
+        if pairs not in naive:
+            naive[pairs] = _oracle.naive_rank(source, [c // y_size for c in row], [c % y_size for c in row])
+        assert ranks[i] == naive[pairs]
+    # one rank per distinct sample, in order of first draw
+    assert list(dict.fromkeys(inverse.tolist())) == list(range(len(ranks))) and len(ranks) == len(naive)
+
+
+def test_sample_ranks_match_naive_rank():
+    check_sample_ranks_like_naive()
+
+
+def test_sample_ranks_match_naive_rank_under_eviction(monkeypatch):
+    monkeypatch.setattr(guesswork_module, "MAX_RANK_TABLE_ENTRIES", 8)
+    check_sample_ranks_like_naive()
