@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -74,9 +75,10 @@ __all__ = [
 # Cap on ``enumeration_budget``, and on the rows of ``GuessworkDistribution.blocks``.
 BUDGET_CAP = 10**8
 # Bound on the cached entries of a RankTables: level keys of its suffix
-# tables, memoised transitions (each holding its next state) and memoised
-# better-counts.  An entry took 114 to 145 bytes, 141 on bsc at n = 400
-# where keys and counts run to hundreds of bits, so the bound is about 35 MiB.
+# tables, memo slots (|X||Y| per state, with the state's key and code) and
+# memoised better-counts.  An entry took 63 bytes on bsc at n = 32 and 121 at
+# n = 400, where keys and counts run to hundreds of bits, so the bound is
+# about 30 MiB.
 MAX_RANK_TABLE_ENTRIES = 1 << 18
 _MIN_NORMAL = sys.float_info.min  # the least positive normal double
 
@@ -585,7 +587,7 @@ def guess_rank(source: PairSource, x_seq, y_seq) -> int:
 def guess_rank_indices(
     source: PairSource, xs: list[int], ys: list[int], tables: "RankTables | None" = None
 ) -> int:
-    """guess_rank on alphabet indices (the sampling hot path skips symbol lookup).
+    """guess_rank on alphabet indices, with no symbol lookup.
 
     ``tables``, of the same source and length, is shared across calls;
     by default the rank builds its own.  Unequal lengths, empty lists and
@@ -613,11 +615,15 @@ class RankTables:
     which depend only on the signature and are kept under (length, code);
     the table before y_j is the state's convolved with y_j's column.
 
-    ``entries`` counts table keys, transitions (a state is held only in
-    those that reach it) and memoised counts.  Once a rank leaves more than
-    ``MAX_RANK_TABLE_ENTRIES``, the transitions and counts are dropped, then
-    the longest suffix tables until the bound holds: short suffixes are the
-    ones shared most.
+    States have compact ids, 0 the empty suffix.  The memo is two flat arrays
+    with a slot per (state, pair), at id * |X||Y| + x |Y| + y: next id (-1 if
+    unknown) and ties, int64 while |X|**n < 2**63 and Python ints past that.
+
+    ``entries`` counts table keys, the memo slots of the states past the
+    empty one, and memoised counts.  Once a rank leaves more than
+    ``MAX_RANK_TABLE_ENTRIES``, the states and counts are dropped, then the
+    longest suffix tables until the bound holds: short suffixes are the ones
+    shared most.  A batch walk keeps the states it is at, renamed.
     """
 
     def __init__(self, source: PairSource, n: int):
@@ -632,11 +638,13 @@ class RankTables:
         self.columns = [cells[c] for _, c in class_of]  # per y, its class's key -> multiplicity
         self.steps = [1 << (c * n.bit_length()) for _, c in class_of]
         self.tables: list[dict[int, dict[int, int]]] = [{0: {0: 1}}] + [{} for _ in range(n)]
-        # a state (key, code) is named by the int (key * code_span + code) * |X||Y|, and its
-        # transition on the pair (x, y) is memoised in slot state + x |Y| + y
-        self.code_span = 1 << (len(source.column_classes) * n.bit_length())
         self.width = len(self.cells) * len(self.columns)
-        self.moves: dict[int, tuple[int, int, int, int]] = {}  # slot -> next state, ties, its key and code
+        self.wide = len(self.cells) ** n >= 1 << 63  # ties and ranks past int64
+        self._unknown = array("q", [-1]) * self.width
+        self._untied = [0] * self.width if self.wide else array("q", [0]) * self.width
+        self.states = [(0, 0, 0)]  # id -> (length, code, key); ids maps (key, code) -> id
+        # the memo starts with room for the n + 1 states one walk makes
+        self.ids, self.nexts, self.ties = {(0, 0): 0}, self._unknown * (n + 1), self._untied * (n + 1)
         self.above: dict[int, int] = {}  # final state -> count of strictly better sequences
         self.entries = 1  # the empty suffix's table key
         self.x_range = frozenset(range(len(self.cells)))
@@ -650,55 +658,105 @@ class RankTables:
             raise SequenceError(
                 f"alphabet indices must lie in [0, {len(self.x_range)}) for x and [0, {len(self.y_range)}) for y"
             )
-        moves = self.moves
-        y_size = len(self.y_range)
-        state = key = code = ties = 0
-        for length, (x, y) in enumerate(zip(reversed(xs), reversed(ys))):
-            slot = state + x * y_size + y
-            move = moves.get(slot)
-            if move is None:
-                # a new transition: the ties of (x, y) before this state, and the next state, whose
-                # table is built with it, so every state a memoised transition reaches has its table
-                w = self.cells[x][y]
-                if w is None:
+        nexts, ties_of, width, y_size = self.nexts, self.ties, self.width, len(self.y_range)
+        state = ties = 0
+        for x, y in zip(reversed(xs), reversed(ys)):
+            slot = state * width + x * y_size + y
+            state = nexts[slot]
+            if state < 0:
+                if self.cells[x][y] is None:
                     rank = self._zero_rank(xs, ys)
                     break
-                table = self.tables[length][code]
-                key += w
-                tied = 0
-                for row in self.cells[:x]:
-                    if row[y] is not None:
-                        q = self.packing.quotient(key, row[y])
-                        if q is not None:
-                            tied += table.get(q, 0)
-                code += self.steps[y]
-                cached = self.tables[length + 1]
-                if code not in cached:
-                    cached[code] = _convolve(self.columns[y], table)
-                    self.entries += len(cached[code])
-                state = (key * self.code_span + code) * self.width
-                moves[slot] = (state, tied, key, code)
-                self.entries += 1
-            else:
-                state, tied, key, code = move
-            ties += tied
+                state = self._step(slot, x, y)
+            ties += ties_of[slot]
         else:
-            greater = self.above.get(state)
-            if greater is None:
-                greater = self.above[state] = self.packing.count_above(self.tables[n][code], key)
-                self.entries += 1
-            rank = 1 + greater + ties
+            rank = 1 + self._above(state) + ties
         if self.entries > MAX_RANK_TABLE_ENTRIES:
             self._evict()
         return rank
 
-    def _evict(self) -> None:
-        self.entries -= len(self.moves) + len(self.above)
-        self.moves.clear()
+    def ranks(self, pairs) -> np.ndarray:
+        """``rank`` of each row of a (rows, n) array of cell indices x |Y| + y, int64 or Python ints.
+
+        All rows walk together: each position gathers every row's next state
+        and ties, after the slots not known yet take ``rank``'s step once each.
+        """
+        pairs, width = np.asarray(pairs), self.width
+        if not (pairs.ndim == 2 and pairs.shape[1] == self.n and pairs.dtype.kind in "iu"
+                and (pairs.size == 0 or 0 <= pairs.min() <= pairs.max() < width)):
+            raise SequenceError(f"rank tables take (rows, {self.n}) arrays of cell indices in [0, {width})")
+        pairs = pairs.astype(np.min_scalar_type(width - 1), copy=False)  # few bytes per cell to copy
+        ranks = np.empty(len(pairs), dtype=object if self.wide else np.int64)
+        zero = np.array([w is None for row in self.cells for w in row])[pairs].any(axis=1)
+        for i in np.flatnonzero(zero).tolist():
+            ranks[i] = self._zero_rank(*[part.tolist() for part in np.divmod(pairs[i], len(self.y_range))])
+        columns = np.ascontiguousarray(pairs[~zero].T[::-1])
+        states = np.zeros(columns.shape[1], dtype=np.int64)
+        ties = np.zeros_like(ranks, shape=states.shape)
+        for column in columns:
+            slots = states * width + column
+            for slot in np.flatnonzero(np.bincount(slots[np.frombuffer(self.nexts, np.int64)[slots] < 0])).tolist():
+                self._step(slot, *divmod(slot % width, len(self.y_range)))
+            states = np.frombuffer(self.nexts, np.int64)[slots]
+            ties += (np.fromiter(map(self.ties.__getitem__, slots.tolist()), object, slots.size) if self.wide
+                     else np.frombuffer(self.ties, np.int64)[slots])
+            if self.entries > MAX_RANK_TABLE_ENTRIES:
+                states = self._evict(states)
+        above = np.zeros(len(self.states), dtype=ranks.dtype)
+        for state in np.flatnonzero(np.bincount(states)).tolist():
+            above[state] = self._above(state)
+        ranks[~zero] = 1 + above[states] + ties
+        if self.entries > MAX_RANK_TABLE_ENTRIES:
+            self._evict()
+        return ranks
+
+    def _step(self, slot: int, x: int, y: int) -> int:
+        """Learns the transition in ``slot``, of (x, y): its ties and the next state, whose table is built with it."""
+        length, code, key = self.states[slot // self.width]
+        table = self.tables[length][code]
+        key += self.cells[x][y]
+        tied = 0
+        for row in self.cells[:x]:
+            if row[y] is not None:
+                q = self.packing.quotient(key, row[y])
+                if q is not None:
+                    tied += table.get(q, 0)
+        code += self.steps[y]
+        cached = self.tables[length + 1]
+        if code not in cached:
+            cached[code] = _convolve(self.columns[y], table)
+            self.entries += len(cached[code])
+        following = self.ids.setdefault((key, code), len(self.states))
+        if following == len(self.states):
+            self.states.append((length + 1, code, key))
+            if len(self.nexts) < len(self.states) * self.width:
+                self.nexts.extend(self._unknown)
+                self.ties.extend(self._untied)
+            self.entries += self.width
+        self.nexts[slot] = following
+        self.ties[slot] = tied
+        return following
+
+    def _above(self, state: int) -> int:
+        if state not in self.above:
+            _, code, key = self.states[state]
+            self.above[state] = self.packing.count_above(self.tables[self.n][code], key)
+            self.entries += 1
+        return self.above[state]
+
+    def _evict(self, held: np.ndarray = np.zeros(0, np.int64)) -> np.ndarray:
+        """Drops the memo, then the longest tables; ``held`` states (of one length) stay, renamed as returned."""
+        kept, renamed = np.unique(held, return_inverse=True)
+        states = [self.states[0]] + [self.states[i] for i in kept.tolist()]
+        self.entries -= self.width * (len(self.states) - len(states)) + len(self.above)
+        self.states, self.ids = states, {(key, code): i for i, (_, code, key) in enumerate(states)}
+        self.nexts, self.ties = self._unknown * len(states), self._untied * len(states)
         self.above.clear()
+        held_tables = self.tables[states[-1][0]]
         for cached in self.tables[:0:-1]:  # the empty suffix's table stays
-            while cached and self.entries > MAX_RANK_TABLE_ENTRIES:
+            while cached and cached is not held_tables and self.entries > MAX_RANK_TABLE_ENTRIES:
                 self.entries -= len(cached.popitem()[1])
+        return renamed + 1
 
     def _zero_rank(self, xs: list[int], ys: list[int]) -> int:
         """Zero-probability sequences rank after every positive one, lexicographically.

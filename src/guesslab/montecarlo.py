@@ -3,12 +3,13 @@
 Pair sequences are drawn from the memoryless law with a counter-based
 Philox generator keyed by the seed; sample i consumes row i of a fixed
 uniform matrix, so reports are bit-reproducible and independent of any
-evaluation schedule.  Every distinct sampled pair gets its exact rank
-once, from one ``RankTables`` shared across the run: its memoised suffix
-states and transitions make a draw that revisits known states cost one
-lookup per position.  Only the aggregation is statistical, and it uses
-numpy's deterministic pairwise summation.  A mean or standard error past
-the float range is an error, never an inf or NaN in a report.
+evaluation schedule.  Every sample gets its exact rank from one batch
+walk of a ``RankTables`` over the draw matrix: all draws step through the
+memoised suffix states together, one array gather per position, and only
+transitions not seen before are computed.  Each value is computed once per
+distinct rank and gathered per sample.  Only the aggregation is
+statistical, and it uses numpy's deterministic pairwise summation.  A mean
+or standard error past the float range is an error, never an inf or NaN.
 
 Moment estimation is capped at |alpha| <= MAX_MOMENT_ORDER: guesswork
 moments are heavy-tailed and naive Monte Carlo loses all reliability
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .guesswork import RankTables, guess_rank_indices
+from .guesswork import RankTables
 from .model import PairSource
 
 __all__ = [
@@ -52,11 +53,7 @@ class SampleReport:
 
 
 def _sample_ranks(source: PairSource, n: int, samples: int, seed: int) -> tuple[list[int], np.ndarray]:
-    """Exact ranks of the distinct sampled pairs, in order of first draw, and each sample's index into them.
-
-    One ``RankTables`` serves the whole run, so suffix states that recur
-    across samples are walked through once.
-    """
+    """The samples' distinct exact ranks, ascending, from one batch walk, and each sample's index into them."""
     if n < 1:
         raise SampleError(f"sequence length must be >= 1, got {n}")
     if samples < MIN_SAMPLES:
@@ -66,22 +63,10 @@ def _sample_ranks(source: PairSource, n: int, samples: int, seed: int) -> tuple[
     atoms = source.joint.ravel()
     cumulative = np.cumsum(atoms)
     cumulative[-1] = 1.0
-    y_size = source.y_alphabet.size
     rng = np.random.Generator(np.random.Philox(key=seed))
     cells = np.searchsorted(cumulative, rng.random((samples, n)), side="right")
-    cells = cells.astype(np.min_scalar_type(atoms.size - 1))  # short rows hash fast
-    # distinct rows in order of first draw, keyed by their slices of one buffer
-    buffer = cells.tobytes()
-    width = len(buffer) // samples
-    index: dict[bytes, int] = {}
-    inverse = np.array([index.setdefault(buffer[i:i + width], len(index)) for i in range(0, len(buffer), width)])
-    distinct = np.frombuffer(b"".join(index), dtype=cells.dtype).reshape(len(index), n)
-    tables = RankTables(source, n)
-    ranks = [
-        guess_rank_indices(source, xs, ys, tables)
-        for xs, ys in zip((distinct // y_size).tolist(), (distinct % y_size).tolist())
-    ]
-    return ranks, inverse
+    ranks, inverse = np.unique(RankTables(source, n).ranks(cells), return_inverse=True)
+    return ranks.tolist(), inverse
 
 
 def _report(values: np.ndarray, n: int, samples: int, seed: int) -> SampleReport:

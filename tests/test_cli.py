@@ -570,9 +570,9 @@ SHARP_CONFIG = {
     "y_symbols": ["0", "1"],
     "joint": [[0.4875, 0.0125], [0.0125, 0.4875]],
 }
-# Reports at the shapes of the benchmark's two sampling requests: a sharp channel whose draws
-# mostly repeat, and n = 32, where they are all distinct.  Every rank is exact, so these bytes
-# change only if the draws or the aggregation do.  "@" stands for the source's path.
+# Reports at the shapes of the benchmark's two sampling requests (a sharp channel whose draws
+# mostly repeat, and n = 32, where they are all distinct) and at n = 70.  Every rank is exact,
+# so these bytes change only if the draws or the aggregation do.  "@" stands for the source's path.
 PINNED_SAMPLE_REPORTS = [
     (SHARP_CONFIG, ["--n", "10", "--alpha", "0.7071", "--samples", "20000", "--seed", "1963"],
      '{"alpha": 0.7071, "estimate": 1.8410970767802137, "manifest": {"outputs": [], "parameters": '
@@ -584,6 +584,12 @@ PINNED_SAMPLE_REPORTS = [
      '"seed": 2718, "source": "@", "subcommand": "sample"}, "sources": {"@": "361ceb1b55069549"}, '
      '"subcommand": "sample"}, "n": 32, "samples": 300, "seed": 2718, "statistic": "log_rate", '
      '"std_error": 0.006645281547352427}'),
+    # 2**70 ranks: past int64, so the batch walk sums ties and ranks as Python ints
+    (BSC_CONFIG, ["--n", "70", "--alpha", "0.5", "--samples", "400", "--seed", "7070"],
+     '{"alpha": 0.5, "estimate": 424801.3840441714, "manifest": {"outputs": [], "parameters": {"alpha": 0.5, '
+     '"n": 70, "samples": 400, "seed": 7070, "source": "@", "subcommand": "sample"}, "sources": '
+     '{"@": "361ceb1b55069549"}, "subcommand": "sample"}, "n": 70, "samples": 400, "seed": 7070, '
+     '"statistic": "moment", "std_error": 93967.16843965453}'),
 ]
 
 

@@ -132,7 +132,7 @@ def check_shared_tables_rank_like_naive(source, n, data):
     for xs, ys in draws + draws[::-1]:
         assert guess_rank_indices(source, xs, ys, tables) == _oracle.naive_rank(source, xs, ys)
         cached = sum(len(table) for by_code in tables.tables for table in by_code.values())
-        assert tables.entries == cached + len(tables.moves) + len(tables.above)
+        assert tables.entries == cached + tables.width * (len(tables.states) - 1) + len(tables.above)
         assert tables.entries <= guesswork_module.MAX_RANK_TABLE_ENTRIES
 
 
@@ -143,6 +143,66 @@ def test_shared_rank_tables_match_naive_rank():
 def test_shared_rank_tables_match_naive_rank_under_eviction(monkeypatch):
     monkeypatch.setattr(guesswork_module, "MAX_RANK_TABLE_ENTRIES", 8)
     check_shared_tables_rank_like_naive()
+
+
+@st.composite
+def sources_with_zero_cells(draw):
+    """A lattice source with up to two cells' mass moved to the next row of their column."""
+    joint = draw(_oracle.lattice_sources()).joint.copy()
+    x_size, y_size = joint.shape
+    for x, y in draw(st.lists(st.tuples(st.integers(0, x_size - 1), st.integers(0, y_size - 1)), max_size=2)):
+        joint[(x + 1) % x_size, y] += joint[x, y]
+        joint[x, y] = 0.0
+    return make_source([f"x{i}" for i in range(x_size)], [f"y{j}" for j in range(y_size)], joint.tolist())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sources_with_zero_cells(), st.integers(1, 6), st.data())
+def check_batch_ranks_like_scalar_and_naive(source, n, data):
+    y_size = source.y_alphabet.size
+    row = st.lists(st.integers(0, source.x_alphabet.size * y_size - 1), min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, max_size=12))
+    tables = RankTables(source, n)
+    # the second batch meets the memo the first left, or what its eviction kept
+    for batch in (rows, rows[::-1] + rows):
+        ranks = tables.ranks(np.array(batch, dtype=np.int64).reshape(-1, n))
+        assert tables.entries <= guesswork_module.MAX_RANK_TABLE_ENTRIES
+        for cells, rank in zip(batch, ranks.tolist()):
+            xs, ys = [c // y_size for c in cells], [c % y_size for c in cells]
+            assert rank == tables.rank(xs, ys) == _oracle.naive_rank(source, xs, ys)
+
+
+def test_batch_ranks_match_scalar_and_naive_rank():
+    check_batch_ranks_like_scalar_and_naive()
+
+
+def test_batch_ranks_match_scalar_and_naive_rank_under_eviction(monkeypatch):
+    # at 8 entries a batch evicts at nearly every position, keeping the states its rows are at
+    monkeypatch.setattr(guesswork_module, "MAX_RANK_TABLE_ENTRIES", 8)
+    check_batch_ranks_like_scalar_and_naive()
+
+
+def test_batch_ranks_past_int64_match_the_scalar_walk(bsc01):
+    # 2**70 ranks: ties and ranks are Python ints; uniform rows rank far past 2**63
+    n = 70
+    rng = np.random.default_rng(70)
+    pairs = np.concatenate([rng.integers(0, 4, (40, n)), rng.choice(4, (40, n), p=bsc01.joint.ravel())])
+    ranks = RankTables(bsc01, n).ranks(pairs)
+    assert ranks.dtype == object and max(ranks) > 2**63
+    scalar = RankTables(bsc01, n)
+    assert ranks.tolist() == [scalar.rank((row // 2).tolist(), (row % 2).tolist()) for row in pairs]
+    for row, rank in zip(pairs[::20], ranks[::20]):
+        assert rank == _oracle.dyadic_rank(bsc01, (row // 2).tolist(), (row % 2).tolist())
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [np.zeros((2, 3), dtype=np.int64), np.zeros(2, dtype=np.int64), np.full((1, 2), 4), np.full((1, 2), -1),
+     np.zeros((1, 2))],
+)
+def test_batch_ranks_refuse_bad_arrays(bsc01, pairs):
+    with pytest.raises(SequenceError):
+        RankTables(bsc01, 2).ranks(pairs)
 
 
 def test_shared_rank_tables_agree_with_the_law(corpus):
