@@ -1,24 +1,25 @@
 """Parallel k-of-m conditional guesswork: exact order statistics and asymptotics.
 
 G_{k,m} is the k-th smallest of m independent users' guess ranks.  Its
-exact finite-n law is held as segments between consecutive points of the
-union of the users' block boundaries.  User i's probabilities are
-integer numerators over its own 2**K_i, K_i the largest -e of its block
-levels m * 2**e, so a k-min probability, one factor per user, is a
-numerator over 2**(K_1 + ... + K_m).  On a segment every user pmf p_i is
-constant, so P(G_i > t) is linear in t and the survival P(k-min > t), a
-Poisson-binomial over users, is exact at any rank: windows, P(G = 1) and
-the mass are survival differences.  The pmf there is a polynomial of
-degree <= m - 1 in t with nonnegative coefficients in (t - a, b - 1 - t),
-one sum over the (below, tied, above) splits of the users; moments sum it
+exact finite-n law is held as one step column per distinct user source:
+the user's sorted pmf-change ranks, and on each block between them its
+pmf p_j and F_j = P(G < start_j), integers over its own 2**K_i, K_i the
+largest -e of its block levels m * 2**e.  A k-min probability, one factor
+per user, is a numerator over 2**(K_1 + ... + K_m).  Between consecutive
+points of the union of the columns' change ranks, a segment, every user
+pmf is constant, so P(G_i > t) is linear in t and the survival P(k-min >
+t), a Poisson-binomial over users, is exact at any rank from one bisect
+per column: windows, P(G = 1) and the mass are survival differences.
+The pmf on a segment is a polynomial of degree <= m - 1 in t with
+nonnegative coefficients in (t - a, b - 1 - t), one sum over the (below,
+tied, above) splits of the users, taken in float logs from each column's
+log p, log F and log T per block, so nothing cancels.  Moments sum it
 against t**alpha by the certified ``poly_power_sums_log``, so a segment
 costs the same at any length; orders past its ``POLY_MAX_ORDER`` take the
-law rank by rank.  Segments of at most 32 ranks keep exact
-per-rank numerators: their first min(m, length) ranks take the
-Poisson-binomial, the rest extend the pmf from its m - 1 backward
-differences by integer additions.  The law rank by rank, one block per
-run of equal numerators (``dyadic.NumeratorCode``), is expanded only on
-demand, up to ``MAX_KMIN_RANKS`` ranks.
+law rank by rank.  Segments of at most 32 ranks split into single ranks,
+each pmf one coefficient, summed term by term.  The law rank by rank, one
+block per run of equal numerators (``dyadic.NumeratorCode``), is expanded
+exactly only on demand, up to ``MAX_KMIN_RANKS`` ranks.
 
 The asymptotic layer evaluates the rate function of G_{k,m} ~ e^(nx):
 one user i lands at e^(nx) at cost Lambda*_i(x), k-1 others finish
@@ -43,7 +44,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import mul, sub
 
 import numpy as np
 
@@ -60,7 +62,7 @@ from .guesswork import (
 )
 from .ldp import _MAX_STEPS, _V_COLD, RateFunction, _domain, _finite_orders, _shaped, scgf_derivative, scgf_limit
 from .model import PairSource
-from .powersum import POLY_MAX_ORDER, _log_weights, log_ints, poly_power_sums_log
+from .powersum import POLY_MAX_ORDER, _log_weights, poly_power_sums_log
 
 __all__ = [
     "MAX_KMIN_RANKS",
@@ -79,11 +81,14 @@ __all__ = [
 
 # ``KminDistribution.laws`` expands one pmf value per rank, |X|**n of them, up to this many
 MAX_KMIN_RANKS = 1 << 20
-# 64-bit words of the k-min segment table, two m-user rows of exact numerators per segment: 32 MiB each
+# k-min segments times m times the 64-bit words of one user numerator (32 MiB of words), checked
+# from the users' block counts: an upper bound on the moment path's per-user float rows over the
+# segments and on the columns' exact numerators, two per user block
 MAX_KMIN_WORDS = 1 << 22
 MAX_KMIN_USERS = 12
-# segments of at most this many ranks keep exact per-rank numerators on the moment path: with
-# none, the bsc + lat22 + lat23 k = 2, n = 12 bench request takes about 30% longer (8 to 64 time alike)
+# segments of at most this many ranks split into single ranks on the moment path, each pmf one
+# coefficient; the longer take the polynomial sums.  With none, the moments of the bsc + lat22 +
+# lat23 k = 2, n = 12 bench request take about 4x as long (8 to 200 time alike)
 _SHORT = 32
 # scgf_parallel's role assignments, m * C(m-1, k-1), at most as many as for 12 users, k = 6
 _MAX_ASSIGNMENTS = MAX_KMIN_USERS * math.comb(MAX_KMIN_USERS - 1, MAX_KMIN_USERS // 2 - 1)
@@ -147,8 +152,8 @@ def kmin_distribution(ensemble: UserEnsemble, n: int) -> "KminDistribution | Gue
     one step column that every user of that source reuses.  The rest is
     lazy: ``KminDistribution`` reads moments, windows and P(G = 1) from
     its segments at any n the users' builds admit, within
-    ``MAX_KMIN_WORDS`` words of exact numerators (checked from a lower
-    bound before any build and again after), and expands rank by rank only
+    ``MAX_KMIN_WORDS`` (checked from a lower bound before any build and
+    again after), and expands rank by rank only
     for ``laws`` and moment orders past ``POLY_MAX_ORDER``, up to
     ``MAX_KMIN_RANKS`` ranks.  One user is the single-user law itself.
     """
@@ -157,8 +162,8 @@ def kmin_distribution(ensemble: UserEnsemble, n: int) -> "KminDistribution | Gue
         return guesswork_distribution(ensemble.users[0], n)
     if ensemble.m > MAX_KMIN_USERS:
         raise EnsembleError(f"k-min enumeration supports m <= {MAX_KMIN_USERS}, got {ensemble.m}")
-    # the segment table holds m numerators of at most K bits per segment, K at
-    # most n times the largest -e of an entry, and its segments are at most the
+    # the words count m numerators of at most K bits per segment, K at most n
+    # times the largest -e of an entry, and the segments are at most the
     # users' block boundaries.  A law has at least n (R - 1) + 1 keys, R the
     # most distinct values in a column class (n copies of R integer keys sum to
     # that many), so too many words show before any build as well as after
@@ -181,25 +186,35 @@ def _check_words(ensemble: UserEnsemble, n: int, words: int) -> None:
                             f"more than {MAX_KMIN_WORDS}")
 
 
-def _step_column(dist: GuessworkDistribution) -> tuple[dict[int, int], int, int]:
-    """One user's pmf changes keyed by rank as numerators over 2**shift, its mass, and shift.
+def _step_column(dist: GuessworkDistribution) -> tuple[list[int], list[int], list[int], int]:
+    """One user's pmf as steps: (starts, probs, below, shift), numerators over 2**shift.
 
-    The shift is the largest -e of the user's levels, so each user keeps its own denominator.
+    Block j is [starts[j], starts[j + 1]), from rank 1 to |X|**n + 1, with
+    pmf probs[j] and P(G < starts[j]) = below[j]; below[-1] is the mass.
+    Each law's pmf steps by q_b - q_(b-1) at its block starts, so the
+    column is the running sum of all the laws' steps in rank order.  The
+    shift is the largest -e of the user's levels, so each user keeps its own
+    denominator.
     """
     keys = list({key for law in dist.laws for key in law.keys})
     numerators, shift = dist.laws[0].code.numerators(keys)  # one code for all the laws
     scaled = dict(zip(keys, numerators))
-    steps: dict[int, int] = {}
-    mass = 0
+    steps = {1: 0, dist.total_sequences + 1: 0}
     for law in dist.laws:
-        start = 1
-        for key, count in zip(law.keys, law.counts):  # the zero block has no key
-            q = law.y_sequences * scaled[key]
-            steps[start] = steps.get(start, 0) + q
-            start += count
-            steps[start] = steps.get(start, 0) - q
-            mass += q * count
-    return steps, mass, shift
+        q = [law.y_sequences * scaled[key] for key in law.keys]  # the zero block has no key
+        for rank, step in zip(accumulate(law.counts[: len(q)], initial=1), map(sub, q + [0], [0] + q)):
+            steps[rank] = steps.get(rank, 0) + step
+    starts = sorted(steps)
+    probs = list(accumulate([steps[rank] for rank in starts[:-1]]))
+    below = list(accumulate(map(mul, probs, map(sub, starts[1:], starts)), initial=0))
+    return starts, probs, below, shift
+
+
+def _log_naturals(ints: np.ndarray) -> np.ndarray:
+    """log of nonnegative ints, int64 or Python, -inf for 0 (under np.errstate(divide="ignore"))."""
+    if ints.dtype != object:
+        return np.log(ints.astype(np.float64))
+    return np.array([math.log(i) if i else -math.inf for i in ints.ravel().tolist()]).reshape(ints.shape)
 
 
 def _survival(done: list[int], pending: list[int], k: int) -> int:
@@ -212,112 +227,104 @@ def _survival(done: list[int], pending: list[int], k: int) -> int:
     return sum(coef)
 
 
-def _log_bernstein(log_below: np.ndarray, log_probs: np.ndarray, log_above: np.ndarray, k: int) -> np.ndarray:
-    """log c_ij of P(k-min = t) = sum c_ij u**i v**j on segments [a, b), u = t - a, v = b - 1 - t.
+def _log_bernstein(rows: np.ndarray, k: int, degrees: tuple[int, int]) -> np.ndarray:
+    """log c_ij of P(k-min = t) = sum c_ij u**i v**j on pieces [a, b), u = t - a, v = b - 1 - t.
 
-    The inputs are (users, segments) logs of F_i = P(G_i < a), p_i and
+    The rows are (users, 3, pieces) logs of F_i = P(G_i < a), p_i and
     T_i = P(G_i > b - 1).  User i is below t with P(G_i < t) = F_i + p_i u,
     tied with p_i and above with P(G_i > t) = T_i + p_i v, and the k-min
     is at t when fewer than k users are below and at least k are below or
     tied.  One pass over the users carries, per (users below, users tied
     capped at k), the sum over those splits as a polynomial in (u, v) of
-    u-degree < k and v-degree < m, for every segment at once.  Each
-    coefficient is a sum of products of nonnegative terms (an integer over
-    2**(K_1 + ... + K_m)), so the pass runs in float logs and nothing cancels.
-    Returns (segments, k, m) logs, -inf where a coefficient is 0.
+    u-degree < k and v-degree < m, for every piece at once; on unit pieces
+    u = v = 0, and degrees (1, 1) keep only c_00.  Each coefficient is a
+    sum of products of nonnegative terms (an integer over 2**(K_1 + ... +
+    K_m)), so the pass runs in float logs and nothing cancels.  Returns
+    (pieces, *degrees) logs, -inf where a coefficient is 0.
     """
-    m, count = log_below.shape
-    start = np.full((count, k, m), -np.inf)
+    u_degrees, v_degrees = degrees
+    start = np.full((rows.shape[2], u_degrees, v_degrees), -np.inf)
     start[:, 0, 0] = 0.0
     states = {(0, 0): start}
-    for f, p, r in zip(log_below, log_probs, log_above):
-        f, p, r = f[:, None, None], p[:, None, None], r[:, None, None]
+    for f, p, r in rows[:, :, :, None, None]:
         out: dict[tuple[int, int], np.ndarray] = {}
 
         def add(state, terms):
             out[state] = np.logaddexp(out[state], terms) if state in out else terms
 
         for (nb, nt), poly in states.items():
-            grown = np.full(poly.shape, -np.inf)
-            grown[:, :, 1:] = poly[:, :, :-1] + p
-            add((nb, nt), np.logaddexp(poly + r, grown))                 # above: T + p v
+            above = poly + r                                            # above: T + p v
+            if v_degrees > 1:
+                np.logaddexp(above[:, :, 1:], poly[:, :, :-1] + p, out=above[:, :, 1:])
+            add((nb, nt), above)
             if nb + 1 < k:
-                grown = np.full(poly.shape, -np.inf)
-                grown[:, 1:, :] = poly[:, :-1, :] + p
-                add((nb + 1, nt), np.logaddexp(poly + f, grown))         # below: F + p u
-            add((nb, min(nt + 1, k)), poly + p)                          # tied: p
+                below = poly + f                                        # below: F + p u
+                if u_degrees > 1:
+                    np.logaddexp(below[:, 1:], poly[:, :-1] + p, out=below[:, 1:])
+                add((nb + 1, nt), below)
+            add((nb, min(nt + 1, k)), poly + p)                         # tied: p
         states = out
     done = [poly for (nb, nt), poly in states.items() if nb + nt >= k]
     return np.logaddexp.reduce(done, axis=0) if len(done) > 1 else done[0]
 
 
-def _log_numerators(code: NumeratorCode, nums: list[int]) -> np.ndarray:
-    """log(num / 2**bits) for every num, -inf for 0."""
-    out = np.full(len(nums), -np.inf)
-    positive = [i for i, num in enumerate(nums) if num]
-    if positive:
-        out[positive] = code.log_scales([nums[i] for i in positive])[0]
-    return out
-
-
 class KminDistribution:
-    """Exact law of the k-th smallest of m independent ranks, held as segments.
+    """Exact law of the k-th smallest of m independent ranks, held as one step column per source.
 
-    A segment [a, b) runs between consecutive points of the union of the
-    users' block boundaries, so every user pmf p_i is constant on it.  It
-    keeps each user's F_i(a - 1) = P(G_i < a) and p_i, integers over
-    2**K_i; T_i(b - 1) = mass_i - F_i(a - 1) - p_i (b - a).  The survival
-    S(t) = P(k-min > t) is one Poisson-binomial over users at any t, so
-    windows, P(G = 1) and the mass are exact differences S(r_lo - 1) -
-    S(r_hi) over 2**(K_1 + ... + K_m).  Moments sum the pmf against
-    t**alpha: a segment of at most ``_SHORT`` ranks takes exact per-rank
-    numerators, a longer one its coefficients in (t - a, b - 1 - t)
+    A column (``_step_column``) keeps a user's change ranks, 1 and |X|**n
+    + 1 included, and per block its pmf p_j and F_j = P(G < start_j),
+    integers over 2**K_i; users of one source share one column.  The
+    survival S(t) = P(k-min > t) is one Poisson-binomial over users from
+    one bisect per column (``_state``), so windows, P(G = 1) and the mass
+    are exact differences S(r_lo - 1) - S(r_hi) over 2**(K_1 + ... + K_m).
+    Moments sum the pmf against t**alpha over the segments between
+    consecutive points of the union of the columns' change ranks, where
+    every user pmf is constant: a segment of at most ``_SHORT`` ranks
+    rank by rank, a longer one by its coefficients in (t - a, b - 1 - t)
     (``_log_bernstein``) and the certified kernel ``poly_power_sums_log``,
     whatever its length, for orders up to ``POLY_MAX_ORDER`` in size.
-    ``laws`` expands every segment rank by rank into
-    runs of equal numerators (one block each), up to ``MAX_KMIN_RANKS``
-    ranks.
+    Both read float logs only, gathered per segment from each column's log
+    p, log F and log T per block.  ``laws`` expands every segment rank by
+    rank into runs of equal numerators (one block each), up to
+    ``MAX_KMIN_RANKS`` ranks.
     """
 
-    def __init__(self, n: int, x_size: int, k: int, columns: list[tuple[dict[int, int], int, int]]):
+    def __init__(self, n: int, x_size: int, k: int, columns: list[tuple[list[int], list[int], list[int], int]]):
         self.n = n
         self.x_size = x_size
         self.k = k
         self.m = len(columns)
-        self.masses = [mass for _, mass, _ in columns]
-        self.shifts = [shift for _, _, shift in columns]
+        # users of one source share one column, and the moment path reads its logs once
+        distinct = {id(column): column for column in columns}
+        self.columns = list(distinct.values())
+        self.user_columns = [list(distinct).index(id(column)) for column in columns]
+        self.masses = [below[-1] for _, _, below, _ in columns]
         # a k-min probability takes one factor per user, so its numerator is over 2**sum(shifts)
-        self.code = NumeratorCode(sum(self.shifts))
-        total = self.total_sequences
-        bounds = sorted({1, total + 1}.union(*(steps for steps, _, _ in columns)))
-        self.starts = bounds  # segment s is [starts[s], starts[s + 1])
-        self.probs: list[list[int]] = []
-        self.below: list[list[int]] = []
-        probs, done = [0] * self.m, [0] * self.m
-        for a, b in zip(bounds, bounds[1:]):
-            probs = [p + steps.get(a, 0) for p, (steps, _, _) in zip(probs, columns)]
-            self.probs.append(probs)
-            self.below.append(done)
-            done = [f + p * (b - a) for f, p in zip(done, probs)]
+        self.code = NumeratorCode(sum(shift for *_, shift in columns))
+        # int64 ranks while |X|**n + 1 and its differences fit, Python ints past that
+        dtype = np.int64 if self.total_sequences < 1 << 62 else object
+        self.edges = [np.array(starts, dtype=dtype) for starts, *_ in self.columns]
+        # segment s is [bounds[s], bounds[s + 1]), between consecutive points of the union of the columns' starts
+        self.bounds = self.edges[0] if len(self.edges) == 1 else np.unique(np.concatenate(self.edges))
 
     @cached_property
     def total_sequences(self) -> int:
         return self.x_size**self.n
 
     def _state(self, t: int) -> tuple[list[int], list[int]]:
-        """(P(G_i <= t), P(G_i > t)) per user, for 0 <= t <= |X|**n."""
-        if t == 0:
-            return [0] * self.m, list(self.masses)
-        s = bisect_right(self.starts, t) - 1
-        a = self.starts[s]
-        done = [f + p * (t - a + 1) for f, p in zip(self.below[s], self.probs[s])]
+        """(P(G_i <= t), P(G_i > t)) per user, for 0 <= t <= |X|**n: one bisect per column."""
+        done = []
+        for starts, probs, below, _ in self.columns:
+            j = bisect_right(starts, t, 1) - 1  # t = 0 reads block 0 at no ranks
+            done.append(below[j] + probs[j] * (t - starts[j] + 1))
+        done = [done[c] for c in self.user_columns]
         return done, [mass - f for mass, f in zip(self.masses, done)]
 
     def _survival_at(self, t: int) -> int:
         return _survival(*self._state(t), self.k)
 
-    def _segment_pmf(self, s: int, survival: int) -> tuple[list[int], int]:
-        """Numerators of P(k-min = t) over segment s, from S(a - 1), and S(b - 1).
+    def _segment_pmf(self, a: int, b: int, survival: int) -> tuple[list[int], int]:
+        """Numerators of P(k-min = t) over the segment [a, b), from S(a - 1), and S(b - 1).
 
         The first min(m, length) ranks take the Poisson-binomial; the rest
         extend the pmf, a polynomial of degree <= m - 1, from its backward
@@ -325,10 +332,8 @@ class KminDistribution:
         their sum off the survival.
         """
         m, k = self.m, self.k
-        a, b = self.starts[s], self.starts[s + 1]
-        probs = self.probs[s]
-        done = list(self.below[s])
-        pending = [mass - f for mass, f in zip(self.masses, done)]
+        done, pending = self._state(a - 1)
+        probs = [f - g for f, g in zip(self._state(a)[0], done)]
         head = []
         for _ in range(min(b - a, m)):
             for i in range(m):
@@ -351,62 +356,60 @@ class KminDistribution:
             out.append(diffs[0])
         return out, survival - sum(out[m:])
 
-    def _rank_pmfs(self, segments):
-        """(segment, per-rank numerators) for each of the given segments, in rank order.
-
-        The survival at a segment's end carries to the next one when it follows directly.
-        """
-        survival, last = None, None
-        for s in segments:
-            if last != s - 1:
-                survival = self._survival_at(self.starts[s] - 1)
-            nums, survival = self._segment_pmf(s, survival)
-            last = s
-            yield s, nums
-
     @cached_property
     def _moment_terms(self):
-        """Per-rank terms of the short segments and polynomial rows of the long ones, for the power sums."""
-        lengths = np.diff(self.starts)
-        short = np.flatnonzero(lengths <= _SHORT).tolist()
-        ranks, nums = [], []
-        for s, values in self._rank_pmfs(short):
-            for t, num in enumerate(values, start=self.starts[s]):
-                if num:
-                    ranks.append(t)
-                    nums.append(num)
-        rank_logs = (log_ints(ranks, self.total_sequences), self.code.log_scales(nums)[0]) if nums else None
-        rows = np.flatnonzero(lengths > _SHORT).tolist()
-        if not rows:
-            return rank_logs, None
-        below = [self.below[s] for s in rows]
-        probs = [self.probs[s] for s in rows]
-        above = [[mass - f - p * int(lengths[s]) for mass, f, p in zip(self.masses, fs, ps)]
-                 for s, fs, ps in zip(rows, below, probs)]
-        codes = [NumeratorCode(shift) for shift in self.shifts]
-        logs = [np.array([_log_numerators(code, list(values)) for code, values in zip(codes, zip(*table))])
-                for table in (below, probs, above)]
-        log_coefs = _log_bernstein(*logs, self.k).reshape(len(rows), -1)
+        """(log t, log P(k-min = t)) per piece, and the polynomial rows of the long segments, for the power sums.
+
+        A short segment splits into unit pieces [t, t + 1), whose pmf is
+        their coefficient c_00; a long one is one piece, whose log level is
+        -inf here.  Each column takes log F, log p and log T once per block,
+        T the mass past the block, and a piece [a, b) in block [c, d) has
+        log P(G_i < a) = logaddexp(log F, log p + log(a - c)) and
+        log P(G_i > b - 1) = logaddexp(log T, log p + log(d - b)), sums of
+        nonnegative terms.
+        """
+        bounds = self.bounds
+        lengths = bounds[1:] - bounds[:-1]
+        long = lengths > _SHORT
+        reps = np.where(long, 1, lengths).astype(np.int64)
+        ends = np.cumsum(reps)
+        starts = np.repeat(bounds[:-1] - (ends - reps), reps) + np.arange(ends[-1])
+        stops = np.concatenate((starts[1:], bounds[-1:]))
+        long = np.repeat(long, reps)
+        rows = []
+        with np.errstate(divide="ignore"):
+            for (_, probs, below, shift), edges in zip(self.columns, self.edges):
+                tails = [below[-1] - f for f in below[1:]]
+                # a zero numerator's log is -inf
+                logs = NumeratorCode(shift).log_scales(below[:-1] + probs + tails)[0].reshape(3, -1)
+                j = np.searchsorted(edges[1:], starts, "right")
+                row = logs[:, j]
+                np.logaddexp(row[0], row[1] + _log_naturals(starts - edges[j]), out=row[0])
+                np.logaddexp(row[2], row[1] + _log_naturals(edges[j + 1] - stops), out=row[2])
+                rows.append(row)
+            rows = np.array([rows[c] for c in self.user_columns])
+            log_levels = _log_bernstein(rows, self.k, (1, 1))[:, 0, 0]
+            log_levels[long] = -np.inf
+            log_ranks = _log_naturals(starts)
+        pieces = np.flatnonzero(long)
+        if not pieces.size:
+            return log_ranks, log_levels, None
+        log_coefs = _log_bernstein(rows[:, :, pieces], self.k, (self.k, self.m)).reshape(len(pieces), -1)
         degrees = [(i, j) for i in range(self.k) for j in range(self.m)]
         live = np.flatnonzero(np.isfinite(log_coefs).any(axis=0))
         keep = np.isfinite(log_coefs[:, live]).any(axis=1)
-        rows = [s for s, kept in zip(rows, keep.tolist()) if kept]
-        if not rows:
-            return rank_logs, None
-        starts = [self.starts[s] for s in rows]
-        lasts = [self.starts[s + 1] - 1 for s in rows]
-        return rank_logs, (starts, lasts, [degrees[c] for c in live.tolist()], log_coefs[keep][:, live])
+        pieces = pieces[keep]
+        polys = (starts[pieces].tolist(), (stops[pieces] - 1).tolist(), [degrees[c] for c in live.tolist()],
+                 log_coefs[keep][:, live]) if pieces.size else None
+        return log_ranks, log_levels, polys
 
     def _log_sum(self, alpha: float, minus_one: bool) -> float:
         """log|sum_t P(k-min = t) w(t)|, w(t) = t**alpha - 1 (minus_one) or t**alpha."""
-        rank_logs, polys = self._moment_terms
-        parts = []
-        if rank_logs is not None:
-            log_ranks, log_levels = rank_logs
-            parts.append(log_levels + _log_weights(alpha * log_ranks, minus_one))
+        log_ranks, log_levels, polys = self._moment_terms
+        terms = log_levels + _log_weights(alpha * log_ranks, minus_one)
         if polys is not None:
-            parts.append(poly_power_sums_log(*polys, alpha, minus_one))
-        return _logsumexp(np.concatenate(parts))
+            terms = np.concatenate((terms, poly_power_sums_log(*polys, alpha, minus_one)))
+        return _logsumexp(terms)
 
     @cached_property
     def _mass(self) -> Dyadic:
@@ -476,7 +479,10 @@ class KminDistribution:
             # |X|**n itself may be too long to print in decimal
             raise EnsembleError(f"rank span {self.x_size}**{self.n} exceeds {MAX_KMIN_RANKS} ranks")
         counts, keys = [], []
-        for _, nums in self._rank_pmfs(range(len(self.starts) - 1)):
+        survival = self._survival_at(0)
+        bounds = self.bounds.tolist()
+        for a, b in zip(bounds, bounds[1:]):
+            nums, survival = self._segment_pmf(a, b, survival)
             for num in nums:
                 if keys and num == keys[-1]:
                     counts[-1] += 1
@@ -629,7 +635,8 @@ def scgf_parallel(ensemble: UserEnsemble, alpha: float) -> float:
                 step = x[run] + g / rise
             inside = (step > lo[run]) & (step < hi[run])
             step = np.where(inside, step, 0.5 * (lo[run] + hi[run]))
-            done = (g * g <= 2.0 * _GAIN_TOL * rise) | (step == x[run])
+            with np.errstate(over="ignore"):  # g**2 saturates for orders near the float range
+                done = (g * g <= 2.0 * _GAIN_TOL * rise) | (step == x[run])
             done |= bound[here] < value.max() - _PRUNE_GAP
             v[run] += (step - x[run])[:, np.newaxis] * pace
             x[run] = step

@@ -189,7 +189,8 @@ def _head_logs(log_a: np.ndarray, inv_a: np.ndarray, m: np.ndarray, alpha: float
         t += 1.0
         acc[:n_active] += np.power(t, alpha, out=t)
     total[order] = acc
-    return alpha * log_top + np.log1p(total)
+    with np.errstate(over="ignore"):  # saturates to +-inf for orders near the float range
+        return alpha * log_top + np.log1p(total)
 
 
 def power_sums_log(log_starts: np.ndarray, log_counts: np.ndarray, alpha: float) -> np.ndarray:
@@ -218,7 +219,7 @@ def power_sums_log(log_starts: np.ndarray, log_counts: np.ndarray, alpha: float)
     todo = np.flatnonzero(~narrow)
     head = max(32, 4 * scale)
     while todo.size:
-        tail = lc[todo] > math.log(head + 1.5)
+        tail = lc[todo] > math.log(2 * head + 3) - _LN2  # log(head + 1.5) from the exact int: head may pass 1e308
         done = todo[~tail]
         if done.size:
             out[done] = _head_logs(la[done], np.exp(-la[done]), np.rint(np.exp(lc[done])), alpha)

@@ -770,6 +770,28 @@ def test_non_finite_inputs_are_json_errors(capsys, bsc_path, uniform_path, argv,
     assert json.loads(err)["error"] == error
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--source", "{bsc}", "--n", "6", "--alphas", "1e308"],
+        ["moments", "--source", "{bsc}", "--n", "6", "--alphas=-1e308"],
+        # the k-min law rank by rank, past POLY_MAX_ORDER
+        ["parallel", "--sources", "{bsc},{lat22}", "--k", "1", "--n", "3", "--alphas", "1e308"],
+    ],
+)
+def test_largest_finite_orders_end_in_a_row_or_json_error(capsys, tmp_path, bsc_path, argv):
+    """An order whose exact head, 4 (|alpha| + 1) ranks, is past the float range still answers."""
+    lat22 = tmp_path / "lat22.json"
+    lat22.write_text(json.dumps({"x_symbols": ["0", "1"], "y_symbols": ["0", "1"],
+                                 "joint": [[0.5, 0.1], [0.15, 0.25]]}))
+    argv = [tok.format(bsc=bsc_path, lat22=lat22) for tok in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    if code == 1:
+        assert "error" in json.loads(err)
+
+
 def test_console_script_entry_point(bsc_path):
     """CSV and manifest on success, exit 2 on a usage error, 1 and the JSON error past the budget."""
     # without an installed console script, run the package as a module

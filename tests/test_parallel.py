@@ -390,6 +390,20 @@ def test_kmin_large_orders_end_quickly(bsc01):
     assert time.perf_counter() - start < 2.0
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_kmin_users_of_equal_sources_read_alike(bsc01, m):
+    """Users of one source object share one column; equal but distinct objects give the same law, bit for bit."""
+    shared = kmin_distribution(UserEnsemble(users=(bsc01,) * m, k=1), 10)
+    copies = tuple(make_source(["0", "1"], ["0", "1"], [[0.45, 0.05], [0.05, 0.45]]) for _ in range(m))
+    distinct = kmin_distribution(UserEnsemble(users=copies, k=1), 10)
+    assert len(shared.columns) == 1 and len(distinct.columns) == m
+    for alpha in (-0.5, 1.0, 2.5):
+        assert shared.log_moment(alpha) == distinct.log_moment(alpha)
+    assert shared.prob_eq_one_dyadic() == distinct.prob_eq_one_dyadic()
+    for lo, hi in ((0.1, 0.4), (0.0, 0.3), (0.35, 0.6)):
+        assert shared.log_prob_log_window(lo, hi) == distinct.log_prob_log_window(lo, hi)
+
+
 def test_kmin_table_past_its_words_fails_before_any_build(monkeypatch, bsc01):
     def build(source, n):
         raise AssertionError("no user law should be built")
@@ -403,8 +417,29 @@ def test_kmin_table_past_its_words_fails_before_any_build(monkeypatch, bsc01):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.data())
+def test_kmin_survival_matches_per_rank_oracle(data):
+    """S(t) over 2**(K_1 + ... + K_m) is 1 - the exact CDF at any t in [0, |X|**n], zero cells included."""
+    x_size = data.draw(st.integers(2, 3))
+    m = data.draw(st.integers(2, 3))
+    k = data.draw(st.integers(1, m))
+    n = data.draw(st.integers(1, 8))
+    users = tuple(data.draw(lattice_sources(x_size)) for _ in range(m))
+    dist = kmin_distribution(UserEnsemble(users=users, k=k), n)
+    counts, levels = kmin_law_per_rank(users, k, n)
+    ends = np.cumsum(counts).tolist()
+    for t in data.draw(st.lists(st.integers(0, x_size**n), min_size=1, max_size=6)):
+        # the law is constant on each block, so the CDF at t sums whole blocks and part of one
+        block = int(np.searchsorted(ends, t))
+        cdf = sum(level.as_fraction() * count for count, level in zip(counts[:block], levels[:block]))
+        if block < len(counts):
+            cdf += levels[block].as_fraction() * (t - (ends[block - 1] if block else 0))
+        assert Fraction(dist._survival_at(t), 2**dist.code.bits) == 1 - cdf
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
 def test_kmin_segment_moments_and_windows_match_per_rank_oracle(data):
-    """Segment moments (per-rank heads and the certified polynomial tails), windows and P(G = 1), m <= 3, n <= 8."""
+    """Segment moments (single ranks and the certified polynomial sums), windows and P(G = 1), m <= 3, n <= 8."""
     x_size = data.draw(st.integers(2, 3))
     m = data.draw(st.integers(2, 3))
     k = data.draw(st.integers(1, m))
@@ -413,9 +448,9 @@ def test_kmin_segment_moments_and_windows_match_per_rank_oracle(data):
     counts, levels = kmin_law_per_rank(users, k, n)
     alphas = data.draw(st.lists(st.floats(-1.5, 4.0, allow_subnormal=False), min_size=1, max_size=2))
     wants = [log_moment_reference(counts, levels, alpha) for alpha in alphas]
-    # segments this short keep per-rank numerators; with no such segments every
-    # pmf comes from its (below, tied, above) coefficients
-    for short in (parallel_module._SHORT, 0):
+    # segments this short split into single ranks; with none every segment takes
+    # the polynomial sums, and with |X|**n every segment splits
+    for short in (parallel_module._SHORT, 0, x_size**n):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(parallel_module, "_SHORT", short)
             dist = kmin_distribution(UserEnsemble(users=users, k=k), n)
