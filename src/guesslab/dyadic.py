@@ -25,8 +25,8 @@ levels.  Packed levels are ordered by float logs taken from their
 vectors, and a level becomes a ``Dyadic`` only where exactness is read:
 sums, and the near ties that the float logs cannot separate.
 
-The k-min law's levels are keyed by a ``NumeratorCode``: a key is the
-level's numerator over one 2**bits.  Both codes give a key's exact level
+A ``NumeratorCode`` keys a level by its numerator over one 2**bits, as
+the k-min law's probabilities are held.  Both codes give a key's exact level
 (``dyadic``), float logs (``log_scales``) and correctly rounded floats
 (``floats``), all that a law reads.  ``LevelPacking.floats`` multiplies
 tabulated basis powers in double-double arithmetic and makes a level

@@ -141,14 +141,13 @@ class YTypeLaw:
     """Rank law conditional on a y-sequence, shared by every y-sequence of its class signature.
 
     ``signature`` counts the positions in each class of ``members``, and
-    the ``y_sequences`` with it all have probability ``py_product``.  The
-    k-min law has no class: one empty y-type.  Columnar: ``counts`` are the
-    block sizes in rank order, with any zero-level block last, so block
-    starts are their running sums.  The positive blocks' levels are the
-    ``keys`` of a ``code``, with their float ``logs`` and ``scales`` as
-    ``code.log_scales`` gives them: packed level-code keys (``LevelPacking``)
-    for a type law, with levels descending, and numerators over one power of
-    two (``NumeratorCode``) for the k-min law.  ``blocks`` rebuilds the exact
+    the ``y_sequences`` with it all have probability ``py_product``.
+    Columnar: ``counts`` are the block sizes in rank order, with any
+    zero-level block last, so block starts are their running sums.  The
+    positive blocks' levels, descending, are the ``keys`` of a ``code``,
+    with their float ``logs`` and ``scales`` as ``code.log_scales`` gives
+    them: packed level-code keys (``LevelPacking``), or numerators over one
+    power of two (``NumeratorCode``).  ``blocks`` rebuilds the exact
     blocks on demand, and two laws are equal when their y-types and exact
     blocks are.
     """
@@ -224,11 +223,10 @@ def _float_view(laws: tuple[YTypeLaw, ...], total: int) -> _FloatView:
 class GuessworkDistribution:
     """Exact law of the guess rank as probability-level blocks, one law per set of y-types sharing it.
 
-    For single-user optimal guessing (monotone=True) block levels are
-    strictly decreasing within each law; order-statistic laws built
-    by the parallel module are not monotone and skip that check.  Mass,
-    moments and windows are read from one cached float view of all the
-    laws' positive blocks.
+    Optimal guessing queries levels in nonincreasing order, so block levels
+    strictly decrease within each law, and every distribution is checked
+    for it.  Mass, moments and windows are read from one cached float view
+    of all the laws' positive blocks.
     """
 
     def __init__(
@@ -237,13 +235,11 @@ class GuessworkDistribution:
         x_size: int,
         y_symbols: tuple[str, ...],
         laws: tuple[YTypeLaw, ...],
-        monotone: bool = True,
     ):
         self.n = n
         self.x_size = x_size
         self.y_symbols = y_symbols
         self.laws = laws
-        self.monotone = monotone
         self._validate()
 
     def _validate(self) -> None:
@@ -253,8 +249,7 @@ class GuessworkDistribution:
                 raise GuessworkError("rank blocks must be contiguous from 1")
             if sum(law.counts) != total:
                 raise GuessworkError(f"blocks must cover ranks 1..{total}")
-        if self.monotone:
-            self._check_decreasing()
+        self._check_decreasing()
         mass = self.total_mass
         if abs(mass - 1.0) > 1e-10:
             raise GuessworkError(f"total mass {mass!r} deviates from 1")

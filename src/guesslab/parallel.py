@@ -15,11 +15,9 @@ nonnegative coefficients in (t - a, b - 1 - t), one sum over the (below,
 tied, above) splits of the users, taken in float logs from each column's
 log p, log F and log T per block, so nothing cancels.  Moments sum it
 against t**alpha by the certified ``poly_power_sums_log``, so a segment
-costs the same at any length; orders past its ``POLY_MAX_ORDER`` take the
-law rank by rank.  Segments of at most 32 ranks split into single ranks,
-each pmf one coefficient, summed term by term.  The law rank by rank, one
-block per run of equal numerators (``dyadic.NumeratorCode``), is expanded
-exactly only on demand, up to ``MAX_KMIN_RANKS`` ranks.
+costs the same at any length.  Segments of at most 32 ranks split into
+single ranks, each pmf one coefficient, summed term by term; orders past
+``POLY_MAX_ORDER`` split every segment so, up to ``MAX_KMIN_RANKS`` ranks.
 
 The asymptotic layer evaluates the rate function of G_{k,m} ~ e^(nx):
 one user i lands at e^(nx) at cost Lambda*_i(x), k-1 others finish
@@ -49,12 +47,11 @@ from operator import mul, sub
 
 import numpy as np
 
-from .dyadic import _LN2, DYADIC_ONE, DYADIC_ZERO, Dyadic, NumeratorCode
+from .dyadic import _LN2, DYADIC_ZERO, Dyadic, NumeratorCode
 from .entropy import conditional_shannon
 from .guesswork import (
     GuessworkDistribution,
     GuessworkError,
-    YTypeLaw,
     _logsumexp,
     _window_ranks,
     exp_or_inf,
@@ -79,7 +76,8 @@ __all__ = [
     "scgf_parallel_iid",
 ]
 
-# ``KminDistribution.laws`` expands one pmf value per rank, |X|**n of them, up to this many
+# moment orders past POLY_MAX_ORDER split every k-min segment into single ranks, |X|**n of them,
+# up to this many
 MAX_KMIN_RANKS = 1 << 20
 # k-min segments times m times the 64-bit words of one user numerator (32 MiB of words), checked
 # from the users' block counts: an upper bound on the moment path's per-user float rows over the
@@ -153,9 +151,9 @@ def kmin_distribution(ensemble: UserEnsemble, n: int) -> "KminDistribution | Gue
     lazy: ``KminDistribution`` reads moments, windows and P(G = 1) from
     its segments at any n the users' builds admit, within
     ``MAX_KMIN_WORDS`` (checked from a lower bound before any build and
-    again after), and expands rank by rank only
-    for ``laws`` and moment orders past ``POLY_MAX_ORDER``, up to
-    ``MAX_KMIN_RANKS`` ranks.  One user is the single-user law itself.
+    again after), and splits every segment into single ranks only for
+    moment orders past ``POLY_MAX_ORDER``, up to ``MAX_KMIN_RANKS`` ranks.
+    One user is the single-user law itself.
     """
     if ensemble.m == 1:
         # degenerate k-min: the single-user law itself, bit for bit
@@ -282,11 +280,10 @@ class KminDistribution:
     every user pmf is constant: a segment of at most ``_SHORT`` ranks
     rank by rank, a longer one by its coefficients in (t - a, b - 1 - t)
     (``_log_bernstein``) and the certified kernel ``poly_power_sums_log``,
-    whatever its length, for orders up to ``POLY_MAX_ORDER`` in size.
-    Both read float logs only, gathered per segment from each column's log
-    p, log F and log T per block.  ``laws`` expands every segment rank by
-    rank into runs of equal numerators (one block each), up to
-    ``MAX_KMIN_RANKS`` ranks.
+    whatever its length, for orders up to ``POLY_MAX_ORDER`` in size;
+    larger orders take every segment rank by rank, up to
+    ``MAX_KMIN_RANKS`` ranks.  Both read float logs only, gathered per
+    segment from each column's log p, log F and log T per block.
     """
 
     def __init__(self, n: int, x_size: int, k: int, columns: list[tuple[list[int], list[int], list[int], int]]):
@@ -306,6 +303,7 @@ class KminDistribution:
         self.edges = [np.array(starts, dtype=dtype) for starts, *_ in self.columns]
         # segment s is [bounds[s], bounds[s + 1]), between consecutive points of the union of the columns' starts
         self.bounds = self.edges[0] if len(self.edges) == 1 else np.unique(np.concatenate(self.edges))
+        self._terms = {}  # split length -> _moment_terms
 
     @cached_property
     def total_sequences(self) -> int:
@@ -323,54 +321,21 @@ class KminDistribution:
     def _survival_at(self, t: int) -> int:
         return _survival(*self._state(t), self.k)
 
-    def _segment_pmf(self, a: int, b: int, survival: int) -> tuple[list[int], int]:
-        """Numerators of P(k-min = t) over the segment [a, b), from S(a - 1), and S(b - 1).
+    def _moment_terms(self, short: int):
+        """(log t, log P(k-min = t)) per unit piece of positive pmf, and the polynomial rows of the long segments, for the power sums.
 
-        The first min(m, length) ranks take the Poisson-binomial; the rest
-        extend the pmf, a polynomial of degree <= m - 1, from its backward
-        differences by m - 1 integer additions per rank, exactly, and take
-        their sum off the survival.
-        """
-        m, k = self.m, self.k
-        done, pending = self._state(a - 1)
-        probs = [f - g for f, g in zip(self._state(a)[0], done)]
-        head = []
-        for _ in range(min(b - a, m)):
-            for i in range(m):
-                done[i] += probs[i]
-                pending[i] -= probs[i]
-            now = _survival(done, pending, k)
-            head.append(survival - now)
-            survival = now
-        left = b - a - m
-        if left <= 0:
-            return head, survival
-        out = list(head)
-        diffs = [head[-1]]  # backward differences at the last head rank
-        for _ in range(m - 1):
-            head = [hi - lo for lo, hi in zip(head, head[1:])]
-            diffs.append(head[-1])
-        for _ in range(left):
-            for j in range(m - 2, -1, -1):
-                diffs[j] += diffs[j + 1]
-            out.append(diffs[0])
-        return out, survival - sum(out[m:])
-
-    @cached_property
-    def _moment_terms(self):
-        """(log t, log P(k-min = t)) per piece, and the polynomial rows of the long segments, for the power sums.
-
-        A short segment splits into unit pieces [t, t + 1), whose pmf is
-        their coefficient c_00; a long one is one piece, whose log level is
-        -inf here.  Each column takes log F, log p and log T once per block,
-        T the mass past the block, and a piece [a, b) in block [c, d) has
+        A segment of at most ``short`` ranks splits into unit pieces [t, t +
+        1), whose pmf is their coefficient c_00; a longer one is one piece,
+        summed by its polynomial rows.  Each column takes log F, log p and
+        log T once per block, T the mass past the block, and a piece [a, b)
+        in block [c, d) has
         log P(G_i < a) = logaddexp(log F, log p + log(a - c)) and
         log P(G_i > b - 1) = logaddexp(log T, log p + log(d - b)), sums of
         nonnegative terms.
         """
         bounds = self.bounds
         lengths = bounds[1:] - bounds[:-1]
-        long = lengths > _SHORT
+        long = lengths > short
         reps = np.where(long, 1, lengths).astype(np.int64)
         ends = np.cumsum(reps)
         starts = np.repeat(bounds[:-1] - (ends - reps), reps) + np.arange(ends[-1])
@@ -389,8 +354,9 @@ class KminDistribution:
                 rows.append(row)
             rows = np.array([rows[c] for c in self.user_columns])
             log_levels = _log_bernstein(rows, self.k, (1, 1))[:, 0, 0]
-            log_levels[long] = -np.inf
-            log_ranks = _log_naturals(starts)
+            # zero pmfs drop out, so -inf meets no infinite weight; long pieces sum by their polynomials
+            live = ~long & np.isfinite(log_levels)
+            log_ranks, log_levels = _log_naturals(starts[live]), log_levels[live]
         pieces = np.flatnonzero(long)
         if not pieces.size:
             return log_ranks, log_levels, None
@@ -404,9 +370,25 @@ class KminDistribution:
         return log_ranks, log_levels, polys
 
     def _log_sum(self, alpha: float, minus_one: bool) -> float:
-        """log|sum_t P(k-min = t) w(t)|, w(t) = t**alpha - 1 (minus_one) or t**alpha."""
-        log_ranks, log_levels, polys = self._moment_terms
-        terms = log_levels + _log_weights(alpha * log_ranks, minus_one)
+        """log|sum_t P(k-min = t) w(t)|, w(t) = t**alpha - 1 (minus_one) or t**alpha.
+
+        Orders up to ``POLY_MAX_ORDER`` in size split segments of at most
+        ``_SHORT`` ranks; larger ones, past the orders whose polynomial sums
+        certify, split every segment into single ranks, up to
+        ``MAX_KMIN_RANKS`` of them.
+        """
+        if abs(alpha) <= POLY_MAX_ORDER:
+            short = _SHORT
+        elif self.total_sequences <= MAX_KMIN_RANKS:
+            short = self.total_sequences
+        else:
+            # |X|**n itself may be too long to print in decimal
+            raise EnsembleError(f"rank span {self.x_size}**{self.n} exceeds {MAX_KMIN_RANKS} ranks")
+        if short not in self._terms:
+            self._terms[short] = self._moment_terms(short)
+        log_ranks, log_levels, polys = self._terms[short]
+        with np.errstate(over="ignore"):  # alpha * log t may saturate for orders near the float range
+            terms = log_levels + _log_weights(alpha * log_ranks, minus_one)
         if polys is not None:
             terms = np.concatenate((terms, poly_power_sums_log(*polys, alpha, minus_one)))
         return _logsumexp(terms)
@@ -429,9 +411,6 @@ class KminDistribution:
         alpha = float(alpha)
         if not math.isfinite(alpha):
             raise GuessworkError(f"moment order must be finite, got {alpha}")
-        if abs(alpha) > POLY_MAX_ORDER:
-            # past the orders whose polynomial sums certify: the law rank by rank, within MAX_KMIN_RANKS
-            return self._expanded.log_moment(alpha)
         log_mass = self._mass.log()
         if alpha == 0.0:
             return log_mass
@@ -471,36 +450,6 @@ class KminDistribution:
     def prob_log_window(self, lo: float, hi: float) -> float:
         log_p = self.log_prob_log_window(lo, hi)
         return 0.0 if log_p == -math.inf else math.exp(log_p)
-
-    @cached_property
-    def _expanded(self) -> GuessworkDistribution:
-        total = self.total_sequences
-        if total > MAX_KMIN_RANKS:
-            # |X|**n itself may be too long to print in decimal
-            raise EnsembleError(f"rank span {self.x_size}**{self.n} exceeds {MAX_KMIN_RANKS} ranks")
-        counts, keys = [], []
-        survival = self._survival_at(0)
-        bounds = self.bounds.tolist()
-        for a, b in zip(bounds, bounds[1:]):
-            nums, survival = self._segment_pmf(a, b, survival)
-            for num in nums:
-                if keys and num == keys[-1]:
-                    counts[-1] += 1
-                else:
-                    counts.append(1)
-                    keys.append(num)
-        # user pmfs are positive on prefixes of the ranks, so the k-min pmf is too
-        if not keys[-1]:
-            keys.pop()
-        logs, scales = self.code.log_scales(keys)
-        law = YTypeLaw(signature=(), members=(), y_sequences=1, py_product=DYADIC_ONE, counts=tuple(counts),
-                       keys=tuple(keys), code=self.code, logs=logs, scales=scales)
-        return GuessworkDistribution(n=self.n, x_size=self.x_size, y_symbols=(), laws=(law,), monotone=False)
-
-    @property
-    def laws(self) -> tuple[YTypeLaw, ...]:
-        """The law rank by rank, one block per run of equal numerators; at most ``MAX_KMIN_RANKS`` ranks."""
-        return self._expanded.laws
 
 
 def kmin_moment_exact(

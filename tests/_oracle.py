@@ -15,7 +15,8 @@ earlier implementations, kept as references past brute-force reach: they
 multiply, hash, compare and divide exact ``Dyadic`` levels where the
 library adds and subtracts packed level-code keys.  The per-rank k-min law is likewise the
 library's earlier one: a Poisson-binomial at every rank, where the
-library extends each segment's pmf by differences.  ``split_laws`` gives
+library reads survivals at the ranks asked for and moments segment by
+segment.  ``split_laws`` gives
 a distribution one law per y-type, as these references build it, where the
 library shares one law among the y-types of a column-class signature.
 ``percell_laws`` is the library's earlier packed-key build: it enumerates
@@ -384,7 +385,7 @@ def split_laws(dist: GuessworkDistribution) -> GuessworkDistribution:
     laws = sorted((replace(law, signature=y_counts, members=singletons, y_sequences=count)
                    for law in dist.laws for y_counts, count in law.y_types),
                   key=lambda law: law.signature)
-    return GuessworkDistribution(dist.n, dist.x_size, dist.y_symbols, tuple(laws), dist.monotone)
+    return GuessworkDistribution(dist.n, dist.x_size, dist.y_symbols, tuple(laws))
 
 
 def percell_laws(source: PairSource, n: int) -> list[tuple]:

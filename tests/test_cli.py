@@ -775,8 +775,12 @@ def test_non_finite_inputs_are_json_errors(capsys, bsc_path, uniform_path, argv,
     [
         ["moments", "--source", "{bsc}", "--n", "6", "--alphas", "1e308"],
         ["moments", "--source", "{bsc}", "--n", "6", "--alphas=-1e308"],
-        # the k-min law rank by rank, past POLY_MAX_ORDER
+        # k-min moments past POLY_MAX_ORDER take single ranks
         ["parallel", "--sources", "{bsc},{lat22}", "--k", "1", "--n", "3", "--alphas", "1e308"],
+        ["parallel", "--sources", "{bsc},{lat22}", "--k", "1", "--n", "3", "--alphas=-1e308"],
+        ["parallel", "--sources", "{bsc},{lat22}", "--k", "1", "--n", "3", "--alphas", "1e9"],
+        # ranks of zero pmf under weights t**alpha that overflow
+        ["parallel", "--sources", "{bsc},{noiseless}", "--k", "1", "--n", "3", "--alphas", "1e308"],
     ],
 )
 def test_largest_finite_orders_end_in_a_row_or_json_error(capsys, tmp_path, bsc_path, argv):
@@ -784,7 +788,10 @@ def test_largest_finite_orders_end_in_a_row_or_json_error(capsys, tmp_path, bsc_
     lat22 = tmp_path / "lat22.json"
     lat22.write_text(json.dumps({"x_symbols": ["0", "1"], "y_symbols": ["0", "1"],
                                  "joint": [[0.5, 0.1], [0.15, 0.25]]}))
-    argv = [tok.format(bsc=bsc_path, lat22=lat22) for tok in argv]
+    noiseless = tmp_path / "noiseless.json"
+    noiseless.write_text(json.dumps({"x_symbols": ["0", "1"], "y_symbols": ["0", "1"],
+                                     "joint": [[0.5, 0.0], [0.0, 0.5]]}))
+    argv = [tok.format(bsc=bsc_path, lat22=lat22, noiseless=noiseless) for tok in argv]
     code, out, err = run_cli(capsys, argv)
     assert code in (0, 1)
     assert "Traceback" not in err

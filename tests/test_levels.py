@@ -290,13 +290,18 @@ def test_view_logs_are_within_near_tie_of_exact_logs(bsc01, skew22, noiseless, c
     sources = [(bsc01, 64), (float_source(31, 3, 2), 18), (float_source(32, 3, 1), 100)]
     sources += [(src, 8) for src in corpus]
     laws = [law for src, n in sources for law in guesswork_distribution(src, n).laws]
-    # k-min laws: numerators over one 2**K, K past a thousand bits at m = 3
-    ensembles = (((bsc01,) * 3, 2, 12), ((bsc01, noiseless, skew22), 2, 10), ((bsc01, corpus[5]), 1, 9))
-    for users, k, n in ensembles:
-        laws += kmin_distribution(UserEnsemble(users, k), n).laws
     for law in laws:
         for i, (log, scale) in enumerate(zip(law.logs.tolist(), law.scales.tolist())):
             assert abs(log - law.level(i).log()) <= NEAR_TIE * (1.0 + scale)
+    # k-min pmf values, survival differences: numerators over one 2**K, K past a thousand bits at m = 3
+    ensembles = (((bsc01,) * 3, 2, 12), ((bsc01, noiseless, skew22), 2, 10), ((bsc01, corpus[5]), 1, 9))
+    for users, k, n in ensembles:
+        dist = kmin_distribution(UserEnsemble(users, k), n)
+        survivals = [dist._survival_at(t) for t in range(dist.total_sequences + 1)]
+        nums = sorted({above - below for above, below in zip(survivals, survivals[1:])} - {0})
+        logs, scales = dist.code.log_scales(nums)
+        for num, log, scale in zip(nums, logs.tolist(), scales.tolist()):
+            assert abs(log - dist.code.dyadic(num).log()) <= NEAR_TIE * (1.0 + scale)
 
 
 def test_explicit_level_laws_read_like_keyed_laws(bsc01, corpus):

@@ -3,9 +3,10 @@
 The k-min law combiner is checked against a brute-force enumeration that
 iterates over all rank tuples of the (already independently validated)
 single-user laws in exact Fraction arithmetic, and, past brute-force
-reach, block for block against the per-rank Poisson-binomial law of
+reach, rank for rank against the per-rank Poisson-binomial law of
 ``_oracle.kmin_law_per_rank`` on ensembles whose segments between user
-block boundaries run far longer than m ranks.
+block boundaries run far longer than m ranks.  Both read the k-min pmf
+as exact survival differences S(t - 1) - S(t).
 """
 
 import math
@@ -40,6 +41,7 @@ from guesslab import (
     scgf_parallel,
     scgf_parallel_iid,
 )
+from guesslab.parallel import KminDistribution
 
 from _oracle import golden_max, kmin_law_per_rank, lattice_sources, rate_golden
 
@@ -63,8 +65,17 @@ def arimoto_oracle(src, order: float) -> float:
         return float(a / (1 - a) * mpmath.log(total))
 
 
+def kmin_rank_pmf(dist: KminDistribution) -> list[Fraction]:
+    """P(k-min = t) for t = 1..|X|**n, the exact survival differences S(t - 1) - S(t) over 2**bits."""
+    survivals = [dist._survival_at(t) for t in range(dist.total_sequences + 1)]
+    one = 2**dist.code.bits
+    return [Fraction(above - below, one) for above, below in zip(survivals, survivals[1:])]
+
+
 def rank_pmf(dist) -> dict[int, Fraction]:
     """Unconditional per-rank pmf of a rank law, as exact Fractions."""
+    if isinstance(dist, KminDistribution):
+        return dict(enumerate(kmin_rank_pmf(dist), start=1))
     pmf: dict[int, Fraction] = defaultdict(Fraction)
     for law in dist.laws:
         for block in law.blocks:
@@ -120,7 +131,7 @@ def test_two_uniform_users_n1_max(uniform_binary):
     pmf = rank_pmf(dist)
     assert pmf[1] == Fraction(1, 4)
     assert pmf[2] == Fraction(3, 4)
-    # increasing pmf exercises the non-monotone law path
+    # an increasing pmf: the segments take no order on their levels
     assert kmin_moment_exact(ens, 1, 1.0) == pytest.approx(1.75, rel=1e-12)
 
 
@@ -130,7 +141,6 @@ def test_single_user_delegates_bit_for_bit(bsc01):
     gd = guesswork_distribution(bsc01, 4)
     assert kd.laws == gd.laws
     assert kd.y_symbols == gd.y_symbols
-    assert kd.monotone == gd.monotone
     for alpha in (-0.5, 1.0, 2.0):
         assert kmin_moment_exact(ens, 4, alpha) == moment_exact(bsc01, 4, alpha)
 
@@ -177,10 +187,10 @@ def test_kmin_matches_brute_force_on_random_lattice_users(data):
 
 def assert_kmin_matches_per_rank_oracle(users, n: int) -> None:
     for k in range(1, len(users) + 1):
-        law = kmin_distribution(UserEnsemble(users=users, k=k), n).laws[0]
+        got = kmin_rank_pmf(kmin_distribution(UserEnsemble(users=users, k=k), n))
         counts, levels = kmin_law_per_rank(users, k, n)
-        assert law.counts == counts, f"counts differ for k={k}, n={n}, m={len(users)}"
-        assert tuple(b.joint_level for b in law.blocks) == levels, f"levels differ for k={k}, n={n}, m={len(users)}"
+        want = [level.as_fraction() for count, level in zip(counts, levels) for _ in range(count)]
+        assert got == want, f"levels differ for k={k}, n={n}, m={len(users)}"
 
 
 def longest_segment(users, n: int) -> int:
@@ -270,7 +280,7 @@ def test_kmin_moments_and_windows_match_exact_reference(request, users, k, n):
 
 
 def test_kmin_law_makes_exact_levels_only_for_user_keys(monkeypatch, bsc01, skew22, noiseless):
-    """The k-min law keeps each run's numerator; only the users' distinct keys become Dyadic."""
+    """The k-min law keeps numerators; only the users' distinct keys and the values read become Dyadic."""
     users, n = (bsc01, skew22, noiseless), 10
     ensemble = UserEnsemble(users=users, k=2)
     kmin_distribution(ensemble, n)  # level codes and their cached powers are built once per source
@@ -279,11 +289,15 @@ def test_kmin_law_makes_exact_levels_only_for_user_keys(monkeypatch, bsc01, skew
     monkeypatch.setattr(Dyadic, "__init__", lambda self, m, e: made.append(m) or init(self, m, e))
     dists = [guesswork_distribution(u, n) for u in users]
     by_users = len(made)
-    law = kmin_distribution(ensemble, n).laws[0]
+    kmin = kmin_distribution(ensemble, n)
+    kmin.log_moment(1.5)
+    kmin.log_moment(-0.5)
+    kmin.log_prob_log_window(0.1, 0.4)
+    kmin.prob_eq_one_dyadic()
     by_kmin = len(made) - 2 * by_users  # kmin_distribution builds the users' laws again
     distinct = sum(len({key for user_law in dist.laws for key in user_law.keys}) for dist in dists)
     assert by_kmin <= distinct + 4
-    assert len(law.counts) > 10 * (distinct + 4)  # one per run would not pass
+    assert kmin.total_sequences > 10 * (distinct + 4)  # one per rank would not pass
 
 
 def test_kmin_mass_conservation(bsc01, skew22, uniform_binary):
@@ -335,7 +349,7 @@ def test_ensemble_validation(bsc01, noiseless):
 
 
 def test_kmin_size_limits(bsc01, uniform_binary):
-    """Moments take the segments at any n the users' builds admit; only the rank-by-rank expansion is capped."""
+    """Moments take the segments at any n the users' builds admit; only orders past POLY_MAX_ORDER are capped."""
     with pytest.raises(EnsembleError):
         kmin_distribution(UserEnsemble(users=(bsc01,) * 13, k=1), 1)
     ens = UserEnsemble(users=(bsc01, bsc01), k=1)
@@ -345,7 +359,7 @@ def test_kmin_size_limits(bsc01, uniform_binary):
     wide = kmin_distribution(UserEnsemble(users=(uniform_binary, uniform_binary), k=1), 21)
     start = time.perf_counter()
     with pytest.raises(EnsembleError, match="exceeds"):
-        wide.laws  # 2^21 ranks > MAX_KMIN_RANKS
+        wide.log_moment(1e5)  # single ranks, 2^21 of them > MAX_KMIN_RANKS
     assert time.perf_counter() - start < 0.5
 
 
@@ -375,13 +389,23 @@ def test_kmin_twelve_users_on_long_segments(bsc01, k):
         assert dist.log_moment(alpha) == pytest.approx(log_moment_reference(counts, levels, alpha), rel=1e-13, abs=0)
 
 
-def test_kmin_large_orders_end_quickly(bsc01):
-    """Orders up to POLY_MAX_ORDER take the segments; larger ones the rank-by-rank law, within its cap."""
+def test_kmin_large_orders_end_quickly(bsc01, skew22, noiseless):
+    """Orders up to POLY_MAX_ORDER take the segments; larger ones single ranks, within MAX_KMIN_RANKS."""
     ensemble = UserEnsemble(users=(bsc01, bsc01), k=1)
     counts, levels = kmin_law_per_rank(ensemble.users, 1, 12)
     dist = kmin_distribution(ensemble, 12)
-    for alpha in (-500.0, 500.0, -1e5, 1e5):
+    for alpha in (-500.0, 500.0, -501.0, 501.0, -1e5, 1e5):
         assert dist.log_moment(alpha) == pytest.approx(log_moment_reference(counts, levels, alpha), rel=1e-13, abs=0)
+    lat22 = make_source(["0", "1"], ["0", "1"], [[0.5, 0.1], [0.15, 0.25]])
+    users = (bsc01, skew22, lat22)
+    counts, levels = kmin_law_per_rank(users, 2, 8)
+    dist = kmin_distribution(UserEnsemble(users=users, k=2), 8)
+    for alpha in (-501.0, 501.0, 1e5):
+        assert dist.log_moment(alpha) == pytest.approx(log_moment_reference(counts, levels, alpha), rel=1e-13, abs=0)
+    # a noiseless user's rank is always 1, so ranks of zero pmf meet weights t**alpha = inf
+    certain = kmin_distribution(UserEnsemble(users=(bsc01, noiseless), k=1), 3)
+    for alpha in (-1e308, 1e308):
+        assert certain.log_moment(alpha) == certain.log_moment(0.0)  # log of the mass, all at rank 1
     start = time.perf_counter()
     wide = kmin_distribution(ensemble, 80)
     assert wide.log_moment(-500.0) < 0.0 < wide.log_moment(1.0) < wide.log_moment(500.0) < math.inf
