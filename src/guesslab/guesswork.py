@@ -72,7 +72,8 @@ __all__ = [
     "plateau_window",
 ]
 
-# Cap on ``enumeration_budget``, and on the rows of ``GuessworkDistribution.blocks``.
+# Cap on ``enumeration_budget``, on the rows of ``GuessworkDistribution.blocks`` and on the cells of a
+# Monte Carlo draw matrix.
 BUDGET_CAP = 10**8
 # Bound on the cached entries of a RankTables: level keys of its suffix
 # tables, memo slots (|X||Y| per state, with the state's key and code) and
@@ -92,7 +93,7 @@ class SequenceError(GuessworkError):
 
 
 class BudgetExceededError(GuessworkError):
-    """A law build, or its display rows, would exceed the budget cap."""
+    """A law build, its display rows or a Monte Carlo draw matrix would exceed the budget cap."""
 
     def __init__(self, required: int, cap: int):
         self.required = required
@@ -568,35 +569,33 @@ def _sequence_indices(source: PairSource, x_seq, y_seq) -> tuple[list[int], list
 def guess_rank(source: PairSource, x_seq, y_seq) -> int:
     """Exact optimal-order rank of x_seq given y_seq (1-based, exact integer).
 
-    A walk over the suffix states of a fresh ``RankTables``: each position
-    adds the sequences that tie the target and first differ from it there,
-    and the final state the count of strictly better ones, read off the
-    full suffix table by float log with exact ``Dyadic`` comparison on near
-    ties.  The sampler keeps one ``RankTables`` for a whole run, with at
-    most ``MAX_RANK_TABLE_ENTRIES`` entries.
+    A walk over the suffix states of the source's ``RankTables`` at this
+    length (``PairSource.rank_tables``): each position adds the sequences
+    that tie the target and first differ from it there, and the final state
+    the count of strictly better ones, read off the full suffix table by
+    float log with exact ``Dyadic`` comparison on near ties.  Ranks at one
+    length, the sampler's included, share the tables and their memo.
     """
     xs, ys = _sequence_indices(source, x_seq, y_seq)
     return guess_rank_indices(source, xs, ys)
 
 
-def guess_rank_indices(
-    source: PairSource, xs: list[int], ys: list[int], tables: "RankTables | None" = None
-) -> int:
+def guess_rank_indices(source: PairSource, xs: list[int], ys: list[int]) -> int:
     """guess_rank on alphabet indices, with no symbol lookup.
 
-    ``tables``, of the same source and length, is shared across calls;
-    by default the rank builds its own.  Unequal lengths, empty lists and
-    indices outside the alphabets raise ``SequenceError``.
+    Unequal lengths, empty lists and indices outside the alphabets raise
+    ``SequenceError``; the first two before the source's tables are read,
+    so a malformed call never replaces them.
     """
-    if tables is None:
-        tables = RankTables(source, len(xs))
-    elif tables.source is not source:
-        raise GuessworkError("rank tables belong to another source")
-    return tables.rank(xs, ys)
+    if not len(xs) == len(ys) >= 1:
+        raise SequenceError(f"sequences must have one length >= 1, got {len(xs)} and {len(ys)}")
+    return source.rank_tables(len(xs)).rank(xs, ys)
 
 
 class RankTables:
     """Memoised suffix states of one (source, n), shared by every rank at length n.
+
+    A source keeps one, for the last length it ranked (``PairSource.rank_tables``).
 
     A rank walks the sequence right to left.  The state after position j
     is the class signature code of y_{j+1}..y_{n-1} (its positions in each
@@ -624,7 +623,6 @@ class RankTables:
     def __init__(self, source: PairSource, n: int):
         if n < 1:
             raise SequenceError(f"sequences must have length >= 1, got {n}")
-        self.source = source
         self.n = n
         self.packing = packing = source.level_code.packing(n)
         self.cells = [[packing.key(d) for d in row] for row in source.joint_dyadic]

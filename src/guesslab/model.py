@@ -212,6 +212,21 @@ class PairSource:
             out.append(ColumnClass(tuple(members), levels, tuple(map(cells.count, levels))))
         return tuple(out)
 
+    def rank_tables(self, n: int):
+        """The ``RankTables`` every exact rank at length n reads, built on first use.
+
+        The source holds one, for the last n ranked: a rank at another n
+        replaces it, so ``MAX_RANK_TABLE_ENTRIES`` bounds all it holds.
+        Ranks write to the tables unlocked, so rank one source from one
+        thread at a time.
+        """
+        from .guesswork import RankTables  # guesswork imports this module
+
+        tables = self.__dict__.get("_rank_tables")
+        if tables is None or tables.n != n:
+            tables = self.__dict__["_rank_tables"] = RankTables(self, n)
+        return tables
+
     @property
     def log_x_size(self) -> float:
         return math.log(self.x_alphabet.size)

@@ -3,10 +3,12 @@
 Pair sequences are drawn from the memoryless law with a counter-based
 Philox generator keyed by the seed; sample i consumes row i of a fixed
 uniform matrix, so reports are bit-reproducible and independent of any
-evaluation schedule.  Every sample gets its exact rank from one batch
-walk of a ``RankTables`` over the draw matrix: all draws step through the
-memoised suffix states together, one array gather per position, and only
-transitions not seen before are computed.  Each value is computed once per
+evaluation schedule.  A draw matrix of more than BUDGET_CAP cells is
+refused before anything is allocated.  Every sample gets its exact rank
+from one batch walk of the source's ``RankTables`` at length n, the tables
+``guess_rank`` reads too: all draws step through the memoised suffix
+states together, one array gather per position, and only transitions the
+tables do not hold yet are computed.  Each value is computed once per
 distinct rank and gathered per sample.  Only the aggregation is
 statistical, and it uses numpy's deterministic pairwise summation.  A mean
 or standard error past the float range is an error, never an inf or NaN.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .guesswork import RankTables
+from .guesswork import BUDGET_CAP, BudgetExceededError
 from .model import PairSource
 
 __all__ = [
@@ -60,12 +62,14 @@ def _sample_ranks(source: PairSource, n: int, samples: int, seed: int) -> tuple[
         raise SampleError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     if not 0 <= seed < 1 << 128:
         raise SampleError(f"seed must be in [0, 2**128), got {seed}")
+    if samples * n > BUDGET_CAP:
+        raise BudgetExceededError(samples * n, BUDGET_CAP)
     atoms = source.joint.ravel()
     cumulative = np.cumsum(atoms)
     cumulative[-1] = 1.0
     rng = np.random.Generator(np.random.Philox(key=seed))
     cells = np.searchsorted(cumulative, rng.random((samples, n)), side="right")
-    ranks, inverse = np.unique(RankTables(source, n).ranks(cells), return_inverse=True)
+    ranks, inverse = np.unique(source.rank_tables(n).ranks(cells), return_inverse=True)
     return ranks.tolist(), inverse
 
 

@@ -21,14 +21,17 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import guesslab
 from guesslab import cli
+from guesslab import guesswork as guesswork_module
 from guesslab.cli import dispatch
 from guesslab.entropy import conditional_renyi_arimoto, renyi_entropy
 from guesslab.guesswork import (
     BUDGET_CAP,
+    guess_rank_indices,
     guesswork_distribution,
     moment_bounds,
 )
@@ -215,7 +218,12 @@ def test_budget_exceeded_reports_json_error(capsys, bsc_path, tmp_path):
     # bsc01 past 10**8 words; nine distinct cells, C(48, 8); dist's rows: C(107, 7) y-types of 101 blocks
     for argv, required in ((["moments", "--source", bsc_path, "--n", "100000", "--alphas", "1"], 100_001 * 1563),
                            (["moments", "--source", str(float33), "--n", "40", "--alphas", "1"], math.comb(48, 8)),
-                           (["dist", "--source", str(q8), "--n", "100"], math.comb(107, 7) * 101)):
+                           (["dist", "--source", str(q8), "--n", "100"], math.comb(107, 7) * 101),
+                           # sample's draw matrices: 100 draws of 10**8 pairs, and 10**11 draws of 10
+                           (["sample", "--source", bsc_path, "--n", "100000000", "--samples", "100", "--seed", "1"],
+                            10**10),
+                           (["sample", "--source", bsc_path, "--n", "10", "--samples", "100000000000", "--seed", "1"],
+                            10**12)):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, argv)
         assert time.perf_counter() - start < 1.0
@@ -600,6 +608,28 @@ def test_sample_reports_are_pinned_byte_for_byte(capsys, tmp_path, config, argv,
     code, out, err = run_cli(capsys, ["sample", "--source", str(path)] + argv)
     assert (code, err) == (0, "")
     assert out == want.replace('"@"', json.dumps(str(path))) + "\n"
+
+
+@pytest.mark.parametrize("bound", [None, 8], ids=["warm", "evicted"])
+@pytest.mark.parametrize("config, argv, want", PINNED_SAMPLE_REPORTS)
+def test_sample_reports_keep_their_bytes_on_the_source_tables(monkeypatch, capsys, tmp_path, config, argv, want,
+                                                               bound):
+    # the pinned reports again, now on a source whose tables hold 50 earlier ranks at the report's
+    # n, or under a bound of 8 entries that evicts them, and the sampler's states, mid-walk
+    if bound is not None:
+        monkeypatch.setattr(guesswork_module, "MAX_RANK_TABLE_ENTRIES", bound)
+    path = tmp_path / "source.json"
+    path.write_text(json.dumps(config))
+    source = load_source_file(str(path))
+    n, y_size = int(argv[argv.index("--n") + 1]), source.y_alphabet.size
+    for row in np.random.default_rng(n).choice(source.joint.size, (50, n), p=source.joint.ravel()).tolist():
+        guess_rank_indices(source, [c // y_size for c in row], [c % y_size for c in row])
+    tables = source.rank_tables(n)
+    monkeypatch.setattr(cli, "load_source_file", lambda _: source)
+    code, out, err = run_cli(capsys, ["sample", "--source", str(path)] + argv)
+    assert (code, err) == (0, "")
+    assert out == want.replace('"@"', json.dumps(str(path))) + "\n"
+    assert source.rank_tables(n) is tables
 
 
 def test_sample_moment_includes_alpha(capsys, uniform_path):

@@ -127,10 +127,10 @@ def check_shared_tables_rank_like_naive(source, n, data):
     sequence = st.lists(st.integers(0, x_size - 1), min_size=n, max_size=n)
     y_sequence = st.lists(st.integers(0, y_size - 1), min_size=n, max_size=n)
     draws = data.draw(st.lists(st.tuples(sequence, y_sequence), min_size=1, max_size=8))
-    tables = RankTables(source, n)
-    # the second pass meets tables cached, or evicted, by the first
+    # the second pass meets the source's tables cached, or evicted, by the first
     for xs, ys in draws + draws[::-1]:
-        assert guess_rank_indices(source, xs, ys, tables) == _oracle.naive_rank(source, xs, ys)
+        assert guess_rank_indices(source, xs, ys) == _oracle.naive_rank(source, xs, ys)
+        tables = source.rank_tables(n)
         cached = sum(len(table) for by_code in tables.tables for table in by_code.values())
         assert tables.entries == cached + tables.width * (len(tables.states) - 1) + len(tables.above)
         assert tables.entries <= guesswork_module.MAX_RANK_TABLE_ENTRIES
@@ -212,13 +212,12 @@ def test_shared_rank_tables_agree_with_the_law(corpus):
         x_size, y_size = src.x_alphabet.size, src.y_alphabet.size
         for n in range(1, 6):
             laws = {y_counts: law for law in guesswork_distribution(src, n).laws for y_counts, _ in law.y_types}
-            tables = RankTables(src, n)
             for ys in itertools.product(range(y_size), repeat=n):
                 law = laws[tuple(ys.count(y) for y in range(y_size))]
                 starts = [block.start for block in law.blocks]
                 ranks = []
                 for xs in itertools.product(range(x_size), repeat=n):
-                    rank = guess_rank_indices(src, list(xs), list(ys), tables)
+                    rank = guess_rank_indices(src, list(xs), list(ys))
                     level = math.prod((src.joint_dyadic[x][y] for x, y in zip(xs, ys)), start=DYADIC_ONE)
                     assert law.blocks[bisect_right(starts, rank) - 1].joint_level == level
                     ranks.append(rank)
@@ -232,21 +231,18 @@ def test_rank_tables_share_one_suffix_table_per_class_signature():
     src = make_source(["a", "b", "c"], ["0", "1"], [[200 / 1024, 112 / 1024], [112 / 1024, 200 / 1024],
                                                     [200 / 1024, 200 / 1024]])
     n = 8
-    tables = RankTables(src, n)
     rng = np.random.default_rng(8)
     for ys in itertools.product(range(2), repeat=n):
         for _ in range(3):
             xs = [int(v) for v in rng.integers(0, 3, n)]
-            assert guess_rank_indices(src, xs, list(ys), tables) == _oracle.naive_rank(src, xs, list(ys))
+            assert guess_rank_indices(src, xs, list(ys)) == _oracle.naive_rank(src, xs, list(ys))
+    tables = src.rank_tables(n)
     assert [len(tables.tables[length]) for length in range(1, n + 1)] == [1] * n
 
 
-def test_rank_tables_refuse_another_length_or_source(bsc01, skew22):
-    tables = RankTables(bsc01, 3)
+def test_rank_tables_refuse_another_length(bsc01):
     with pytest.raises(SequenceError):
-        guess_rank_indices(bsc01, [0, 1], [0, 1], tables)
-    with pytest.raises(GuessworkError):
-        guess_rank_indices(skew22, [0, 1, 0], [0, 1, 1], tables)
+        RankTables(bsc01, 3).rank([0, 1], [0, 1])
 
 
 @pytest.mark.parametrize(
@@ -259,7 +255,45 @@ def test_rank_indices_out_of_range_are_sequence_errors(bsc01, xs, ys):
         guess_rank_indices(bsc01, xs, ys)
     if len(xs) == len(ys) == 2:
         with pytest.raises(SequenceError):
-            guess_rank_indices(bsc01, xs, ys, RankTables(bsc01, 2))
+            RankTables(bsc01, 2).rank(xs, ys)
+
+
+def test_a_second_rank_at_one_length_builds_no_suffix_table(monkeypatch):
+    # a source built here, since the session fixtures carry their tables from test to test
+    src = make_source(["0", "1"], ["0", "1"], [[0.45, 0.05], [0.05, 0.45]])
+    want = guess_rank(src, "01100100", "01001100")
+    built = []
+    convolve, init = guesswork_module._convolve, RankTables.__init__
+    monkeypatch.setattr(guesswork_module, "_convolve", lambda a, b: built.append("table") or convolve(a, b))
+    monkeypatch.setattr(RankTables, "__init__", lambda self, *args: built.append("tables") or init(self, *args))
+    assert guess_rank(src, "01100100", "01001100") == want
+    assert built == []
+
+
+@pytest.mark.parametrize("bound", [guesswork_module.MAX_RANK_TABLE_ENTRIES, 8])
+def test_one_source_ranked_at_alternating_lengths_holds_one_bounded_table(monkeypatch, bound):
+    monkeypatch.setattr(guesswork_module, "MAX_RANK_TABLE_ENTRIES", bound)
+    # on the 1/1024 lattice, as naive_rank needs, with two zero cells
+    src = make_source(["a", "b", "c"], ["u", "v"], [[307 / 1024, 0.0], [205 / 1024, 0.25], [0.0, 0.25]])
+    rng = np.random.default_rng(343)
+    for n in (3, 4, 3, 5, 3, 4, 4, 1, 3):
+        for _ in range(4):
+            xs, ys = rng.integers(0, 3, n).tolist(), rng.integers(0, 2, n).tolist()
+            assert guess_rank_indices(src, xs, ys) == _oracle.naive_rank(src, xs, ys)
+        # the source holds one RankTables, the one for the last length ranked
+        (tables,) = [value for value in vars(src).values() if isinstance(value, RankTables)]
+        assert tables is src.rank_tables(n) and tables.n == n
+        assert tables.entries <= bound
+
+
+def test_malformed_ranks_keep_the_source_tables():
+    src = make_source(["0", "1"], ["0", "1"], [[0.45, 0.05], [0.05, 0.45]])
+    guess_rank_indices(src, [0, 1, 1], [1, 0, 1])
+    tables = src.rank_tables(3)
+    for xs, ys in (([], []), ([0, 1], [0]), ([0], [0, 1])):
+        with pytest.raises(SequenceError):
+            guess_rank_indices(src, xs, ys)
+        assert src.rank_tables(3) is tables
 
 
 def test_uniform_n5_single_block(uniform_binary):
