@@ -89,8 +89,13 @@ class RunManifest:
     sources: dict = field(default_factory=dict)
     outputs: tuple = ()
 
+    def fields(self) -> dict:
+        """The fields by name, values shared: ``asdict`` would deep-copy every parameter."""
+        return {"subcommand": self.subcommand, "parameters": self.parameters, "sources": self.sources,
+                "outputs": self.outputs}
+
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(self.fields(), sort_keys=True)
 
 
 def _digest(path: str) -> str:
@@ -314,7 +319,7 @@ def _cmd_sample(args) -> int:
         report = estimate_moment(source, args.n, args.alpha, args.samples, args.seed)
         statistic = "moment"
     manifest = _manifest(args, "sample", [args.source])
-    payload = dict(asdict(report), statistic=statistic, manifest=asdict(manifest))
+    payload = dict(asdict(report), statistic=statistic, manifest=manifest.fields())
     if args.alpha is not None:
         payload["alpha"] = args.alpha
     text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"

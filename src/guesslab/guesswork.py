@@ -46,7 +46,7 @@ import numpy as np
 from .dyadic import _LN2, DYADIC_ONE, DYADIC_ZERO, NEAR_TIE, Dyadic, LevelPacking, NumeratorCode, descending
 from .entropy import _scgf, _shaped
 from .model import Alphabet, Distribution, PairSource
-from .powersum import log_ints, power_sums_log
+from .powersum import BUDGET_CAP, BudgetExceededError, GuessworkError, log_ints, power_sums_log
 
 __all__ = [
     "BUDGET_CAP",
@@ -72,9 +72,6 @@ __all__ = [
     "plateau_window",
 ]
 
-# Cap on ``enumeration_budget``, on the rows of ``GuessworkDistribution.blocks`` and on the cells of a
-# Monte Carlo draw matrix.
-BUDGET_CAP = 10**8
 # Bound on the cached entries of a RankTables: level keys of its suffix
 # tables, memo slots (|X||Y| per state, with the state's key and code) and
 # memoised better-counts.  An entry took 63 bytes on bsc at n = 32 and 121 at
@@ -84,21 +81,8 @@ MAX_RANK_TABLE_ENTRIES = 1 << 18
 _MIN_NORMAL = sys.float_info.min  # the least positive normal double
 
 
-class GuessworkError(ValueError):
-    """Base class for guesswork computation failures."""
-
-
 class SequenceError(GuessworkError):
     """Bad query sequences: length mismatch, empty, or unknown symbols."""
-
-
-class BudgetExceededError(GuessworkError):
-    """A law build, its display rows or a Monte Carlo draw matrix would exceed the budget cap."""
-
-    def __init__(self, required: int, cap: int):
-        self.required = required
-        self.cap = cap
-        super().__init__(f"required budget {required} exceeds cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -584,12 +568,19 @@ def guess_rank_indices(source: PairSource, xs: list[int], ys: list[int]) -> int:
     """guess_rank on alphabet indices, with no symbol lookup.
 
     Unequal lengths, empty lists and indices outside the alphabets raise
-    ``SequenceError``; the first two before the source's tables are read,
-    so a malformed call never replaces them.
+    ``SequenceError`` before the source's tables are read, so a malformed
+    call never replaces them.
     """
     if not len(xs) == len(ys) >= 1:
         raise SequenceError(f"sequences must have one length >= 1, got {len(xs)} and {len(ys)}")
+    x_size, y_size = source.x_alphabet.size, source.y_alphabet.size
+    if not (set(xs).issubset(range(x_size)) and set(ys).issubset(range(y_size))):
+        raise _index_error(x_size, y_size)
     return source.rank_tables(len(xs)).rank(xs, ys)
+
+
+def _index_error(x_size: int, y_size: int) -> SequenceError:
+    return SequenceError(f"alphabet indices must lie in [0, {x_size}) for x and [0, {y_size}) for y")
 
 
 class RankTables:
@@ -648,9 +639,7 @@ class RankTables:
         if not len(xs) == len(ys) == n:
             raise SequenceError(f"rank tables are for length {n}, got {len(xs)} and {len(ys)}")
         if not (self.x_range.issuperset(xs) and self.y_range.issuperset(ys)):
-            raise SequenceError(
-                f"alphabet indices must lie in [0, {len(self.x_range)}) for x and [0, {len(self.y_range)}) for y"
-            )
+            raise _index_error(len(self.x_range), len(self.y_range))
         nexts, ties_of, width, y_size = self.nexts, self.ties, self.width, len(self.y_range)
         state = ties = 0
         for x, y in zip(reversed(xs), reversed(ys)):

@@ -18,9 +18,12 @@ f^(12) differ in sign (Graham, Knuth & Patashnik, Concrete Mathematics,
 eq. 9.80; DLMF 2.10.1).  The tail is returned only when that bound is
 within 1e-12 of it; otherwise H doubles until the bound holds or the head
 covers the whole block.  Nothing is bisected and no uncertified value is
-returned.  The Faulhaber sums are float sums of positive terms, and the
-head is accumulated one term column at a time, so memory stays linear in
-the blocks.
+returned.  The Faulhaber sums are float sums of positive terms.  A pass's
+head terms, every block's laid end to end, go through one ragged pass in
+chunks of at most 2**16 terms, each block's added in order by
+``np.bincount``, so memory stays linear in the blocks; a pass whose head
+would take more than ``BUDGET_CAP`` terms raises ``BudgetExceededError``
+before any is summed.
 
 ``power_sum_log`` is the kernel on one block, and ``power_sum`` keeps
 exact integer Faulhaber sums for its integer orders.
@@ -45,13 +48,19 @@ grow with the number of rows or the order.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
 
 from .dyadic import _LN2
 
-__all__ = ["POLY_MAX_ORDER", "power_sum_log", "power_sums_log", "poly_power_sums_log", "power_sum", "log_ints"]
+__all__ = ["BUDGET_CAP", "GuessworkError", "BudgetExceededError", "POLY_MAX_ORDER", "power_sum_log", "power_sums_log",
+           "poly_power_sums_log", "power_sum", "log_ints"]
+
+# Cap on ``enumeration_budget``, on the rows of ``GuessworkDistribution.blocks``, on the cells of a
+# Monte Carlo draw matrix and on the head terms of one ``power_sums_log`` pass.
+BUDGET_CAP = 10**8
 
 _RTOL = 1e-12
 # B_2q / (2q)! for q = 1..7, and zeta(2p) <= zeta(10) for the p >= 5 of poly_power_sums_log
@@ -65,6 +74,20 @@ _MAX_NODES = 192
 POLY_MAX_ORDER = 500
 _LOG_PIECE = math.log(1.25)  # a tail piece [c, c + c // 4] spans at most this in log
 _CELLS = 1 << 20  # values in one chunk's largest array of poly_power_sums_log
+_HEAD_CHUNK = 1 << 16  # head terms in one chunk of _head_logs
+
+
+class GuessworkError(ValueError):
+    """Base class for guesswork computation failures."""
+
+
+class BudgetExceededError(GuessworkError):
+    """A law build, its display rows, a Monte Carlo draw matrix or a power-sum head would exceed the budget cap."""
+
+    def __init__(self, required: int, cap: int):
+        self.required = required
+        self.cap = cap
+        super().__init__(f"required budget {required} exceeds cap {cap}")
 
 
 def _faulhaber(b: int, k: int) -> int:
@@ -167,28 +190,38 @@ def _faulhaber_logs(log_a: np.ndarray, log_c: np.ndarray, k: int) -> np.ndarray:
 
 
 def _head_logs(log_a: np.ndarray, inv_a: np.ndarray, m: np.ndarray, alpha: float) -> np.ndarray:
-    """log of the m terms from a, given 1/a, relative to the largest, one term column at a time."""
+    """log of the m terms from a, given 1/a, relative to the largest, in ragged chunks of terms."""
     if alpha > 0.0:  # the largest term is the last, top = a + m - 1, and terms step down
         q = (m - 1.0) * inv_a
         log_top, step = log_a + np.log1p(q), -inv_a / (1.0 + q)
     else:
         log_top, step = log_a, inv_a
-    # columns j = 1..m-1 relative to the largest term.  Where even the last,
+    # terms j = 1..m-1 relative to the largest.  Where even the last,
     # 1 + (m - 1) step, rounds to 1.0, every term is exactly 1.0 and they sum
-    # to m - 1; the other blocks are sorted by m, longest first, so the blocks
-    # still summing at column j are a prefix
+    # to m - 1; the other blocks' terms lie end to end, j rising within each,
+    # and np.bincount adds each block's from 0.0 in j order.  A block that a
+    # chunk's end splits carries its partial sum into the next chunk as its
+    # first weight, so every sum is the same whatever the chunks
     total = m - 1.0
     rest = np.flatnonzero(1.0 + step * total != 1.0)
-    order = rest[np.argsort(-m[rest], kind="stable")]
-    m_sorted, step_sorted = m[order], step[order]
-    columns = np.arange(1, int(m_sorted[0]) if order.size else 1)
-    active = np.searchsorted(-m_sorted, -columns, side="left")
-    acc, term = np.zeros(order.size), np.empty(order.size)
-    for j, n_active in enumerate(active.tolist(), start=1):
-        t = np.multiply(step_sorted[:n_active], j, out=term[:n_active])
-        t += 1.0
-        acc[:n_active] += np.power(t, alpha, out=t)
-    total[order] = acc
+    step, ends = step[rest], np.cumsum(total[rest])  # exact: a pass has at most BUDGET_CAP terms
+    starts, acc = ends - total[rest], np.zeros(rest.size)
+    size = int(ends[-1]) if rest.size else 0
+    for lo in range(0, size, _HEAD_CHUNK):
+        hi = min(lo + _HEAD_CHUNK, size)
+        first, last = np.searchsorted(ends, [lo, hi - 1], side="right").tolist()
+        blocks = slice(first, last + 1)
+        counts = (np.minimum(ends[blocks], hi) - np.maximum(starts[blocks], lo)).astype(np.int64)
+        # t[0] is the first block's sum so far, then its terms and the others'
+        t = np.empty(hi - lo + 1)
+        t[0] = acc[first]
+        terms = np.subtract(np.arange(lo + 1.0, hi + 1.0), np.repeat(starts[blocks], counts), out=t[1:])
+        terms *= np.repeat(step[blocks], counts)
+        terms += 1.0
+        np.power(terms, alpha, out=terms)
+        counts[0] += 1
+        acc[blocks] = np.bincount(np.repeat(np.arange(counts.size), counts), weights=t)
+    total[rest] = acc
     with np.errstate(over="ignore"):  # saturates to +-inf for orders near the float range
         return alpha * log_top + np.log1p(total)
 
@@ -215,17 +248,22 @@ def power_sums_log(log_starts: np.ndarray, log_counts: np.ndarray, alpha: float)
     out[narrow] = log_c + alpha * (log_a + 0.5 * np.exp(log_c - log_a) * -np.expm1(-log_c))
     # head plus certified tail, the head doubling where the certificate fails;
     # a block the head covers (c <= head + 1, so c is exact from its log) is
-    # summed term by term
+    # summed term by term.  A pass's head terms, c per covered block and H per
+    # tail block, are counted against BUDGET_CAP before any is summed
     todo = np.flatnonzero(~narrow)
     head = max(32, 4 * scale)
     while todo.size:
         tail = lc[todo] > math.log(2 * head + 3) - _LN2  # log(head + 1.5) from the exact int: head may pass 1e308
-        done = todo[~tail]
-        if done.size:
-            out[done] = _head_logs(la[done], np.exp(-la[done]), np.rint(np.exp(lc[done])), alpha)
-        todo = todo[tail]
+        done, todo = todo[~tail], todo[tail]
+        with np.errstate(over="ignore"):  # a covered count past the float range saturates
+            counts = np.rint(np.exp(lc[done]))
+        required = int(min(counts.sum(), sys.float_info.max)) + head * todo.size
+        if required > BUDGET_CAP:
+            raise BudgetExceededError(required, BUDGET_CAP)
         if not todo.size:
+            out[done] = _head_logs(la[done], np.exp(-la[done]), counts, alpha)
             break
+        # the tails first, then one head pass over the covered blocks and the certified tails
         log_a, log_c = la[todo], lc[todo]
         inv_a = np.exp(-log_a)
         log_lo = log_a + np.log1p(head * inv_a)
@@ -233,8 +271,10 @@ def power_sums_log(log_starts: np.ndarray, log_counts: np.ndarray, alpha: float)
         log_width = log_c + np.log1p(-(head + 1.0) * np.exp(-log_c))
         span = np.logaddexp(0.0, log_width - log_lo)
         tail_logs, ok = _tail_logs(log_lo, span, alpha)
-        first = _head_logs(log_a[ok], inv_a[ok], np.full(int(ok.sum()), float(head)), alpha)
-        out[todo[ok]] = np.logaddexp(first, tail_logs[ok])
+        logs = _head_logs(np.concatenate((la[done], log_a[ok])), np.concatenate((np.exp(-la[done]), inv_a[ok])),
+                          np.concatenate((counts, np.full(int(ok.sum()), float(head)))), alpha)
+        out[done] = logs[:done.size]
+        out[todo[ok]] = np.logaddexp(logs[done.size:], tail_logs[ok])
         todo = todo[~ok]
         head *= 2
     return out

@@ -19,6 +19,7 @@ import shutil
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -692,6 +693,36 @@ def test_sample_bad_seed_and_overflow_are_json_errors(capsys, uniform_path, argv
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--source", "{bsc}", "--orders", "0.5,1,2"],
+        ["moments", "--source", "{bsc}", "--n", "4", "--alphas", "0.5,1"],
+        ["dist", "--source", "{bsc}", "--n", "3", "--bits"],
+        ["scgf", "--source", "{bsc}", "--alphas", "-0.5,1"],
+        ["rate", "--source", "{bsc}", "--xgrid", "0.02:0.7:0.01", "--out", "{out}"],
+        ["ldp", "--source", "{bsc}", "--x", "0.3", "--eps", "0.1", "--nmax", "4"],
+        ["parallel", "--sources", "{bsc}", "--iid", "--m", "2", "--k", "1", "--n", "3", "--alphas", "1"],
+        ["sample", "--source", "{bsc}", "--n", "4", "--samples", "200", "--seed", "1", "--alpha", "0.5"],
+    ],
+)
+def test_manifest_bytes_match_dataclass_asdict(capsys, monkeypatch, tmp_path, bsc_path, argv):
+    out_path = tmp_path / "out.csv"
+    argv = [tok.format(bsc=bsc_path, out=out_path) for tok in argv]
+    made, manifest = [], cli._manifest
+    monkeypatch.setattr(cli, "_manifest", lambda *args: made.append(manifest(*args)) or made[-1])
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    (m,) = made
+    want = json.dumps(asdict(m), sort_keys=True)
+    if argv[0] == "sample":
+        assert json.dumps(json.loads(out)["manifest"], sort_keys=True) == want
+    elif "--out" in argv:
+        assert (tmp_path / "out.csv.manifest.json").read_text() == want + "\n"
+    else:
+        assert err == want + "\n"
+
+
 def test_out_writes_csv_and_sibling_manifest(capsys, tmp_path, bsc_path):
     out_path = tmp_path / "entropy.csv"
     code, out, err = run_cli(
@@ -811,6 +842,11 @@ def test_non_finite_inputs_are_json_errors(capsys, bsc_path, uniform_path, argv,
         ["parallel", "--sources", "{bsc},{lat22}", "--k", "1", "--n", "3", "--alphas", "1e9"],
         # ranks of zero pmf under weights t**alpha that overflow
         ["parallel", "--sources", "{bsc},{noiseless}", "--k", "1", "--n", "3", "--alphas", "1e308"],
+        # heads past BUDGET_CAP terms
+        ["moments", "--source", "{bsc}", "--n", "60", "--alphas", "1e9"],
+        ["moments", "--source", "{bsc}", "--n", "60", "--alphas=-1e9"],
+        ["moments", "--source", "{bsc}", "--n", "60", "--alphas", "1e308"],
+        ["moments", "--source", "{bsc}", "--n", "60", "--alphas=-1e308"],
     ],
 )
 def test_largest_finite_orders_end_in_a_row_or_json_error(capsys, tmp_path, bsc_path, argv):
@@ -827,6 +863,28 @@ def test_largest_finite_orders_end_in_a_row_or_json_error(capsys, tmp_path, bsc_
     assert "Traceback" not in err
     if code == 1:
         assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("alpha", ["1e6", "-1e6", "1e9", "-1e9", "1e308", "-1e308"])
+def test_moment_heads_past_the_budget_fail_fast(capsys, bsc_path, alpha):
+    # 4 (|alpha| + 1) head terms per block: about 2e8 in all at 1e6, counted before any is summed
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["moments", "--source", bsc_path, "--n", "60", f"--alphas={alpha}"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "budget_exceeded"
+    assert payload["required"] > payload["cap"] == BUDGET_CAP
+
+
+@pytest.mark.parametrize("alpha, row", [("-1e4", "60,-10000,0.0017970102999144305,,,-0.10536051565782631"),
+                                        ("-1e5", "60,-100000,0.0017970102999144305,,,-0.10536051565782631")])
+def test_large_negative_orders_keep_their_rows(capsys, bsc_path, alpha, row):
+    # heads of 40,004 and 400,004 terms per tail block, within the budget
+    code, out, err = run_cli(capsys, ["moments", "--source", bsc_path, "--n", "60", f"--alphas={alpha}"])
+    assert code == 0
+    assert out == "n,alpha,exact,lower,upper,scgf_empirical\n" + row + "\n"
 
 
 def test_console_script_entry_point(bsc_path):

@@ -296,6 +296,20 @@ def test_malformed_ranks_keep_the_source_tables():
         assert src.rank_tables(3) is tables
 
 
+def test_out_of_range_ranks_keep_the_source_tables():
+    src = make_source(["0", "1"], ["0", "1"], [[0.45, 0.05], [0.05, 0.45]])
+    want = guess_rank_indices(src, [0, 1, 1], [1, 0, 1])
+    tables = src.rank_tables(3)
+    states, ids = list(tables.states), dict(tables.ids)
+    for xs, ys in (([0, 5], [0, 0]), ([0, 0], [0, -1]), ([2, 0, 0], [0, 0, 0]), ([0], [2])):
+        with pytest.raises(SequenceError):
+            guess_rank_indices(src, xs, ys)
+        assert src.__dict__["_rank_tables"] is tables
+        assert tables.states == states and tables.ids == ids
+    assert guess_rank_indices(src, [0, 1, 1], [1, 0, 1]) == want
+    assert tables.states == states
+
+
 def test_uniform_n5_single_block(uniform_binary):
     dist = guesswork_distribution(uniform_binary, 5)
     assert len(dist.laws) == 1

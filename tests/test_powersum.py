@@ -225,6 +225,27 @@ def test_head_of_terms_rounding_to_one_is_bit_identical(bsc01_n240_view, monkeyp
         assert np.array_equal(head_logs(*args), _head_logs_every_term(*args))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=st.lists(
+        st.tuples(st.one_of(st.integers(1, 1000), st.integers(1, 10**15), st.integers(2**53, 2**1000)),
+                  st.integers(1, 300)),
+        min_size=1, max_size=20,
+    ),
+    alpha=st.one_of(st.floats(-60.0, 60.0), st.sampled_from([-1e4, -0.5, 0.5, 1e4])),
+    chunk=st.sampled_from([1, 7, 64, 1 << 16]),
+)
+def test_ragged_head_is_bit_identical_to_the_column_loop(blocks, alpha, chunk):
+    """Chunks of 7 terms split blocks and end inside and between them; every sum keeps its bits."""
+    log_a = log_ints([a for a, _ in blocks], max(a for a, _ in blocks))
+    m = np.array([float(c) for _, c in blocks])
+    args = log_a, np.exp(-log_a), m, alpha
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(powersum, "_HEAD_CHUNK", chunk)
+        got = powersum._head_logs(*args)
+    assert np.array_equal(got, _head_logs_every_term(*args))
+
+
 def poly_sum_reference(a: int, b: int, degrees, coefs, alpha: float, minus_one: bool) -> float:
     """log|sum_{t=a}^{b} (t**alpha [- 1]) sum_l c_l (t - a)**i_l (b - t)**j_l| term by term at 40 digits."""
     with mpmath.workdps(40):
