@@ -27,11 +27,11 @@ sums, and the near ties that the float logs cannot separate.
 
 A ``NumeratorCode`` keys a level by its numerator over one 2**bits, as
 the k-min law's probabilities are held.  Both codes give a key's exact level
-(``dyadic``), float logs (``log_scales``) and correctly rounded floats
-(``floats``), all that a law reads.  ``LevelPacking.floats`` multiplies
-tabulated basis powers in double-double arithmetic and makes a level
-exact only where Ziv's rounding test cannot decide, so the ``dist`` rows
-are read from the keys, not from exact levels.
+(``dyadic``) and float logs (``log_scales``).  A ``LevelPacking`` also gives
+correctly rounded floats (``floats``), for the ``dist`` rows of type laws:
+it multiplies tabulated basis powers in double-double arithmetic and makes
+a level exact only where Ziv's rounding test cannot decide, so the rows are
+read from the keys, not from exact levels.
 """
 
 from __future__ import annotations
@@ -541,11 +541,6 @@ class NumeratorCode:
         powers = np.array(lengths, dtype=np.float64) - self.bits
         rests = np.log(np.ldexp(np.array(tops, dtype=np.float64), -53))
         return powers * _LN2 + rests, np.abs(powers) * _LN2 - rests
-
-    def floats(self, keys: "list[int]") -> np.ndarray:
-        """key / 2**bits for every key, correctly rounded by int true division."""
-        one = 1 << self.bits
-        return np.array([key / one for key in keys], dtype=np.float64)
 
     def dyadic(self, key: int) -> Dyadic:
         """key / 2**bits in canonical form."""

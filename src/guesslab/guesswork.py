@@ -15,19 +15,24 @@ y-type's law depends only on its signature, the number of positions in
 each class.  The build enumerates the signatures, one law each, with its
 y-sequences counted by formula: the BSC has one law for all n + 1
 y-types.  Within a class, x-compositions run over the distinct values,
-weighted by their multiplicities, and the per-class level dictionaries
-are convolved, merging equal levels.  Levels are keyed by
-the source's level code (``dyadic.LevelCode``): a product of joint
-entries is a packed exponent vector over a coprime basis of their odd
-mantissas, so merging adds and hashes small ints.  The build makes no
-level exact: the keys of every law are sorted by the float logs of
-their vectors, and only near ties are ordered by exact ``Dyadic``
+weighted by their multiplicities, by a binomial recurrence: the last two
+values are merged into one part, and each composition over the merged
+parts splits that part's positions one way after another, stepping the
+level key by a constant and the count by one exact multiply and divide.
+The per-class level dictionaries are convolved, merging equal levels.
+Levels are keyed by the source's level code (``dyadic.LevelCode``): a
+product of joint entries is a packed exponent vector over a coprime basis
+of their odd mantissas, so merging adds and hashes small ints.  The build
+makes no level exact: the keys of every law are sorted by the float logs
+of their vectors, and only near ties are ordered by exact ``Dyadic``
 comparison.  A law keeps its counts and keys and rebuilds exact levels on
 demand (``YTypeLaw.blocks``); mass, moments and windows are read from one
 float view of the laws' positive blocks, each weighted by its
 y-sequences, with power sums from the certified array
-kernel ``power_sums_log``.  All sequence counts are arbitrary-precision
-integers because they reach |X|**n.
+kernel ``power_sums_log``, and summed by numpy's pairwise sum: its terms
+are nonnegative, so it is within a few times eps * log2(N) of the exact
+sum, far inside each power sum's 1e-12 certificate.  All sequence counts
+are arbitrary-precision integers because they reach |X|**n.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from operator import mul
 
 import numpy as np
 
-from .dyadic import _LN2, DYADIC_ONE, DYADIC_ZERO, NEAR_TIE, Dyadic, LevelPacking, NumeratorCode, descending
+from .dyadic import _LN2, DYADIC_ONE, DYADIC_ZERO, NEAR_TIE, Dyadic, LevelPacking, descending
 from .entropy import _scgf, _shaped
 from .model import Alphabet, Distribution, PairSource
 from .powersum import BUDGET_CAP, BudgetExceededError, GuessworkError, log_ints, power_sums_log
@@ -129,12 +134,11 @@ class YTypeLaw:
     the ``y_sequences`` with it all have probability ``py_product``.
     Columnar: ``counts`` are the block sizes in rank order, with any
     zero-level block last, so block starts are their running sums.  The
-    positive blocks' levels, descending, are the ``keys`` of a ``code``,
-    with their float ``logs`` and ``scales`` as ``code.log_scales`` gives
-    them: packed level-code keys (``LevelPacking``), or numerators over one
-    power of two (``NumeratorCode``).  ``blocks`` rebuilds the exact
-    blocks on demand, and two laws are equal when their y-types and exact
-    blocks are.
+    positive blocks' levels, descending, are the packed level-code ``keys``
+    of the source's ``LevelPacking`` at length n (``code``), with their float
+    ``logs`` and ``scales`` as ``code.log_scales`` gives them.  ``blocks``
+    rebuilds the exact blocks on demand, and two laws are equal when their
+    y-types and exact blocks are.
     """
 
     signature: tuple[int, ...]
@@ -143,7 +147,7 @@ class YTypeLaw:
     py_product: Dyadic
     counts: tuple[int, ...]
     keys: tuple[int, ...]
-    code: LevelPacking | NumeratorCode = field(repr=False)
+    code: LevelPacking = field(repr=False)
     logs: np.ndarray = field(repr=False)
     scales: np.ndarray = field(repr=False)
 
@@ -268,7 +272,7 @@ class GuessworkDistribution:
     @cached_property
     def total_mass(self) -> float:
         view = self._view
-        return math.fsum(np.exp(view.log_weights + view.log_counts).tolist())
+        return float(np.exp(view.log_weights + view.log_counts).sum())
 
     @property
     def blocks(self) -> list[tuple[tuple[int, ...], float, int, int, float]]:
@@ -381,7 +385,7 @@ def _logsumexp(values: np.ndarray) -> float:
     top = float(values.max(initial=-math.inf))
     if math.isinf(top):
         return top
-    return top + math.log(math.fsum(np.exp(values - top).tolist()))
+    return top + math.log(float(np.exp(values - top).sum()))
 
 
 def exp_or_inf(log_value: float) -> float:
@@ -450,16 +454,35 @@ def _class_cells(source: PairSource, packing: LevelPacking) -> list[dict[int, in
 def _group_levels(cells: dict[int, int], size: int) -> dict[int, int]:
     """Positive level key -> count over x-assignments of `size` positions of one column class.
 
-    ``cells`` maps the class's keys to their multiplicities; a composition k
-    over them stands for multinomial(size; k) * prod multiplicity**k.
+    ``cells`` maps the class's keys to their multiplicities; a composition x
+    over them stands for multinomial(size; x) * prod multiplicity**x.  By
+    binomial recurrence: the last two cells, keys k and k' with
+    multiplicities m and m', are merged into one part, and each composition
+    of `size` over the R - 1 parts, with r positions in the merged one,
+    splits them b : r - b for b = 0..r.  Each split steps the key by k - k'
+    and the count by the exact (r - b) m / ((b + 1) m'), from
+    C(r, b) m**b m'**(r - b) to C(r, b + 1) m**(b + 1) m'**(r - b - 1), so
+    there is one step per composition over all R cells, in lexicographic order.
     """
-    keys = list(cells)
-    powers = [(i, [mult**k for k in range(size + 1)]) for i, mult in enumerate(cells.values()) if mult > 1]
+    keys, mults = list(cells), list(cells.values())
+    if len(keys) == 1:
+        return {keys[0] * size: mults[0] ** size}
+    *front, key_b, key_r = keys
+    step = key_b - key_r
+    m_b, m_r = mults[-2:]
+    powers = [(i, [m**j for j in range(size + 1)]) for i, m in enumerate(mults[:-2]) if m > 1]
     counts: dict[int, int] = {}
-    for x_counts, count in _counted_compositions(size, len(cells)):
+    for y_counts, count in _counted_compositions(size, len(keys) - 1):
         for i, power in powers:
-            count *= power[x_counts[i]]
-        key = sum(map(mul, x_counts, keys))
+            count *= power[y_counts[i]]
+        r = y_counts[-1]
+        key = sum(map(mul, y_counts, front)) + r * key_r
+        if m_r > 1:
+            count *= m_r**r
+        for b in range(r):
+            counts[key] = counts.get(key, 0) + count
+            key += step
+            count = count * (r - b) // (b + 1) if m_b == m_r else count * (r - b) * m_b // ((b + 1) * m_r)
         counts[key] = counts.get(key, 0) + count
     return counts
 

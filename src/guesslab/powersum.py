@@ -21,8 +21,9 @@ covers the whole block.  Nothing is bisected and no uncertified value is
 returned.  The Faulhaber sums are float sums of positive terms.  A pass's
 head terms, every block's laid end to end, go through one ragged pass in
 chunks of at most 2**16 terms, each block's added in order by
-``np.bincount``, so memory stays linear in the blocks; a pass whose head
-would take more than ``BUDGET_CAP`` terms raises ``BudgetExceededError``
+``np.bincount``, so memory stays linear in the blocks.  A block whose
+head terms all round to 1.0 adds its count and sums none of them; a pass
+that would sum more than ``BUDGET_CAP`` terms raises ``BudgetExceededError``
 before any is summed.
 
 ``power_sum_log`` is the kernel on one block, and ``power_sum`` keeps
@@ -204,9 +205,14 @@ def _head_logs(log_a: np.ndarray, inv_a: np.ndarray, m: np.ndarray, alpha: float
     # first weight, so every sum is the same whatever the chunks
     total = m - 1.0
     rest = np.flatnonzero(1.0 + step * total != 1.0)
-    step, ends = step[rest], np.cumsum(total[rest])  # exact: a pass has at most BUDGET_CAP terms
+    step, ends = step[rest], np.cumsum(total[rest])
+    # only these terms are summed, and they are counted before any is; the
+    # count is exact below the cap, and a count past the float range saturates
+    size = ends[-1] if rest.size else 0.0
+    if size > BUDGET_CAP:
+        raise BudgetExceededError(int(min(size, sys.float_info.max)), BUDGET_CAP)
+    size = int(size)
     starts, acc = ends - total[rest], np.zeros(rest.size)
-    size = int(ends[-1]) if rest.size else 0
     for lo in range(0, size, _HEAD_CHUNK):
         hi = min(lo + _HEAD_CHUNK, size)
         first, last = np.searchsorted(ends, [lo, hi - 1], side="right").tolist()
@@ -248,8 +254,11 @@ def power_sums_log(log_starts: np.ndarray, log_counts: np.ndarray, alpha: float)
     out[narrow] = log_c + alpha * (log_a + 0.5 * np.exp(log_c - log_a) * -np.expm1(-log_c))
     # head plus certified tail, the head doubling where the certificate fails;
     # a block the head covers (c <= head + 1, so c is exact from its log) is
-    # summed term by term.  A pass's head terms, c per covered block and H per
-    # tail block, are counted against BUDGET_CAP before any is summed
+    # summed term by term.  ``_head_logs`` counts a pass's head terms against
+    # BUDGET_CAP before any is summed, leaving out the blocks whose terms all
+    # round to 1.0.  A head longer than the cap may pass the float range, so
+    # it is refused first where a tail block, or a covered count past the
+    # float range, would take it: one such block would pass the cap alone
     todo = np.flatnonzero(~narrow)
     head = max(32, 4 * scale)
     while todo.size:
@@ -257,9 +266,8 @@ def power_sums_log(log_starts: np.ndarray, log_counts: np.ndarray, alpha: float)
         done, todo = todo[~tail], todo[tail]
         with np.errstate(over="ignore"):  # a covered count past the float range saturates
             counts = np.rint(np.exp(lc[done]))
-        required = int(min(counts.sum(), sys.float_info.max)) + head * todo.size
-        if required > BUDGET_CAP:
-            raise BudgetExceededError(required, BUDGET_CAP)
+        if head > BUDGET_CAP and (todo.size or np.isinf(counts).any()):
+            raise BudgetExceededError(head * max(todo.size, 1), BUDGET_CAP)
         if not todo.size:
             out[done] = _head_logs(la[done], np.exp(-la[done]), counts, alpha)
             break

@@ -21,7 +21,9 @@ a distribution one law per y-type, as these references build it, where the
 library shares one law among the y-types of a column-class signature.
 ``percell_laws`` is the library's earlier packed-key build: it enumerates
 every y-type to group them by signature, and x-compositions over every
-cell of a column, equal or not.
+cell of a column, equal or not.  ``group_levels`` is the library's
+earlier group table: one multinomial term per composition over all the
+distinct values, where the library steps a binomial recurrence.
 
 ``log_power_sum`` sums r**alpha over a rank block of any size in mpmath,
 by direct sums and an uncertified Euler-Maclaurin series taken to 40
@@ -334,6 +336,19 @@ def dyadic_group_levels(source: PairSource, y_index: int, size: int) -> dict[Dya
     return levels
 
 
+def group_levels(cells: dict[int, int], size: int) -> dict[int, int]:
+    """Level key -> count over `size` positions: multinomial(size; x) * prod mult**x for each composition x."""
+    keys = list(cells)
+    powers = [(i, [mult**k for k in range(size + 1)]) for i, mult in enumerate(cells.values()) if mult > 1]
+    counts: dict[int, int] = {}
+    for x_counts, count in _counted_compositions(size, len(cells)):
+        for i, power in powers:
+            count *= power[x_counts[i]]
+        key = sum(k * x for k, x in zip(keys, x_counts))
+        counts[key] = counts.get(key, 0) + count
+    return counts
+
+
 def dyadic_convolve(a: dict[Dyadic, int], b: dict[Dyadic, int]) -> dict[Dyadic, int]:
     out: dict[Dyadic, int] = {}
     for lv1, c1 in a.items():
@@ -356,7 +371,8 @@ def dyadic_law(source: PairSource, y_counts: tuple[int, ...]) -> YTypeLaw:
     counts = [levels[lv] for lv in ranked]
     if DYADIC_ZERO in levels:
         counts.append(levels[DYADIC_ZERO])
-    # the law names its levels as numerators over the smallest common 2**bits
+    # the law names its levels as numerators over the smallest common 2**bits,
+    # a stand-in for the level code: the checks read only its dyadic and log_scales
     bits = max(-lv.e for lv in ranked)
     code = NumeratorCode(bits)
     keys = [lv.m << (bits + lv.e) for lv in ranked]

@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from guesslab import guesswork as guesswork_module
@@ -32,6 +32,8 @@ from guesslab.guesswork import (
     plateau_window,
     scgf_empirical,
     _counted_compositions,
+    _group_levels,
+    _logsumexp,
 )
 from guesslab.entropy import conditional_min_entropy, conditional_renyi_arimoto
 from guesslab.ldp import scgf_limit
@@ -326,6 +328,45 @@ def test_counted_compositions_match_reference():
         got = list(_counted_compositions(total, parts))
         assert [x for x, _ in got] == list(_oracle.y_types(total, parts))
         assert [count for _, count in got] == [_oracle.multinomial(x) for x, _ in got]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(keys=st.one_of(st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True),
+                      st.lists(st.integers(1, 2**80), min_size=1, max_size=5, unique=True)),
+       size=st.integers(1, 13), data=st.data())
+def test_group_levels_match_per_composition_reference(keys, size, data):
+    """The binomial recurrence gives the per-composition table, keys in the same order; small keys' sums collide."""
+    mults = data.draw(st.lists(st.integers(1, 4), min_size=len(keys), max_size=len(keys)))
+    cells = dict(zip(keys, mults))
+    got, want = _group_levels(cells, size), _oracle.group_levels(cells, size)
+    assert got == want and list(got) == list(want)
+    assert sum(got.values()) == sum(mults) ** size
+
+
+# no shrinking: each example sums up to 10**4 terms in mpmath, and a failure is reported as drawn
+@settings(max_examples=30, deadline=None, derandomize=True, database=None, phases=[Phase.explicit, Phase.generate])
+@given(size=st.one_of(st.integers(2, 10**4), st.just(10**4)), seed=st.integers(0, 2**32 - 1),
+       top=st.one_of(st.floats(-1.0, 1.0), st.floats(-700.0, 700.0)), binades=st.floats(600.0, 2000.0),
+       shape=st.floats(0.05, 30.0))
+def test_logsumexp_is_within_the_pairwise_sum_bound_of_mpmath(size, seed, top, binades, shape):
+    """N nonnegative terms spanning 600 binades or more: the sum within (2 + ceil(log2 N)) 2**-52 relative.
+
+    The log of the sum is rounded twice more, in its log and in adding the
+    largest value back, and each rounding adds half an ulp.
+    """
+    depth = binades * math.log(2.0)
+    values = top - depth * np.random.default_rng(seed).random(size) ** shape
+    values[:2] = top, top - depth
+    got = _logsumexp(values)
+    with mpmath.workdps(30):
+        want = mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(v)) for v in values.tolist()))
+        error = float(abs(got - want))
+    assert error <= (2 + math.ceil(math.log2(size))) * 2.0**-52 + (math.ulp(got) + math.ulp(math.log(size))) / 2
+
+
+def test_logsumexp_of_no_mass_is_minus_inf():
+    for values in (np.array([]), np.full(5, -np.inf)):
+        assert _logsumexp(values) == -math.inf
 
 
 def test_moments_past_float_ranks_match_mpmath(uniform_binary):
@@ -631,11 +672,11 @@ def test_q_ary_law_merges_equal_cells(monkeypatch):
     source = q_ary_symmetric(8, 0.125)
     (cls,) = source.column_classes
     assert cls.members == tuple(range(8)) and cls.multiplicities == (7, 1)
-    compositions = []
-    counted = guesswork_module._counted_compositions
-    monkeypatch.setattr(guesswork_module, "_counted_compositions",
-                        lambda total, parts: compositions.append(parts) or counted(total, parts))
+    tables = []
+    group_levels = guesswork_module._group_levels
+    monkeypatch.setattr(guesswork_module, "_group_levels",
+                        lambda cells, size: tables.append((list(cells.values()), size)) or group_levels(cells, size))
     (law,) = guesswork_distribution(source, 12).laws
-    assert compositions == [1, 2]  # the one signature, and one group table over two values
+    assert tables == [([7, 1], 12)]  # one group table, over the two distinct values at size 12
     assert law.y_sequences == 8**12 and len(law.y_types) == math.comb(19, 7)
     assert sum(law.counts) == 8**12

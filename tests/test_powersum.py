@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from guesslab import guesswork_distribution, powersum
 from guesslab.parallel import UserEnsemble, kmin_distribution
-from guesslab.powersum import _tail_logs, log_ints, power_sum, power_sum_log, power_sums_log
+from guesslab.powersum import BudgetExceededError, _tail_logs, log_ints, power_sum, power_sum_log, power_sums_log
 
 from _oracle import log_power_sum, split_laws
 
@@ -223,6 +223,37 @@ def test_head_of_terms_rounding_to_one_is_bit_identical(bsc01_n240_view, monkeyp
     assert sum(args[0].size for args in heads) > 40000
     for args in heads:
         assert np.array_equal(head_logs(*args), _head_logs_every_term(*args))
+
+
+def _terms_summed(log_a, inv_a, m, alpha):
+    """The head terms ``_head_logs`` sums: m - 1 per block, but none where even the last rounds to 1.0."""
+    step = -inv_a / (1.0 + (m - 1.0) * inv_a) if alpha > 0.0 else inv_a
+    return int((m - 1.0)[1.0 + step * (m - 1.0) != 1.0].sum())
+
+
+@pytest.mark.parametrize("alpha", [-50.0, 0.5, 100.0])
+def test_head_budget_counts_only_the_terms_summed(bsc01_n240_view, monkeypatch, alpha):
+    """A pass is refused past BUDGET_CAP terms summed, whatever the heads of terms rounding to 1.0 would add."""
+    view, head_logs, passes = bsc01_n240_view, powersum._head_logs, []
+    want = power_sums_log(view.log_starts, view.log_counts, alpha)
+    monkeypatch.setattr(powersum, "_head_logs", lambda *args: passes.append(args) or head_logs(*args))
+    power_sums_log(view.log_starts, view.log_counts, alpha)
+    summed = max(_terms_summed(*args) for args in passes)
+    # every block's head, those whose terms round to 1.0 included, is over ten times that: the cap falls between
+    assert 10 * summed < max(float((args[2] - 1.0).sum()) for args in passes)
+    monkeypatch.setattr(powersum, "BUDGET_CAP", summed)
+    assert np.array_equal(power_sums_log(view.log_starts, view.log_counts, alpha), want)
+    monkeypatch.setattr(powersum, "BUDGET_CAP", summed - 1)
+    with pytest.raises(BudgetExceededError) as err:
+        power_sums_log(view.log_starts, view.log_counts, alpha)
+    assert (err.value.required, err.value.cap) == (summed, summed - 1)
+
+
+@pytest.mark.parametrize("alpha", [1e308, -1e308])
+def test_covered_count_past_the_float_range_is_refused(alpha):
+    """2**1025 ranks from 1, which a head of 4 (|alpha| + 1) terms covers: refused before the count saturates."""
+    with pytest.raises(BudgetExceededError):
+        power_sums_log(log_ints([1], 2**1025), log_ints([2**1025], 2**1025), alpha)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
