@@ -130,12 +130,7 @@ def _format_cell(value) -> str:
         return value
     if isinstance(value, int):
         return str(value)
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".17g")
+    return format(float(value), ".17g")  # nan, inf and -inf included
 
 
 def _scaled(value: float | None, bits: bool) -> float | None:
@@ -196,8 +191,10 @@ def _cmd_moments(args) -> int:
     source = load_source_file(args.source)
     dist = guesswork_distribution(source, args.n)
     inside = [alpha for alpha in args.alphas if -1.0 < alpha < 0.0]  # the bounds' orders, in one kernel pass
-    logs = zip(inside, *(values.tolist() for values in log_moment_bounds(source, args.n, inside)))
-    bounds = {alpha: (math.exp(lo), math.exp(hi)) for alpha, lo, hi in logs}
+    bounds = {}
+    if inside:
+        logs = zip(inside, *(values.tolist() for values in log_moment_bounds(source, args.n, inside)))
+        bounds = {alpha: (math.exp(lo), math.exp(hi)) for alpha, lo, hi in logs}
     rows = []
     for alpha in args.alphas:
         lower, upper = bounds.get(alpha, (None, None))
@@ -211,14 +208,17 @@ def _cmd_moments(args) -> int:
 def _cmd_dist(args) -> int:
     source = load_source_file(args.source)
     dist = guesswork_distribution(source, args.n)
-    lines = []
-    last = None
-    for y_counts, y_mass, start, count, level in dist.blocks:
-        if y_counts != last:  # one label and y-mass per y-type
-            last = y_counts
+    y_types = []
+    for law, starts, counts, levels in dist.law_rows():
+        # each law's rows are formatted once, in one pass, as _format_cell writes its cells
+        flat = [None] * (3 * len(starts))
+        flat[::3], flat[1::3], flat[2::3] = starts, counts, levels
+        rows = ("%d,%d,%.17g\n" * len(starts) % tuple(flat)).split("\n")[:-1]
+        for y_counts, y_mass in law.y_masses:  # one label and y-mass per y-type
             y_type = ";".join(f"{sym}:{cnt}" for sym, cnt in zip(dist.y_symbols, y_counts))
             prefix = f"{y_type},{_format_cell(y_mass)},"
-        lines.append(f"{prefix}{start},{count},{_format_cell(level)}")
+            y_types.append((y_counts, prefix + ("\n" + prefix).join(rows)))
+    lines = [text for _, text in sorted(y_types)]
     header = ["y_type", "y_mass", "start", "count", "level"]
     _emit_lines(args, header, lines, _manifest(args, "dist", [args.source]))
     return 0

@@ -19,19 +19,21 @@ Long products have mantissas of thousands of bits, so the hot loops do
 not multiply or hash ``Dyadic`` values.  A ``LevelCode`` factors the odd
 mantissas of a fixed set of levels into a pairwise-coprime basis, which
 makes every product of those levels a short exponent vector, and a
-``LevelPacking`` packs the vectors of up to n factors into one small int:
-the product of levels is the sum of their keys, and equal keys are equal
-levels.  Packed levels are ordered by float logs taken from their
-vectors, and a level becomes a ``Dyadic`` only where exactness is read:
-sums, and the near ties that the float logs cannot separate.
+``LevelPacking`` packs the vectors of up to n factors into a row of int64
+words, no field across two: the product of levels is the sum of their
+keys, word by word with no carry, and equal keys are equal levels.  Packed
+levels are ordered by float logs taken from their vectors, and a level
+becomes a ``Dyadic`` only where exactness is read: sums, and the near ties
+that the float logs cannot separate.
 
 A ``NumeratorCode`` keys a level by its numerator over one 2**bits, as
 the k-min law's probabilities are held.  Both codes give a key's exact level
-(``dyadic``) and float logs (``log_scales``).  A ``LevelPacking`` also gives
-correctly rounded floats (``floats``), for the ``dist`` rows of type laws:
-it multiplies tabulated basis powers in double-double arithmetic and makes
-a level exact only where Ziv's rounding test cannot decide, so the rows are
-read from the keys, not from exact levels.
+(``dyadic``) and float logs (``log_scales``), a ``LevelPacking`` from word
+rows.  It also gives correctly rounded floats (``floats``), for the
+``dist`` rows of type laws: it multiplies tabulated basis powers in
+double-double arithmetic and makes a level exact only where Ziv's rounding
+test cannot decide, so the rows are read from the keys, not from exact
+levels.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ NEAR_TIE = 1e-12
 _FLOAT_ERROR = 2.0**-100
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
 
-# Packed keys are split into int64 words of this many bits to be unpacked.
+# Packed keys are rows of int64 words of this many bits, no field across two.
 _WORD = 62
 _WORD_MASK = (1 << _WORD) - 1
 
@@ -252,11 +254,13 @@ def descending(
     is rounded from parts as large as its scale, so runs of neighbours
     whose logs lie within NEAR_TIE * (1 + the group's largest scale) of
     each other are re-sorted by exact comparison; no other level is made
-    exact.
+    exact.  Equal logs always share a run, so the sort by log need not be
+    stable; the groups, small ints, then sort stably by radix.
     """
-    order = np.lexsort((-logs, groups))
-    if order.size < 2:
-        return order
+    if logs.size < 2:
+        return np.arange(logs.size)
+    order = np.argsort(-logs)
+    order = order[np.argsort(groups.astype(np.min_scalar_type(groups[-1]))[order], kind="stable")]
     largest = np.zeros(int(groups[-1]) + 1)
     np.maximum.at(largest, groups, scales)
     ranked = logs[order]
@@ -323,50 +327,67 @@ class LevelCode:
 
 
 class LevelPacking:
-    """Exponent vectors packed into one int, for products of up to n levels.
+    """Exponent vectors packed into rows of int64 words, for products of up to n levels.
 
     Field i is (n * largest coordinate i).bit_length() + 1 bits wide, so
-    no sum of up to n keys reaches its top bit, the guard bit.  Keys add
-    where levels multiply, and key 0 is the level one.  Zero has no key.
+    no sum of up to n keys reaches its top bit, the guard bit.  The fields
+    are laid in field order into words of _WORD bits, and one that would
+    run past a word's end starts the next word, so none straddles two: a
+    key is a row of ``words`` int64 words (``rows``), and keys add where
+    levels multiply, word by word with no carry.  Key 0 is the level one,
+    and zero has no key.  The rank walk keys its tables by the int whose
+    bits at _WORD * j are word j (``key``, ``quotient``, ``count_above``).
     """
 
     def __init__(self, code: LevelCode, n: int):
         self.code = code
-        self.fields: list[tuple[int, int]] = []  # (offset, mask)
+        self.fields: list[tuple[int, int]] = []  # (offset, mask) in the int key
+        self._places: list[tuple[int, int, int]] = []  # (word, shift, mask) in the word row
         self.guard = 0
-        offset = 0
+        word = shift = 0
         for i in range(len(code.field_logs)):
             top = max((v[i] for v in code.vectors.values()), default=0)
             width = (n * top).bit_length() + 1
+            if width > _WORD:
+                raise ValueError(f"a {width}-bit exponent field does not fit a {_WORD}-bit word")
+            if shift + width > _WORD:
+                word, shift = word + 1, 0
+            offset = word * _WORD + shift
             self.fields.append((offset, (1 << width) - 1))
+            self._places.append((word, shift, (1 << width) - 1))
             self.guard |= 1 << (offset + width - 1)
-            offset += width
-        self.width = offset
+            shift += width
+        self.words = word + 1
         self._keys = {
             d: sum(c << offset for c, (offset, _) in zip(v, self.fields))
             for d, v in code.vectors.items()
         }
         self._powers: dict[tuple[int, int], int] = {}
         self._tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        # each field's int64 word and shift in it, for _unpack_all; a field that runs on into the
-        # next word is in _spans as (field, word, bits taken from the first, mask of the rest)
-        places = [divmod(offset, _WORD) for offset, _ in self.fields]
-        self._words = np.array([word for word, _ in places])
-        self._shifts = np.array([[shift] for _, shift in places])
-        self._masks = np.array([[mask] for _, mask in self.fields])
-        self._spans = [(i, word, _WORD - shift, mask >> (_WORD - shift))
-                       for i, ((word, shift), (_, mask)) in enumerate(zip(places, self.fields))
-                       if mask >> (_WORD - shift)]
 
     def key(self, level: Dyadic) -> "int | None":
         """Key of one of the code's levels; None for zero."""
         return self._keys.get(level)
 
-    def unpack(self, key: int) -> list[int]:
-        return [(key >> offset) & mask for offset, mask in self.fields]
+    def rows(self, keys: "list[int]") -> np.ndarray:
+        """The (len(keys), ``words``) int64 word rows of int keys."""
+        if self.words == 1:
+            return np.array(keys, dtype=np.int64).reshape(-1, 1)
+        big = np.array(keys, dtype=object)
+        return np.array([(big >> shift) & _WORD_MASK for shift in range(0, self.words * _WORD, _WORD)],
+                        dtype=np.int64).reshape(self.words, -1).T.copy()
 
-    def log_scales(self, keys: "list[int]") -> "tuple[np.ndarray, np.ndarray]":
-        """(log level, scale) arrays from the vectors, as ``descending`` uses them.
+    def _field(self, rows: np.ndarray, i: int) -> np.ndarray:
+        """Field i of every word row."""
+        word, shift, mask = self._places[i]
+        return (rows[:, word] >> shift) & mask
+
+    def _unpack_all(self, rows: np.ndarray) -> np.ndarray:
+        """Every word row's vector, one row per field."""
+        return np.array([self._field(rows, i) for i in range(len(self._places))], dtype=np.int64)
+
+    def log_scales(self, rows: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """(log level, scale) arrays of word rows' levels, as ``descending`` uses them.
 
         The scale is the sum of the absolute parts, about log m + |e| ln 2.
         A log is its exact count of bits times ln 2, rounded once, plus the
@@ -376,36 +397,16 @@ class LevelPacking:
         scale do not depend on the other keys of the call.
         """
         code = self.code
-        bits, rests, scales = np.zeros((3, len(keys)))
-        for row, b, rest, log in zip(self._unpack_all(keys).astype(np.float64), code.field_bits,
-                                     code.field_rests, np.abs(code.field_logs)):
+        bits, rests, scales = np.zeros((3, len(rows)))
+        for i, (b, rest, log) in enumerate(zip(code.field_bits, code.field_rests, np.abs(code.field_logs))):
+            row = self._field(rows, i).astype(np.float64)
             bits += b * row
             rests += rest * row
             scales += log * row
         return bits * _LN2 + rests, scales
 
-    def _unpack_all(self, keys: "list[int]") -> np.ndarray:
-        """Every key's vector, one row per field.
-
-        The keys are split into int64 words of _WORD bits, the only per-key
-        big-int work, and none when the packing fits one word; the fields
-        are then shifted and masked out of the words they span, all at once.
-        """
-        if self.width <= _WORD:
-            words = np.array(keys, dtype=np.int64).reshape(1, len(keys))
-        else:
-            big = np.array(keys, dtype=object)
-            words = np.array([(big >> shift) & _WORD_MASK for shift in range(0, self.width, _WORD)],
-                             dtype=np.int64).reshape(-1, len(keys))
-        fields = words[self._words]
-        fields >>= self._shifts
-        for i, word, taken, rest in self._spans:  # int64 fields span at most two words
-            fields[i] |= (words[word + 1] & rest) << taken
-        fields &= self._masks
-        return fields
-
-    def floats(self, keys: "list[int]") -> np.ndarray:
-        """The correctly rounded double of every key's level, in one vectorised pass.
+    def floats(self, rows: np.ndarray) -> np.ndarray:
+        """The correctly rounded double of every word row's level, in one vectorised pass.
 
         A level is the product of its basis powers b**k, times 2**-e.  Each
         power is tabulated as (hi + lo) * 2**E, hi its top 53 bits in [1/2, 1)
@@ -414,17 +415,17 @@ class LevelPacking:
         after every factor.  Ziv's test: with relative error at most
         _FLOAT_ERROR per factor, hi is the rounded level wherever |lo| is
         farther than that from half an ulp of hi.  The other keys take the
-        exact ``dyadic(key).to_float()``: undecided ones, levels below the
+        exact ``dyadic(row).to_float()``: undecided ones, levels below the
         normal range, and hi = 1/2 with lo < 0, where the ulp below is half
         as wide.
         """
-        if not keys:
+        if not len(rows):
             return np.zeros(0)
-        fields = self._unpack_all(keys)
-        hi = np.full(len(keys), 0.5)
-        lo = np.zeros(len(keys))
-        exponent = 1 - fields[-1]
-        for i, powers in enumerate(fields[:-1]):
+        hi = np.full(len(rows), 0.5)
+        lo = np.zeros(len(rows))
+        exponent = 1 - self._field(rows, len(self._places) - 1)
+        for i in range(len(self._places) - 1):
+            powers = self._field(rows, i)
             table_hi, table_lo, table_exponent = self._power_table(i, int(powers.max()))
             b_hi, b_lo = table_hi[powers], table_lo[powers]
             p, err = _two_product(hi, b_hi)
@@ -434,11 +435,11 @@ class LevelPacking:
             hi, shift = np.frexp(hi)
             lo = np.ldexp(lo, -shift)
             exponent += table_exponent[powers] + shift
-        slack = 2.0**-54 - _FLOAT_ERROR * len(fields)
+        slack = 2.0**-54 - _FLOAT_ERROR * len(self._places)
         sure = (np.abs(lo) < slack) & ((lo >= 0.0) | (hi != 0.5)) & (exponent >= -1021) & (exponent <= 1024)
         out = np.ldexp(hi, np.where(sure, exponent, 0))
         for i in np.flatnonzero(~sure).tolist():
-            out[i] = self.dyadic(keys[i]).to_float()
+            out[i] = self.dyadic(rows[i]).to_float()
         return out
 
     def _power_table(self, i: int, top: int) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
@@ -467,9 +468,10 @@ class LevelPacking:
             )
         return table
 
-    def dyadic(self, key: int) -> Dyadic:
-        """The exact level of a key; basis powers are cached, as levels share them."""
-        *exponents, minus_e = self.unpack(key)
+    def dyadic(self, row: np.ndarray) -> Dyadic:
+        """The exact level of a word row; basis powers are cached, as levels share them."""
+        words = row.tolist()
+        *exponents, minus_e = [(words[word] >> shift) & mask for word, shift, mask in self._places]
         m = 1
         for i, k in enumerate(exponents):
             if k:
@@ -479,12 +481,12 @@ class LevelPacking:
                 m *= power
         return Dyadic(m, -minus_e)
 
-    def numerators(self, keys: "list[int]") -> "tuple[list[int], int]":
-        """Every key's level as an integer over one 2**shift, shift the largest -e.
+    def numerators(self, rows: np.ndarray) -> "tuple[list[int], int]":
+        """Every word row's level as an integer over one 2**shift, shift the largest -e.
 
         The basis powers are cached as ``dyadic`` caches them, each made from the one below it.
         """
-        *vectors, minus_es = self._unpack_all(keys).tolist()
+        *vectors, minus_es = self._unpack_all(rows).tolist()
         shift = max(minus_es)
         numerators = [1 << (shift - e) for e in minus_es]
         for i, (b, exponents) in enumerate(zip(self.code.basis, vectors)):
@@ -512,14 +514,15 @@ class LevelPacking:
         Float logs decide, except on near ties, which compare exact levels.
         """
         keys = [key for key in counts if key != target]
-        logs, scales = self.log_scales(keys + [target])
+        rows = self.rows(keys + [target])
+        logs, scales = self.log_scales(rows)
         gap = logs[:-1] - logs[-1]
         tolerance = NEAR_TIE * (1.0 + np.maximum(scales[:-1], scales[-1]))
         above = sum(counts[keys[i]] for i in np.flatnonzero(gap > tolerance).tolist())
         near = np.flatnonzero(np.abs(gap) <= tolerance).tolist()
         if near:
-            exact_target = self.dyadic(target)
-            above += sum(counts[keys[i]] for i in near if self.dyadic(keys[i]) > exact_target)
+            exact_target = self.dyadic(rows[-1])
+            above += sum(counts[keys[i]] for i in near if self.dyadic(rows[i]) > exact_target)
         return above
 
 

@@ -19,20 +19,25 @@ weighted by their multiplicities, by a binomial recurrence: the last two
 values are merged into one part, and each composition over the merged
 parts splits that part's positions one way after another, stepping the
 level key by a constant and the count by one exact multiply and divide.
-The per-class level dictionaries are convolved, merging equal levels.
 Levels are keyed by the source's level code (``dyadic.LevelCode``): a
 product of joint entries is a packed exponent vector over a coprime basis
-of their odd mantissas, so merging adds and hashes small ints.  The build
-makes no level exact: the keys of every law are sorted by the float logs
-of their vectors, and only near ties are ordered by exact ``Dyadic``
-comparison.  A law keeps its counts and keys and rebuilds exact levels on
-demand (``YTypeLaw.blocks``); mass, moments and windows are read from one
+of their odd mantissas, laid in int64 words with no field across two, so a
+product of levels is a sum of word rows with no carry.  Every law is built
+at once, as arrays: the classes are folded in left to right, each fold
+one gather of every law's (row, table row) pairs, adding key rows and
+multiplying counts, then one sort and one ``np.add.reduceat`` merging equal
+(law, key) rows.  The build makes no level exact: the keys of every law
+are sorted by the float logs of their vectors, and only near ties are
+ordered by exact ``Dyadic`` comparison.  A law keeps its counts and key
+rows as arrays and rebuilds exact levels on demand (``YTypeLaw.blocks``);
+mass, moments and windows are read from one
 float view of the laws' positive blocks, each weighted by its
 y-sequences, with power sums from the certified array
 kernel ``power_sums_log``, and summed by numpy's pairwise sum: its terms
 are nonnegative, so it is within a few times eps * log2(N) of the exact
-sum, far inside each power sum's 1e-12 certificate.  All sequence counts
-are arbitrary-precision integers because they reach |X|**n.
+sum, far inside each power sum's 1e-12 certificate.  Sequence counts
+reach |X|**n: they are int64 while |X|**n < 2**63 and Python ints past
+that, in object arrays.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, product
@@ -132,9 +136,10 @@ class YTypeLaw:
 
     ``signature`` counts the positions in each class of ``members``, and
     the ``y_sequences`` with it all have probability ``py_product``.
-    Columnar: ``counts`` are the block sizes in rank order, with any
-    zero-level block last, so block starts are their running sums.  The
-    positive blocks' levels, descending, are the packed level-code ``keys``
+    Columnar: ``counts`` is the array of block sizes in rank order, int64
+    while |X|**n < 2**63 and Python ints past that, with any zero-level
+    block last, so block starts are their running sums.  The positive
+    blocks' levels, descending, are the (blocks, W) int64 word rows ``keys``
     of the source's ``LevelPacking`` at length n (``code``), with their float
     ``logs`` and ``scales`` as ``code.log_scales`` gives them.  ``blocks``
     rebuilds the exact blocks on demand, and two laws are equal when their
@@ -145,8 +150,8 @@ class YTypeLaw:
     members: tuple[tuple[int, ...], ...] = field(repr=False)
     y_sequences: int
     py_product: Dyadic
-    counts: tuple[int, ...]
-    keys: tuple[int, ...]
+    counts: np.ndarray = field(repr=False)
+    keys: np.ndarray = field(repr=False)
     code: LevelPacking = field(repr=False)
     logs: np.ndarray = field(repr=False)
     scales: np.ndarray = field(repr=False)
@@ -164,14 +169,24 @@ class YTypeLaw:
             y_types.append((tuple(y_counts), math.prod((ways for _, ways in split), start=base)))
         return tuple(sorted(y_types))
 
+    @property
+    def y_masses(self) -> list[tuple[tuple[int, ...], float]]:
+        """Each y-type with its mass, its y-sequences times p(y) as floats, for ``dist`` rows."""
+        py = self.py_product.to_float()
+        if py > 0.0:
+            return [(y_counts, y_sequences * py) for y_counts, y_sequences in self.y_types]
+        log_py = self.py_product.log()
+        return [(y_counts, math.exp(math.log(y_sequences) + log_py)) for y_counts, y_sequences in self.y_types]
+
     def level(self, i: int) -> Dyadic:
         """Exact level of block i."""
         return self.code.dyadic(self.keys[i]) if i < len(self.keys) else DYADIC_ZERO
 
     @cached_property
     def blocks(self) -> tuple[TypeBlock, ...]:
-        starts = accumulate(self.counts, initial=1)
-        return tuple(TypeBlock(s, c, self.level(i)) for i, (s, c) in enumerate(zip(starts, self.counts)))
+        counts = self.counts.tolist()
+        starts = accumulate(counts, initial=1)
+        return tuple(TypeBlock(s, c, self.level(i)) for i, (s, c) in enumerate(zip(starts, counts)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, YTypeLaw):
@@ -184,29 +199,28 @@ class _FloatView:
     """Float64 columns over the positive blocks of every law of a distribution.
 
     Law j's blocks are at offsets[j]:offsets[j + 1], in rank order.  Ranks
-    are exact in ``exact_starts`` and ``exact_counts``, and ``log_starts``
-    and ``log_counts`` are their logs, which the power-sum kernel takes.
+    are exact in ``exact_starts`` and ``exact_counts``, arrays of the laws'
+    count type, and ``log_starts`` and ``log_counts`` are their logs, which
+    the power-sum kernel takes.
     """
 
     log_weights: np.ndarray  # log(y_sequences * level)
     log_starts: np.ndarray
     log_counts: np.ndarray
-    exact_starts: list[int]
-    exact_counts: list[int]
+    exact_starts: np.ndarray
+    exact_counts: np.ndarray
     offsets: list[int]
 
 
 def _float_view(laws: tuple[YTypeLaw, ...], total: int) -> _FloatView:
-    logs, log_ys, exact_starts, exact_counts, offsets = [], [], [], [], [0]
-    for law in laws:
-        logs.append(law.logs)
-        exact_starts += list(accumulate(law.counts, initial=1))[: len(law.keys)]
-        exact_counts += law.counts[: len(law.keys)]
-        offsets.append(len(exact_starts))
-        log_ys.append(math.log(law.y_sequences))
-    log_weights = np.repeat(log_ys, np.diff(offsets)) + np.concatenate(logs)
+    counts = [law.counts[: len(law.keys)] for law in laws]
+    sizes = [len(law.keys) for law in laws]
+    exact_counts = np.concatenate(counts)
+    exact_starts = np.concatenate([np.add.accumulate(c) - c + 1 for c in counts])
+    log_weights = np.repeat([math.log(law.y_sequences) for law in laws], sizes)
+    log_weights += np.concatenate([law.logs for law in laws])
     return _FloatView(log_weights, log_ints(exact_starts, total), log_ints(exact_counts, total),
-                      exact_starts, exact_counts, offsets)
+                      exact_starts, exact_counts, list(accumulate(sizes, initial=0)))
 
 
 class GuessworkDistribution:
@@ -233,11 +247,12 @@ class GuessworkDistribution:
 
     def _validate(self) -> None:
         total = self.total_sequences
-        for law in self.laws:
-            if min(law.counts) < 1:
-                raise GuessworkError("rank blocks must be contiguous from 1")
-            if sum(law.counts) != total:
-                raise GuessworkError(f"blocks must cover ranks 1..{total}")
+        counts = np.concatenate([law.counts for law in self.laws])
+        if np.minimum.reduce(counts) < 1:
+            raise GuessworkError("rank blocks must be contiguous from 1")
+        firsts = list(accumulate((len(law.counts) for law in self.laws[:-1]), initial=0))
+        if any(covered != total for covered in np.add.reduceat(counts, firsts).tolist()):
+            raise GuessworkError(f"blocks must cover ranks 1..{total}")
         self._check_decreasing()
         mass = self.total_mass
         if abs(mass - 1.0) > 1e-10:
@@ -274,42 +289,50 @@ class GuessworkDistribution:
         view = self._view
         return float(np.exp(view.log_weights + view.log_counts).sum())
 
-    @property
-    def blocks(self) -> list[tuple[tuple[int, ...], float, int, int, float]]:
-        """Flat display view: (y-type counts, y-type mass, start, count, conditional level).
+    def law_rows(self) -> list[tuple[YTypeLaw, list[int], list[int], list[float]]]:
+        """Each law with its blocks' starts, counts and conditional levels, in rank order.
 
-        Each y-type has its law's blocks, in rank order, and the y-types
-        come in composition order.  A level is its code's correctly rounded
-        float over the y-sequence's probability as a float, computed once
-        per law.  Only a level below the normal range of a double is made
-        exact; it and p(y) are scaled by one power of two that puts p(y) in
-        [1/2, 1) before both are rounded, so its quotient is rounded as its
-        neighbours' are.  The rows must number at most ``BUDGET_CAP``.
+        A level is its code's correctly rounded float over the y-sequence's
+        probability as a float, in one numpy division per law.  Only a level
+        below the normal range of a double is made exact; it and p(y) are
+        scaled by one power of two that puts p(y) in [1/2, 1) before both
+        are rounded, so its quotient is rounded as its neighbours' are.  The
+        rows of all the y-types must number at most ``BUDGET_CAP``.
         """
         # a class of w members splits its s positions C(s + w - 1, s) ways
         required = sum(len(law.counts) * math.prod(math.comb(s + len(m) - 1, s)
                                                    for s, m in zip(law.signature, law.members)) for law in self.laws)
         if required > BUDGET_CAP:
             raise BudgetExceededError(required, BUDGET_CAP)
-        y_types = []
+        rows = []
         for law in self.laws:
             py = law.py_product.to_float()
-            log_py = law.py_product.log()
-            shift = -law.py_product.e - law.py_product.m.bit_length()
-            scaled_py = Dyadic(law.py_product.m, law.py_product.e + shift).to_float()
-            levels = law.code.floats(law.keys).tolist()
-            levels += [0.0] * (len(law.counts) - len(levels))  # the zero-level block
-            starts = accumulate(law.counts, initial=1)
-            rows = []
-            for i, (start, count, level) in enumerate(zip(starts, law.counts, levels)):
-                if level >= _MIN_NORMAL:  # then py >= level is normal too
-                    level /= py
-                elif i < len(law.keys):
+            floats = law.code.floats(law.keys)
+            with np.errstate(divide="ignore", invalid="ignore"):  # p(y) may underflow; then no level is normal
+                levels = (floats / py).tolist()
+            below = np.flatnonzero(floats < _MIN_NORMAL).tolist()  # where level >= normal, so is p(y) >= level
+            if below:
+                shift = -law.py_product.e - law.py_product.m.bit_length()
+                scaled_py = Dyadic(law.py_product.m, law.py_product.e + shift).to_float()
+                for i in below:
                     exact = law.level(i)
-                    level = Dyadic(exact.m, exact.e + shift).to_float() / scaled_py
-                rows.append((start, count, level))
-            for y_counts, y_sequences in law.y_types:
-                y_mass = y_sequences * py if py > 0.0 else math.exp(math.log(y_sequences) + log_py)
+                    levels[i] = Dyadic(exact.m, exact.e + shift).to_float() / scaled_py
+            levels += [0.0] * (len(law.counts) - len(levels))  # the zero-level block
+            counts = law.counts.tolist()
+            rows.append((law, list(accumulate(counts[:-1], initial=1)), counts, levels))
+        return rows
+
+    @property
+    def blocks(self) -> list[tuple[tuple[int, ...], float, int, int, float]]:
+        """Flat display view: (y-type counts, y-type mass, start, count, conditional level).
+
+        Each y-type has its law's ``law_rows``, and the y-types come in
+        composition order.
+        """
+        y_types = []
+        for law, starts, counts, levels in self.law_rows():
+            rows = list(zip(starts, counts, levels))
+            for y_counts, y_mass in law.y_masses:
                 y_types.append((y_counts, y_mass, rows))
         y_types.sort(key=lambda y_type: y_type[0])
         return [(y_counts, y_mass, *row) for y_counts, y_mass, rows in y_types for row in rows]
@@ -353,14 +376,15 @@ class GuessworkDistribution:
         inside = np.zeros(view.log_starts.size, dtype=bool)
         edges = []
         for p, q in zip(view.offsets, view.offsets[1:]):
-            last = bisect_right(starts, r_hi, p, q) - 1
+            last = p + int(np.searchsorted(starts[p:q], r_hi, "right")) - 1
             if last < p:
                 continue
-            first = max(bisect_right(starts, r_lo, p, q) - 1, p)
+            first = max(p + int(np.searchsorted(starts[p:q], r_lo, "right")) - 1, p)
             inside[first + 1 : last] = True
             for i in {first, last}:
-                a = max(starts[i], r_lo)
-                b = min(starts[i] + counts[i] - 1, r_hi)
+                start = int(starts[i])
+                a = max(start, r_lo)
+                b = min(start + int(counts[i]) - 1, r_hi)
                 if b >= a:
                     edges.append(view.log_weights[i] + math.log(b - a + 1))
         return _logsumexp(np.concatenate([view.log_weights[inside] + view.log_counts[inside], edges]))
@@ -488,6 +512,7 @@ def _group_levels(cells: dict[int, int], size: int) -> dict[int, int]:
 
 
 def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Key -> count of the sums of a key of a and one of b: a suffix table of ``RankTables``."""
     out: dict[int, int] = {}
     for k1, c1 in a.items():
         for k2, c2 in b.items():
@@ -496,22 +521,70 @@ def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _law_counts(columns, signature: tuple[int, ...]) -> dict[int, int]:
-    """Positive level key -> x-sequence count for one class signature; columns(c, size) gives each group's."""
-    counts = None
-    for c, size in enumerate(signature):
-        if size:
-            group = columns(c, size)
-            counts = group if counts is None else _convolve(counts, group)
-    return counts
+def _fold_classes(packing: LevelPacking, cells: list[dict[int, int]], sizes: np.ndarray, dtype) -> tuple:
+    """(law, key rows, counts) of the positive levels of every law, a signature per row of ``sizes``.
+
+    The classes are folded in left to right for all the laws at once.  Per
+    class, the group tables of the sizes the laws take (size 0 is the level
+    one) become arrays at once, end to end.  The first class gives each law
+    its table: a table's keys are distinct.  Each later one pairs every row
+    of each law with every row of its table in one gather, by index
+    arithmetic, adding key rows and multiplying counts, and ``_merge`` then
+    sums the rows of equal (law, key).  The rows come grouped by law, in
+    law order.
+    """
+    laws = np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes)))  # small ints sort by radix
+    for c, column in enumerate(sizes.T.tolist()):
+        used = sorted(set(column))
+        tables = [_group_levels(cells[c], size) if size else {0: 1} for size in used]
+        table_keys = packing.rows([key for table in tables for key in table])
+        table_counts = np.array([count for table in tables for count in table.values()], dtype=dtype)
+        places = dict(zip(used, zip(accumulate(map(len, tables), initial=0), map(len, tables))))
+        right_off, right_len = np.array([places[size] for size in column]).T
+        if not c:  # each law takes its table
+            law = np.repeat(laws, right_len)
+            keys, counts = table_keys, table_counts
+            if used != column:  # some size is taken by more than one law
+                rows = np.arange(law.size) + (right_off - np.cumsum(right_len) + right_len)[law]
+                keys, counts = table_keys[rows], table_counts[rows]
+            continue
+        # each row of a law meets every row of its table: the row repeated, the table laid out in full
+        reps = right_len[law]
+        left = np.repeat(np.arange(law.size), reps)
+        right = np.arange(left.size) + np.repeat(right_off[law] - np.cumsum(reps) + reps, reps)
+        law = law[left]
+        keys, counts = keys[left] + table_keys[right], counts[left] * table_counts[right]
+        del left, right  # before the merge's sort, at its peak of memory
+        law, keys, counts = _merge(law, keys, counts)
+    return law, keys, counts
+
+
+def _merge(law: np.ndarray, keys: np.ndarray, counts: np.ndarray) -> tuple:
+    """The rows sorted by (law, key), equal ones summed by one ``np.add.reduceat``.
+
+    The sort runs word by word from the first, then by law: the first pass
+    need not be stable, as rows tied in every word and law are equal, and
+    laws, small ints, sort stably by radix.
+    """
+    order = np.argsort(keys[:, 0])
+    for word in keys.T[1:]:
+        order = order[np.argsort(word[order], kind="stable")]
+    order = order[np.argsort(law[order], kind="stable")]
+    law, keys, counts = law[order], keys[order], counts[order]
+    new = np.ones(law.size, dtype=bool)
+    new[1:] = (law[1:] != law[:-1]) | (keys[1:] != keys[:-1]).any(axis=1)
+    firsts = np.flatnonzero(new)
+    return law[firsts], keys[firsts], np.add.reduceat(counts, firsts)
 
 
 def guesswork_distribution(source: PairSource, n: int) -> GuessworkDistribution:
     """Exact rank law at length n, one law per class signature, within ``BUDGET_CAP``.
 
     A signature, a composition of n over the classes, has multinomial(n;
-    signature) * prod |class|**size y-sequences.  The laws' keys are ordered
-    in one pass: one ``log_scales`` call, and exact levels only on near ties.
+    signature) * prod |class|**size y-sequences.  All the laws are built as
+    one set of rows (``_fold_classes``) and ordered in one pass: one
+    ``log_scales`` call, and exact levels only on near ties.  Each law then
+    takes its slices of the ordered rows, with its zero-level block.
     """
     if n < 1:
         raise SequenceError(f"sequence length must be >= 1, got {n}")
@@ -520,41 +593,33 @@ def guesswork_distribution(source: PairSource, n: int) -> GuessworkDistribution:
         raise BudgetExceededError(required, BUDGET_CAP)
     packing = source.level_code.packing(n)
     cells = _class_cells(source, packing)
-    tables: dict[tuple[int, int], dict[int, int]] = {}
-
-    def columns(c: int, size: int) -> dict[int, int]:
-        table = tables.get((c, size))
-        if table is None:
-            table = tables[c, size] = _group_levels(cells[c], size)
-        return table
-
-    signatures = list(_counted_compositions(n, len(cells)))
-    merged = [_law_counts(columns, signature) for signature, _ in signatures]
-    keys = [key for counts in merged for key in counts]
-    logs, scales = packing.log_scales(keys)
-    groups = np.repeat(np.arange(len(merged)), [len(counts) for counts in merged])
-    order = descending(logs, scales, groups, lambda i: packing.dyadic(keys[i]))
-    logs, scales = logs[order], scales[order]
-    ranked = [keys[i] for i in order.tolist()]
     total = source.x_alphabet.size**n
+    signatures = list(_counted_compositions(n, len(cells)))
+    sizes = np.array([signature for signature, _ in signatures]).reshape(len(signatures), len(cells))
+    law, keys, counts = _fold_classes(packing, cells, sizes, np.int64 if total < 1 << 63 else object)
+    logs, scales = packing.log_scales(keys)
+    order = descending(logs, scales, law, lambda i: packing.dyadic(keys[i]))
+    keys = keys[order]  # one at a time, each freeing its unordered rows
+    counts = counts[order]
+    logs = logs[order]
+    scales = scales[order]
+    ends = list(accumulate(np.bincount(law, minlength=len(signatures)).tolist(), initial=0))
+    zeros = [total - positive for positive in np.add.reduceat(counts, ends[:-1]).tolist()]
+    if any(zeros):  # every law's counts in one array, each zero-level block after its law's positive ones
+        counts = np.insert(counts, [end for end, zero in zip(ends[1:], zeros) if zero], [z for z in zeros if z])
+    count_ends = [end + before for end, before in zip(ends, accumulate(map(bool, zeros), initial=0))]
     members = tuple(cls.members for cls in source.column_classes)
     widths = [len(m) for m in members]
     # the columns of a class are permutations of each other, so they have one exact p(y)
     class_py = [source.py_dyadic[m[0]] for m in members]
     laws = []
-    stop = 0
-    for (signature, multinomial), counts in zip(signatures, merged):
-        start, stop = stop, stop + len(counts)
-        law_keys = tuple(ranked[start:stop])
-        law_counts = [counts[key] for key in law_keys]
-        zero_count = total - sum(law_counts)
-        if zero_count:
-            law_counts.append(zero_count)
+    for (signature, multinomial), start, stop, count_start, count_stop in zip(
+            signatures, ends, ends[1:], count_ends, count_ends[1:]):
         y_sequences = math.prod((w**size for w, size in zip(widths, signature)), start=multinomial)
         py_product = math.prod((py**size for py, size in zip(class_py, signature)), start=DYADIC_ONE)
         laws.append(YTypeLaw(signature=signature, members=members, y_sequences=y_sequences, py_product=py_product,
-                             counts=tuple(law_counts), keys=law_keys, code=packing, logs=logs[start:stop],
-                             scales=scales[start:stop]))
+                             counts=counts[count_start:count_stop], keys=keys[start:stop], code=packing,
+                             logs=logs[start:stop], scales=scales[start:stop]))
     return GuessworkDistribution(n, source.x_alphabet.size, source.y_alphabet.symbols, tuple(laws))
 
 

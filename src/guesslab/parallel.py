@@ -42,8 +42,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations
-from operator import mul, sub
+from itertools import combinations
 
 import numpy as np
 
@@ -189,23 +188,36 @@ def _step_column(dist: GuessworkDistribution) -> tuple[list[int], list[int], lis
 
     Block j is [starts[j], starts[j + 1]), from rank 1 to |X|**n + 1, with
     pmf probs[j] and P(G < starts[j]) = below[j]; below[-1] is the mass.
-    Each law's pmf steps by q_b - q_(b-1) at its block starts, so the
-    column is the running sum of all the laws' steps in rank order.  The
-    shift is the largest -e of the user's levels, so each user keeps its own
-    denominator.
+    Each law's pmf steps by q_b - q_(b-1) at its block starts and by -q at
+    the end of its last positive block, so the column is the running sum
+    of all the laws' steps in rank order: the steps are sorted by rank, and
+    those at one rank summed.  The shift is the largest -e of the user's
+    levels, so each user keeps its own denominator.
     """
-    keys = list({key for law in dist.laws for key in law.keys})
-    numerators, shift = dist.laws[0].code.numerators(keys)  # one code for all the laws
-    scaled = dict(zip(keys, numerators))
-    steps = {1: 0, dist.total_sequences + 1: 0}
-    for law in dist.laws:
-        q = [law.y_sequences * scaled[key] for key in law.keys]  # the zero block has no key
-        for rank, step in zip(accumulate(law.counts[: len(q)], initial=1), map(sub, q + [0], [0] + q)):
-            steps[rank] = steps.get(rank, 0) + step
-    starts = sorted(steps)
-    probs = list(accumulate([steps[rank] for rank in starts[:-1]]))
-    below = list(accumulate(map(mul, probs, map(sub, starts[1:], starts)), initial=0))
-    return starts, probs, below, shift
+    laws, view = dist.laws, dist._view
+    # the laws' distinct keys, by one lexsort of their word rows, each made a numerator once
+    keys = np.concatenate([law.keys for law in laws])
+    order = np.lexsort(keys.T)
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    numerators, shift = laws[0].code.numerators(keys[order[new]])  # one code for all the laws
+    distinct = np.empty(len(keys), dtype=np.intp)
+    distinct[order] = np.add.accumulate(new) - 1
+    weights = np.repeat(np.array([law.y_sequences for law in laws], dtype=object), np.diff(view.offsets))
+    q = np.array(numerators, dtype=object)[distinct] * weights  # the zero block has no key
+    lasts = np.array(view.offsets[1:]) - 1
+    previous = np.concatenate(([0], q[:-1]))
+    previous[lasts[:-1] + 1] = 0
+    ranks = np.concatenate((view.exact_starts, view.exact_starts[lasts] + view.exact_counts[lasts],
+                            [dist.total_sequences + 1]))
+    steps = np.concatenate((q - previous, -q[lasts], [0]))
+    order = np.argsort(ranks)
+    ranks, steps = ranks[order], steps[order]
+    firsts = np.flatnonzero(np.concatenate(([True], ranks[1:] != ranks[:-1])))
+    starts = ranks[firsts]
+    probs = np.cumsum(np.add.reduceat(steps, firsts)[:-1])
+    below = np.concatenate(([0], np.cumsum(probs * (starts[1:] - starts[:-1]))))
+    return starts.tolist(), probs.tolist(), below.tolist(), shift
 
 
 def _log_naturals(ints: np.ndarray) -> np.ndarray:

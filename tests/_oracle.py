@@ -21,9 +21,11 @@ a distribution one law per y-type, as these references build it, where the
 library shares one law among the y-types of a column-class signature.
 ``percell_laws`` is the library's earlier packed-key build: it enumerates
 every y-type to group them by signature, and x-compositions over every
-cell of a column, equal or not.  ``group_levels`` is the library's
-earlier group table: one multinomial term per composition over all the
-distinct values, where the library steps a binomial recurrence.
+cell of a column, equal or not, and merges levels in dictionaries, one
+signature at a time, where the library folds every law's arrays at once.
+``group_levels`` is the library's earlier group table: one multinomial
+term per composition over all the distinct values, where the library
+steps a binomial recurrence.
 
 ``log_power_sum`` sums r**alpha over a rank block of any size in mpmath,
 by direct sums and an uncertified Euler-Maclaurin series taken to 40
@@ -41,7 +43,7 @@ import mpmath
 import numpy as np
 from hypothesis import strategies as st
 
-from guesslab.dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic, NumeratorCode, descending
+from guesslab.dyadic import _WORD, DYADIC_ONE, DYADIC_ZERO, Dyadic, NumeratorCode, descending
 from guesslab.entropy import _arimoto, conditional_min_entropy, conditional_shannon
 from guesslab.guesswork import (
     GuessworkDistribution,
@@ -80,6 +82,15 @@ def float_source(seed: int, x_size: int, y_size: int):
     xs = [f"x{i}" for i in range(x_size)]
     ys = [f"y{j}" for j in range(y_size)]
     return make_source(xs, ys, joint.tolist())
+
+
+def float_3x3(seed: int = 7, floor: float = 0.03) -> PairSource:
+    """The 3x3 float source of the roadmap's memory and speed bars: Dirichlet weights above a floor.
+
+    The same draw as the benchmark's ``workloads._float_joint(default_rng(seed), 3, 3, floor)``.
+    """
+    w = floor + np.random.default_rng(seed).dirichlet(np.ones(9)) * (1.0 - floor * 9)
+    return make_source(["a", "b", "c"], ["u", "v", "w"], (w / w.sum()).reshape(3, 3).tolist())
 
 
 @st.composite
@@ -372,22 +383,34 @@ def dyadic_law(source: PairSource, y_counts: tuple[int, ...]) -> YTypeLaw:
     if DYADIC_ZERO in levels:
         counts.append(levels[DYADIC_ZERO])
     # the law names its levels as numerators over the smallest common 2**bits,
-    # a stand-in for the level code: the checks read only its dyadic and log_scales
+    # a stand-in for the level code and its word rows: the checks read only
+    # its dyadic, at keys[i], and its log_scales
     bits = max(-lv.e for lv in ranked)
     code = NumeratorCode(bits)
     keys = [lv.m << (bits + lv.e) for lv in ranked]
     logs, scales = code.log_scales(keys)
+    total = sum(counts)
     return YTypeLaw(
         signature=y_counts,
         members=singleton_classes(len(y_counts)),
         y_sequences=multinomial(y_counts),
         py_product=py_product,
-        counts=tuple(counts),
-        keys=tuple(keys),
+        counts=np.array(counts, dtype=np.int64 if total < 1 << 63 else object),
+        keys=np.array(keys, dtype=object),
         code=code,
         logs=logs,
         scales=scales,
     )
+
+
+def unpack(packing, key: int) -> list[int]:
+    """The exponent vector of an int key, field by field."""
+    return [(key >> offset) & mask for offset, mask in packing.fields]
+
+
+def key_ints(packing, rows: np.ndarray) -> list[int]:
+    """The int keys that a packing's word rows spell, word j at bit _WORD * j."""
+    return [sum(w << (_WORD * j) for j, w in enumerate(row)) for row in rows.tolist()]
 
 
 def singleton_classes(y_size: int) -> tuple[tuple[int, ...], ...]:
@@ -407,6 +430,7 @@ def split_laws(dist: GuessworkDistribution) -> GuessworkDistribution:
 def percell_laws(source: PairSource, n: int) -> list[tuple]:
     """(y_types, py_product, counts, keys) of each law, as the per-cell build made them, in its law order.
 
+    The counts are a tuple of ints and the keys the packing's word rows.
     Columns share a class when their sorted positive keys agree, classes
     are numbered by first member, and each y-type joins the law of its
     signature, in the order the y-types first reach them.
@@ -440,9 +464,10 @@ def percell_laws(source: PairSource, n: int) -> list[tuple]:
                 counts = group(c, size) if counts is None else _convolve(counts, group(c, size))
         merged.append(counts)
     keys = [key for counts in merged for key in counts]
-    logs, scales = packing.log_scales(keys)
+    rows = packing.rows(keys)
+    logs, scales = packing.log_scales(rows)
     groups = np.repeat(np.arange(len(merged)), [len(counts) for counts in merged])
-    ranked = [keys[i] for i in descending(logs, scales, groups, lambda i: packing.dyadic(keys[i])).tolist()]
+    ranked = [keys[i] for i in descending(logs, scales, groups, lambda i: packing.dyadic(rows[i])).tolist()]
     class_py = dict(zip(members, source.py_dyadic))
     total = source.x_alphabet.size**n
     laws, stop = [], 0
@@ -453,7 +478,7 @@ def percell_laws(source: PairSource, n: int) -> list[tuple]:
         if total > sum(law_counts):
             law_counts.append(total - sum(law_counts))
         py_product = math.prod((class_py[c] ** size for c, size in enumerate(signature)), start=DYADIC_ONE)
-        laws.append((tuple(y_types), py_product, tuple(law_counts), law_keys))
+        laws.append((tuple(y_types), py_product, tuple(law_counts), packing.rows(list(law_keys))))
     return laws
 
 

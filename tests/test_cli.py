@@ -198,6 +198,26 @@ def test_moments_table_and_bound_cells(capsys, bsc_path):
         assert row[4] == ""
 
 
+def test_moments_without_bound_orders_skip_the_bounds_pass(monkeypatch, capsys, bsc_path):
+    scgf, calls = guesswork_module._scgf, []
+    monkeypatch.setattr(guesswork_module, "_scgf", lambda *args: calls.append(args[1]) or scgf(*args))
+    _, with_bounds, _ = run_cli(capsys, ["moments", "--source", bsc_path, "--n", "5", "--alphas", "-0.5,0.5,1"])
+    assert len(calls) == 1  # the bounds' orders in one pass
+    calls.clear()
+    code, without, _ = run_cli(capsys, ["moments", "--source", bsc_path, "--n", "5", "--alphas", "0.5,1"])
+    assert code == 0 and calls == []
+    assert csv_rows(without)[1] == csv_rows(with_bounds)[1][1:]
+
+
+@pytest.mark.parametrize("value, text", [
+    (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (0.0, "0"), (-0.0, "-0"),
+    (1e-320, "9.9998886718268301e-321"), (sys.float_info.max, "1.7976931348623157e+308"),
+])
+def test_format_cell_writes_17_significant_digits(value, text):
+    assert cli._format_cell(value) == text
+    assert cli._format_cell(np.float64(value)) == text
+
+
 def test_moments_bits_scales_only_the_log_scale_column(capsys, bsc_path):
     argv = ["moments", "--source", bsc_path, "--n", "6", "--alphas", "-0.5,1"]
     _, nats_out, _ = run_cli(capsys, argv)

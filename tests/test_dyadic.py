@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from guesslab.dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic, LevelCode, descending
 
+import _oracle
 from _oracle import divide_exact
 
 
@@ -198,19 +199,20 @@ def test_level_packing_round_trip_matches_fraction(pairs, n, data):
     packing = LevelCode(levels).packing(n)
     factors = data.draw(st.lists(st.sampled_from(levels), max_size=n))
     key = sum(packing.key(f) for f in factors)
-    vectors = [packing.unpack(packing.key(f)) for f in factors]
-    assert packing.unpack(key) == [sum(v[i] for v in vectors) for i in range(len(packing.fields))]
+    vectors = [_oracle.unpack(packing, packing.key(f)) for f in factors]
+    assert _oracle.unpack(packing, key) == [sum(v[i] for v in vectors) for i in range(len(packing.fields))]
     want = Fraction(1)
     for f in factors:
         want *= f.as_fraction()
     # numerators over one power of two, the largest -e of the keys, before dyadic() caches any power
     keys = [key] + [packing.key(level) for level in levels]
-    numerators, shift = packing.numerators(keys)
-    assert shift == max(packing.unpack(k)[-1] for k in keys)
+    rows = packing.rows(keys)
+    numerators, shift = packing.numerators(rows)
+    assert shift == max(_oracle.unpack(packing, k)[-1] for k in keys)
     assert [Fraction(m, 2**shift) for m in numerators] == [want] + [level.as_fraction() for level in levels]
-    assert packing.dyadic(key).as_fraction() == want
-    for level in levels:
-        assert packing.dyadic(packing.key(level)) == level
+    assert packing.dyadic(rows[0]).as_fraction() == want
+    for level, row in zip(levels, rows[1:]):
+        assert packing.dyadic(row) == level
 
 
 # 0.01 * 0.09 and 0.03 * 0.03 are distinct dyadics with equal float logs, so a
@@ -234,7 +236,8 @@ def test_descending_matches_fraction_sort_on_near_ties(groups, data):
         group = data.draw(st.permutations(sorted(group)))  # any order in, one order out
         keys += group
         group_of += [g] * len(group)
-    logs, scales = packing.log_scales(keys)
-    order = descending(logs, scales, np.array(group_of), lambda i: packing.dyadic(keys[i]))
-    exact = [packing.dyadic(key).as_fraction() for key in keys]
+    rows = packing.rows(keys)
+    logs, scales = packing.log_scales(rows)
+    order = descending(logs, scales, np.array(group_of), lambda i: packing.dyadic(rows[i]))
+    exact = [packing.dyadic(row).as_fraction() for row in rows]
     assert order.tolist() == sorted(range(len(keys)), key=lambda i: (group_of[i], -exact[i]))

@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guesslab import dyadic as dyadic_module
-from guesslab import guesswork as guesswork_module
 from guesslab.dyadic import (
     DYADIC_ONE,
     NEAR_TIE,
@@ -106,18 +105,13 @@ def test_law_matches_dyadic_reference_on_shared_column_classes(noiseless, indepe
         assert_matches_reference(source, n)
 
 
-def test_each_class_signature_builds_one_shared_law(monkeypatch, bsc01, skew22):
-    calls = []
-    law_counts = guesswork_module._law_counts
-    monkeypatch.setattr(guesswork_module, "_law_counts",
-                        lambda columns, signature: calls.append(signature) or law_counts(columns, signature))
+def test_each_class_signature_builds_one_shared_law(bsc01, skew22):
     # (source, n, the class of each y-symbol, y-types, laws built); skew22's columns are each their own class
     for source, n, members, y_types, built in ((bsc01, 64, (0, 0), 65, 1), (bsc01, 400, (0, 0), 401, 1),
                                                (erasure_source(), 12, (0, 1, 0), 91, 13),
                                                (skew22, 20, (0, 1), 21, 21)):
-        calls.clear()
         laws = guesswork_distribution(source, n).laws
-        assert len(laws) == len(calls) == len(set(calls)) == built
+        assert len(laws) == len({law.signature for law in laws}) == built
         listed = [y_counts for law in laws for y_counts, _ in law.y_types]
         assert len(listed) == y_types
         assert sorted(listed) == list(_oracle.y_types(n, source.y_alphabet.size))
@@ -182,7 +176,7 @@ def assert_matches_per_cell_build(source, n: int) -> None:
     reference = _oracle.percell_laws(source, n)
     assert len(dist.laws) == len(reference)
     for law, (y_types, py_product, counts, keys) in zip(dist.laws, reference):
-        assert (law.keys, law.counts, law.y_types) == (keys, counts, y_types)
+        assert (law.keys.tolist(), law.counts.tolist(), law.y_types) == (keys.tolist(), list(counts), y_types)
         assert (law.py_product.m, law.py_product.e) == (py_product.m, py_product.e)
         assert law.y_sequences == sum(count for _, count in law.y_types)
     assert sum(law.y_sequences for law in dist.laws) == source.y_alphabet.size**n
@@ -192,6 +186,30 @@ def assert_matches_per_cell_build(source, n: int) -> None:
 @given(source=sources_with_repeats(), n=st.integers(1, 5))
 def test_laws_match_per_cell_build_with_repeated_cells_and_columns(source, n):
     assert_matches_per_cell_build(source, n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(source=_oracle.lattice_sources(), n=st.integers(1, 7))
+def test_columnar_build_matches_dict_build_over_lattice_sources(source, n):
+    # the per-cell dict build: keys merged in dicts and convolved one signature at a time
+    assert_matches_per_cell_build(source, n)
+
+
+def test_columnar_build_matches_dict_build_on_two_word_keys():
+    source = _oracle.float_3x3()
+    assert source.level_code.packing(14).words == 2  # 87 bits in two words
+    assert_matches_per_cell_build(source, 14)
+
+
+def test_columnar_build_matches_dict_build_past_int64_counts():
+    # two column classes, so the second is merged into the first: 2**63 sequences at n = 63;
+    # the erasure source's laws also have zero-level blocks
+    two_classes = make_source(["a", "b"], ["u", "v"], [[0.3, 0.1], [0.2, 0.4]])
+    for source, n, dtype in ((two_classes, 62, np.int64), (two_classes, 63, object), (two_classes, 70, object),
+                             (erasure_source(), 64, object)):
+        assert len(source.column_classes) == 2
+        assert {law.counts.dtype for law in guesswork_distribution(source, n).laws} == {np.dtype(dtype)}
+        assert_matches_per_cell_build(source, n)
 
 
 def test_laws_match_per_cell_build_on_fixtures(bsc01, skew22, noiseless, independent, uniform_binary, corpus):
@@ -320,11 +338,11 @@ def test_explicit_level_laws_read_like_keyed_laws(bsc01, corpus):
 
 def swapped(law, i: int, j: int):
     """The law with its positive blocks i and j exchanged, counts, keys, logs and scales."""
-    order = list(range(len(law.keys)))
-    order[i], order[j] = j, i
-    counts = tuple(law.counts[o] for o in order) + law.counts[len(order) :]
-    return replace(law, counts=counts, keys=tuple(law.keys[o] for o in order), logs=law.logs[order],
-                   scales=law.scales[order])
+    order = np.arange(len(law.counts))
+    order[[i, j]] = j, i
+    positive = order[: len(law.keys)]
+    return replace(law, counts=law.counts[order], keys=law.keys[positive], logs=law.logs[positive],
+                   scales=law.scales[positive])
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -341,9 +359,11 @@ def test_distribution_rejects_malformed_laws(bsc01, fault, message):
     GuessworkDistribution(n, src.x_alphabet.size, src.y_alphabet.symbols, tuple(laws))  # as built: valid
     law = laws[0]
     if fault == "zero count":
-        laws[0] = replace(law, counts=law.counts + (0,))
+        laws[0] = replace(law, counts=np.append(law.counts, 0))
     elif fault == "short cover":
-        laws[0] = replace(law, counts=law.counts[:-1] + (law.counts[-1] + 1,))
+        counts = law.counts.copy()
+        counts[-1] += 1
+        laws[0] = replace(law, counts=counts)
     elif fault == "far-apart levels swapped":
         laws[0] = swapped(law, 0, len(law.keys) - 1)
     elif fault == "near-tie levels swapped":
@@ -359,7 +379,7 @@ def test_distribution_rejects_malformed_laws(bsc01, fault, message):
 def test_build_makes_exact_levels_only_on_near_ties(monkeypatch, bsc01):
     asked = []
     packed_dyadic = LevelPacking.dyadic
-    monkeypatch.setattr(LevelPacking, "dyadic", lambda self, key: asked.append(key) or packed_dyadic(self, key))
+    monkeypatch.setattr(LevelPacking, "dyadic", lambda self, row: asked.append(tuple(row)) or packed_dyadic(self, row))
     for src, n, ties in ((bsc01, 64, False), (float_source(31, 3, 2), 18, False), (near_tie_source(), 4, True)):
         asked.clear()
         dist = guesswork_distribution(src, n)
@@ -371,7 +391,7 @@ def test_build_makes_exact_levels_only_on_near_ties(monkeypatch, bsc01):
             ranked = law.logs[order]
             tolerance = NEAR_TIE * (1.0 + law.scales.max())
             for i in np.flatnonzero(ranked[:-1] - ranked[1:] <= tolerance).tolist():
-                members |= {law.keys[order[i]], law.keys[order[i + 1]]}
+                members |= {tuple(law.keys[order[i]]), tuple(law.keys[order[i + 1]])}
         assert set(asked) <= members
 
 
@@ -415,9 +435,9 @@ def test_level_code_is_exact_on_shared_factors(levels, n, data):
         keys.append(key)
         # no carry: the packed sum unpacks to the sum of the vectors
         fields = len(packing.fields)
-        assert packing.unpack(key) == [sum(code.vectors[f][i] for f in factors) for i in range(fields)]
+        assert _oracle.unpack(packing, key) == [sum(code.vectors[f][i] for f in factors) for i in range(fields)]
         assert key & packing.guard == 0
-        assert packing.dyadic(key) == level
+        assert packing.dyadic(packing.rows([key])[0]) == level
 
     for (_, a), ka in zip(products, keys):
         for (_, b), kb in zip(products, keys):
@@ -427,13 +447,13 @@ def test_level_code_is_exact_on_shared_factors(levels, n, data):
             if exact is None or exact.e > 0:
                 assert q is None
             else:
-                assert q is not None and packing.dyadic(q) == exact
+                assert q is not None and packing.dyadic(packing.rows([q])[0]) == exact
 
     exact_levels = {}
     for key, (_, level) in zip(keys, products):
         exact_levels[key] = level
     distinct = list(exact_levels)
-    logs, scales = packing.log_scales(distinct)
+    logs, scales = packing.log_scales(packing.rows(distinct))
     groups = np.zeros(len(distinct), dtype=int)
     order = descending(logs, scales, groups, lambda i: exact_levels[distinct[i]]).tolist()
     assert [exact_levels[distinct[i]] for i in order] == sorted(exact_levels.values(), reverse=True)
@@ -453,17 +473,21 @@ def test_unpack_all_matches_unpack_key_by_key():
     # nine 53-bit mantissas at n = 10**4: three words
     wide = float_source(33, 3, 3).level_code.packing(10**4)
     cases = [(one_word, random_keys(one_word, rng)), (wide, random_keys(wide, rng))]
-    for n in (18, 40):  # two words, with a field across them
+    for n in (18, 40):  # two words
         packing = tri2.level_code.packing(n)
-        assert word < packing.width <= 2 * word
-        assert any(offset < word < offset + mask.bit_length() for offset, mask in packing.fields)
+        assert packing.words == 2
         cases.append((packing, random_keys(packing, rng)))
-    cases.append((tri2.level_code.packing(18), [key for law in guesswork_distribution(tri2, 18).laws
-                                                 for key in law.keys]))
-    assert one_word.width <= word and wide.width > 2 * word
+    cases.append((tri2.level_code.packing(18), _oracle.key_ints(tri2.level_code.packing(18), np.concatenate(
+        [law.keys for law in guesswork_distribution(tri2, 18).laws]))))
+    assert one_word.words == 1 and wide.words >= 3
     for packing, keys in cases:
-        want = np.array([packing.unpack(key) for key in keys], dtype=np.int64).T
-        assert np.array_equal(packing._unpack_all(keys), want)
+        # no field runs across two words, so the int keys split into rows with no carry between words
+        assert all(offset // word == (offset + mask.bit_length() - 1) // word for offset, mask in packing.fields)
+        want = np.array([_oracle.unpack(packing, key) for key in keys], dtype=np.int64).T
+        rows = packing.rows(keys)
+        assert rows.shape == (len(keys), packing.words)
+        assert np.array_equal(packing._unpack_all(rows), want)
+        assert _oracle.key_ints(packing, rows) == keys
 
 
 def test_log_scales_of_a_key_do_not_depend_on_the_batch(bsc01):
@@ -471,11 +495,11 @@ def test_log_scales_of_a_key_do_not_depend_on_the_batch(bsc01):
     rng = np.random.default_rng(11)
     for source, n in ((bsc01, 40), (float_source(32, 3, 2), 18), (float_source(31, 3, 2), 10)):
         packing = source.level_code.packing(n)
-        keys = sorted({key for law in guesswork_distribution(source, n).laws for key in law.keys})
-        keys = [keys[i] for i in rng.permutation(len(keys))]
+        keys = np.unique(np.concatenate([law.keys for law in guesswork_distribution(source, n).laws]), axis=0)
+        keys = keys[rng.permutation(len(keys))]
         logs, scales = packing.log_scales(keys)
         for i in sorted(rng.permutation(len(keys))[:300].tolist()):
-            alone = packing.log_scales([keys[i]])
+            alone = packing.log_scales(keys[i : i + 1])
             assert (alone[0][0], alone[1][0]) == (logs[i], scales[i])
 
 
@@ -516,7 +540,7 @@ def exact_floats(code, keys) -> list[float]:
 def test_floats_match_exact_to_float(source, n):
     dist = guesswork_distribution(source, n)
     packing = source.level_code.packing(n)
-    keys = [key for law in dist.laws for key in law.keys]
+    keys = np.concatenate([law.keys for law in dist.laws])
     assert packing.floats(keys).tolist() == exact_floats(packing, keys)
 
 
@@ -531,7 +555,7 @@ def asked(monkeypatch):
     """The keys that LevelPacking.floats sends to the exact path."""
     keys = []
     packed_dyadic = LevelPacking.dyadic
-    monkeypatch.setattr(LevelPacking, "dyadic", lambda self, key: keys.append(key) or packed_dyadic(self, key))
+    monkeypatch.setattr(LevelPacking, "dyadic", lambda self, row: keys.append(row.tolist()) or packed_dyadic(self, row))
     return keys
 
 
@@ -546,19 +570,19 @@ def test_floats_take_the_exact_path_on_midpoints_and_tiny_levels(asked, bsc01_n2
         3 * key(tiny): 0.0,  # below half the smallest subnormal
         key(three_quarters): 0.75,
     }
-    keys = list(cases)
+    keys = packing.rows(list(cases))
     assert packing.floats(keys).tolist() == list(cases.values())
-    assert asked == keys[:3]
+    assert asked == keys[:3].tolist()
 
     # the levels below about 1e-300, by their float logs
     packing = bsc01_n240.laws[0].code
-    keys = [key for law in bsc01_n240.laws for key, log in zip(law.keys, law.logs.tolist()) if log < -690.0]
+    keys = np.concatenate([law.keys[law.logs < -690.0] for law in bsc01_n240.laws])
     asked.clear()
     floats = packing.floats(keys).tolist()
     want = exact_floats(packing, keys)
     assert floats == want
-    subnormal = {key for key, x in zip(keys, want) if x < sys.float_info.min}
-    assert subnormal and subnormal <= set(asked)
+    subnormal = {tuple(key) for key, x in zip(keys.tolist(), want) if x < sys.float_info.min}
+    assert subnormal and subnormal <= set(map(tuple, asked))
 
 
 def test_shared_law_reads_like_one_law_per_y_type(bsc01_n240):
@@ -591,10 +615,10 @@ def test_floats_with_a_huge_error_bound_take_the_exact_path_everywhere(monkeypat
     monkeypatch.setattr(dyadic_module, "_FLOAT_ERROR", 1.0)
     for source, n in ((bsc01, 40), (float_source(31, 3, 2), 10)):
         asked.clear()
-        keys = [key for law in guesswork_distribution(source, n).laws for key in law.keys]
+        keys = np.concatenate([law.keys for law in guesswork_distribution(source, n).laws])
         packing = source.level_code.packing(n)
         floats = packing.floats(keys).tolist()
-        assert asked == keys
+        assert asked == keys.tolist()
         assert floats == exact_floats(packing, keys)
 
 

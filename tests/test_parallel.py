@@ -295,7 +295,7 @@ def test_kmin_law_makes_exact_levels_only_for_user_keys(monkeypatch, bsc01, skew
     kmin.log_prob_log_window(0.1, 0.4)
     kmin.prob_eq_one_dyadic()
     by_kmin = len(made) - 2 * by_users  # kmin_distribution builds the users' laws again
-    distinct = sum(len({key for user_law in dist.laws for key in user_law.keys}) for dist in dists)
+    distinct = sum(len({tuple(key) for user_law in dist.laws for key in user_law.keys.tolist()}) for dist in dists)
     assert by_kmin <= distinct + 4
     assert kmin.total_sequences > 10 * (distinct + 4)  # one per rank would not pass
 
